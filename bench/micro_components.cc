@@ -108,22 +108,44 @@ BM_PwcLookup(benchmark::State &state)
 }
 BENCHMARK(BM_PwcLookup);
 
+/** One-cycle memory below the cache; completed requests are freed. */
+struct CacheBenchRig : Cache::Below, RequestSink
+{
+    explicit CacheBenchRig(EventQueue &queue) : eq(queue)
+    {
+        pool.setSink(Done::SmAccess, this);
+    }
+
+    void
+    fetch(Cache &from, const Request &missed) override
+    {
+        Cache *cache = &from;
+        PhysAddr addr = missed.addr;
+        eq.scheduleIn(1, [cache, addr]() { cache->fill(addr); });
+    }
+
+    void requestDone(RequestId id) override { pool.free(id); }
+
+    RequestId issue() { return pool.alloc({.addr = 0}); }
+
+    EventQueue &eq;
+    RequestPool pool;
+};
+
 static void
 BM_CacheAccessHit(benchmark::State &state)
 {
     EventQueue eq;
+    CacheBenchRig rig(eq);
     Cache::Params params;
     params.sizeBytes = 128 * 1024;
     params.latency = 1;
-    Cache cache(eq, params,
-                [&eq](PhysAddr, bool, std::function<void()> fill) {
-                    eq.scheduleIn(1, std::move(fill));
-                });
+    Cache cache(eq, params, rig.pool, rig);
     // Warm one sector.
-    cache.access(0, false, []() {});
+    cache.access(rig.issue());
     eq.run();
     for (auto _ : state) {
-        cache.access(0, false, []() {});
+        cache.access(rig.issue());
         eq.run();
     }
     state.SetItemsProcessed(state.iterations());

@@ -13,6 +13,8 @@
  * config with the earlier In-TLB capacity, exactly as documented.
  */
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -72,15 +74,35 @@ cliError(const std::string &message)
     std::exit(2);
 }
 
+/** A decimal count: digits only (no sign), within 64 bits. */
 std::uint64_t
 parseUint(const std::string &value, const char *flag)
 {
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
+    // strtoull would skip whitespace and negate a leading '-'.
+    if (value.empty() || value[0] < '0' || value[0] > '9')
         cliError(strprintf("%s expects a number, got '%s'", flag,
                            value.c_str()));
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
+    if (*end != '\0')
+        cliError(strprintf("%s expects a number, got '%s'", flag,
+                           value.c_str()));
+    if (errno == ERANGE)
+        cliError(strprintf("%s value '%s' is out of range", flag,
+                           value.c_str()));
     return parsed;
+}
+
+/** parseUint() for 32-bit settings. */
+std::uint32_t
+parseUint32(const std::string &value, const char *flag)
+{
+    std::uint64_t parsed = parseUint(value, flag);
+    if (parsed > UINT32_MAX)
+        cliError(strprintf("%s value '%s' is out of range (max %u)", flag,
+                           value.c_str(), unsigned(UINT32_MAX)));
+    return std::uint32_t(parsed);
 }
 
 double
@@ -168,13 +190,11 @@ optionTable(Options &opt)
          }},
         {"--ptws", "<n>", "hardware walker count (scales MSHRs/PWB)",
          [&](const std::vector<std::string> &a) {
-             scalePtwSubsystem(opt.cfg,
-                               std::uint32_t(parseUint(a[0], "--ptws")));
+             scalePtwSubsystem(opt.cfg, parseUint32(a[0], "--ptws"));
          }},
         {"--intlb", "<n>", "In-TLB MSHR capacity",
          [&](const std::vector<std::string> &a) {
-             opt.cfg.inTlbMshrMax =
-                 std::uint32_t(parseUint(a[0], "--intlb"));
+             opt.cfg.inTlbMshrMax = parseUint32(a[0], "--intlb");
          }},
         {"--page", "<64k|2m>", "page size",
          [&](const std::vector<std::string> &a) {
@@ -203,6 +223,9 @@ optionTable(Options &opt)
         {"--scale", "<f>", "footprint scale factor",
          [&](const std::vector<std::string> &a) {
              opt.scale = parseFloat(a[0], "--scale");
+             if (!std::isfinite(opt.scale) || opt.scale <= 0.0)
+                 cliError("--scale expects a positive number, got '" + a[0] +
+                          "'");
          }},
         {"--policy", "<rr|rand|stall>", "distributor policy",
          [&](const std::vector<std::string> &a) {
@@ -239,8 +262,7 @@ optionTable(Options &opt)
         {"--subtlb", "<k>",
          "sub-entry L2 TLB: k pages per tag (1 = conventional)",
          [&](const std::vector<std::string> &a) {
-             opt.cfg.l2SubEntries =
-                 std::uint32_t(parseUint(a[0], "--subtlb"));
+             opt.cfg.l2SubEntries = parseUint32(a[0], "--subtlb");
          }},
         {"--subtlb-share", "",
          "let co-resident tenants share sub-entry TLB tags",
@@ -302,7 +324,7 @@ optionTable(Options &opt)
          "phase clusters / representative windows (default 4)",
          [&](const std::vector<std::string> &a) {
              opt.sampling.numClusters =
-                 std::uint32_t(parseUint(a[0], "--phase-clusters"));
+                 parseUint32(a[0], "--phase-clusters");
          }},
         {"--phase-warmup", "<n>",
          "timed-but-unmeasured instructions before each window (default 1000)",

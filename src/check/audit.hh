@@ -149,7 +149,8 @@ class Auditor
      * run between two real events whenever @p interval cycles have elapsed
      * since the previous sweep.  The hook observes without perturbing —
      * it schedules nothing, so the simulated timeline (final cycle, event
-     * count) is identical with auditing on and off.
+     * count) is identical with auditing on and off.  Calling it again on
+     * the same queue replaces the previous subscription.
      */
     void schedulePeriodic(EventQueue &eq, Cycle interval);
 
@@ -185,6 +186,8 @@ class Auditor
     void runOne(const Registered &audit, Cycle now);
 
     std::vector<Registered> audits;
+    EventQueue *sweepQueue = nullptr;   ///< queue holding our sweep hook
+    std::uint64_t sweepId = 0;          ///< its addPeriodicCheck() handle
     FailurePolicy policy_ = FailurePolicy::Panic;
     std::vector<AuditViolation> violations_;
     Stats stats_;

@@ -48,6 +48,9 @@ class SoftWalkerController
         warp->notifyWork();
     }
 
+    /** An LDPT of the PW Warp's lane @p lane returned. */
+    void ptReadDone(std::uint32_t lane) { warp->ptReadDone(lane); }
+
     SmId sm() const { return smId; }
     const SoftPwb &buffer() const { return pwb; }
     const PwWarp &pwWarp() const { return *warp; }

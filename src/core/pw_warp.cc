@@ -111,26 +111,30 @@ PwWarp::levelIteration()
             SW_TRACE(tracer_, TracePhase::PtRead, eventq.now(),
                      lanes[lane_idx].id, lanes[lane_idx].key.vpn,
                      tracerWhere, lanes[lane_idx].key.asid);
-            hooks.ptAccess(addr, [this, lane_idx]() {
-                Lane &lane = lanes[lane_idx];
-                const PageTableBase &table = spaces.tableFor(lane.key.asid);
-                int level_read = lane.cursor.level;
-                table.advance(lane.cursor);
-                if (!lane.cursor.done && level_read > 1) {
-                    // FPWC: publish the just-learned table base.
-                    ++stats_.fpwcIssued;
-                    hooks.pwcFill(lane.cursor.level, lane.key,
-                                  lane.cursor.tableBase);
-                }
-                SW_ASSERT(pendingLoads > 0, "LDPT completion underflow");
-                if (--pendingLoads == 0)
-                    levelIteration();
-            });
+            hooks.ptReader->ptRead(addr, hooks.walker, lane_idx);
         };
         static_assert(EventFn::fitsInline<decltype(fire)>(),
                       "LDPT issue event must not spill to the slab pool");
         eventq.schedule(issue_done, std::move(fire));
     }
+}
+
+void
+PwWarp::ptReadDone(std::uint32_t lane_idx)
+{
+    SW_ASSERT(lane_idx < lanes.size(), "LDPT completion for a lost lane");
+    Lane &lane = lanes[lane_idx];
+    const PageTableBase &table = spaces.tableFor(lane.key.asid);
+    int level_read = lane.cursor.level;
+    table.advance(lane.cursor);
+    if (!lane.cursor.done && level_read > 1) {
+        // FPWC: publish the just-learned table base.
+        ++stats_.fpwcIssued;
+        hooks.pwcFill(lane.cursor.level, lane.key, lane.cursor.tableBase);
+    }
+    SW_ASSERT(pendingLoads > 0, "LDPT completion underflow");
+    if (--pendingLoads == 0)
+        levelIteration();
 }
 
 void

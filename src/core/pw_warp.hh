@@ -42,8 +42,12 @@ class PwWarp
          * to its first lane's ASID.
          */
         std::function<Cycle(std::uint32_t, Asid)> reserveIssue;
-        /** Engine's page-table memory read (LDPT). */
-        PtAccessFn ptAccess;
+        /**
+         * Engine's page-table memory read (LDPT), issued as walker
+         * @c walker; it answers with ptReadDone(lane).
+         */
+        PtReader *ptReader = nullptr;
+        std::uint32_t walker = 0;
         /** FPWC: cache (level, {asid, vpn}) -> table base. */
         std::function<void(int, TranslationKey, PhysAddr)> pwcFill;
         /**
@@ -82,6 +86,9 @@ class PwWarp
     void notifyWork();
 
     bool busy() const { return running; }
+
+    /** The LDPT of lane @p lane returned. */
+    void ptReadDone(std::uint32_t lane);
 
     /**
      * FL2T/FFB fills issued by a finished batch that are still crossing

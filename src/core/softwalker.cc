@@ -40,10 +40,8 @@ SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
         hooks.reserveIssue = [this, sm](std::uint32_t slots, Asid asid) {
             return gpu.sm(sm).reservePwIssue(slots, asid);
         };
-        hooks.ptAccess = [&engine](PhysAddr addr,
-                                   std::function<void()> done) {
-            engine.ptAccess(addr, std::move(done));
-        };
+        hooks.ptReader = &engine;
+        hooks.walker = sm;
         hooks.pwcFill = [&engine](int level, TranslationKey key,
                                   PhysAddr base) {
             engine.pwc().fill(engine.pageTableFor(key.asid), level, key,
@@ -71,10 +69,7 @@ SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
         pool.nhaCoalescing = cfg.nhaCoalescing;
         pool.nhaSectorBytes = cfg.sectorBytes;
         hwPool = std::make_unique<HardwarePtwPool>(
-            eq, pool, engine.spaces(), engine.pwc(),
-            [&engine](PhysAddr addr, std::function<void()> done) {
-                engine.ptAccess(addr, std::move(done));
-            },
+            eq, pool, engine.spaces(), engine.pwc(), engine,
             [this](const WalkResult &result) {
                 SW_ASSERT(inFlightCount > 0, "hybrid in-flight underflow");
                 --inFlightCount;
@@ -118,6 +113,17 @@ SoftWalkerBackend::submit(WalkRequest req)
         }
     }
     dispatchSoftware(std::move(req));
+}
+
+void
+SoftWalkerBackend::ptReadDone(std::uint32_t walker, std::uint32_t lane)
+{
+    if (walker == kHardwareWalker) {
+        SW_ASSERT(hwPool != nullptr, "hardware read without a hybrid pool");
+        hwPool->ptReadDone(walker, lane);
+        return;
+    }
+    controllers.at(walker)->ptReadDone(lane);
 }
 
 SmId

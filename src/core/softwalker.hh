@@ -46,6 +46,8 @@ class SoftWalkerBackend : public WalkBackend
 
     void submit(WalkRequest req) override;
     std::uint64_t inFlight() const override { return inFlightCount; }
+    /** Route a page-table read back to its PW Warp (or hybrid hw pool). */
+    void ptReadDone(std::uint32_t walker, std::uint32_t lane) override;
     std::string name() const override;
     void resetStats() override;
 

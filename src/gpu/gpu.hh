@@ -28,8 +28,12 @@
 
 namespace sw {
 
-/** The whole simulated machine. */
-class Gpu
+/**
+ * The whole simulated machine.  It owns the request slab every in-flight
+ * request lives in, is every SM's SmPort, and completes the SM-bound
+ * requests (Done::SmAccess, Done::Translation) to their SM.
+ */
+class Gpu : private SmPort, private RequestSink
 {
   public:
     /** Stopping conditions for a simulation run. */
@@ -191,9 +195,14 @@ class Gpu
     void scheduleWarmupCheck(std::uint64_t measured_quota);
     void registerGpuAudits();
 
+    void translate(RequestId id) override;
+    void access(RequestId id) override;
+    void requestDone(RequestId id) override;
+
     GpuConfig cfg;
     EventQueue eventq;
     Auditor auditor_;
+    RequestPool requests_;
     std::unique_ptr<FrameAllocator> allocator;
     std::unique_ptr<AddressSpaceManager> spaces_;
     std::unique_ptr<MemorySystem> mem;

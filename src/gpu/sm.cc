@@ -10,10 +10,10 @@
 
 namespace sw {
 
-Sm::Sm(EventQueue &eq, Params params, Workload &wl,
-       SmTranslateFn translate_fn, SmDataAccessFn data_fn)
-    : eventq(eq), params_(params), workload(wl),
-      translate(std::move(translate_fn)), dataAccess(std::move(data_fn)),
+Sm::Sm(EventQueue &eq, Params params, Workload &wl, RequestPool &requests,
+       SmPort &machine)
+    : eventq(eq), params_(params), workload(wl), pool(requests),
+      port(machine),
       geometry(params.pageBytes),
       rng(params.rngSeed * 0x100000001b3ULL + params.id)
 {
@@ -101,39 +101,57 @@ Sm::execMemInstr(WarpId warp)
     if (traceHook)
         traceHook(params_.id, warp, ws.issuedAt, instr);
 
-    // Coalesce the warp's lanes: unique pages for translation, unique
-    // sectors within each page for data accesses.
-    struct PageGroup
-    {
-        Vpn vpn;
-        std::vector<std::uint64_t> sectorOffsets;   ///< within the page
-    };
-    std::vector<PageGroup> groups;
+    // Coalesce the warp's lanes: one translation record per unique page,
+    // and one sector record per unique sector within it, chained off the
+    // page's record in first-touch order.
     std::uint32_t lanes = std::min<std::uint32_t>(instr.activeLanes,
                                                   params_.warpSize);
+    constexpr std::size_t kMaxLanes =
+        std::tuple_size_v<decltype(WarpInstr::addrs)>;
+    Vpn vpns[kMaxLanes];
+    RequestId pages[kMaxLanes];
+    RequestId last_sector[kMaxLanes];
+    std::uint32_t num_pages = 0;
     std::uint32_t total_sectors = 0;
     for (std::uint32_t lane = 0; lane < lanes; ++lane) {
         VirtAddr va = instr.addrs[lane];
         Vpn vpn = geometry.vpnOf(va);
-        std::uint64_t sector_off =
-            geometry.offsetOf(va) / params_.sectorBytes;
-        PageGroup *group = nullptr;
-        for (auto &candidate : groups) {
-            if (candidate.vpn == vpn) {
-                group = &candidate;
+        std::uint64_t sector_off = geometry.offsetOf(va) /
+                                   params_.sectorBytes * params_.sectorBytes;
+        std::uint32_t page = 0;
+        while (page < num_pages && vpns[page] != vpn)
+            ++page;
+        if (page == num_pages) {
+            vpns[page] = vpn;
+            pages[page] = pool.alloc({.addr = vpn,
+                                      .unit = params_.id,
+                                      .slot = kNoRequest,
+                                      .asid = std::uint16_t(params_.asid),
+                                      .done = Done::Translation});
+            last_sector[page] = kNoRequest;
+            ++num_pages;
+        }
+        bool seen = false;
+        for (RequestId s = pool[pages[page]].slot; s != kNoRequest;
+             s = pool[s].next) {
+            if (pool[s].addr == sector_off) {
+                seen = true;
                 break;
             }
         }
-        if (!group) {
-            groups.push_back({vpn, {}});
-            group = &groups.back();
-        }
-        if (std::find(group->sectorOffsets.begin(),
-                      group->sectorOffsets.end(),
-                      sector_off) == group->sectorOffsets.end()) {
-            group->sectorOffsets.push_back(sector_off);
-            ++total_sectors;
-        }
+        if (seen)
+            continue;
+        RequestId sector = pool.alloc({.addr = sector_off,
+                                       .unit = params_.id,
+                                       .slot = warp,
+                                       .done = Done::SmAccess,
+                                       .write = instr.write});
+        if (last_sector[page] == kNoRequest)
+            pool[pages[page]].slot = sector;
+        else
+            pool[last_sector[page]].next = sector;
+        last_sector[page] = sector;
+        ++total_sectors;
     }
 
     if (total_sectors == 0) {
@@ -144,31 +162,35 @@ Sm::execMemInstr(WarpId warp)
 
     ws.outstanding = total_sectors;
     enterBlocked(warp);
-    stats_.translationsRequested += groups.size();
+    stats_.translationsRequested += num_pages;
+    for (std::uint32_t page = 0; page < num_pages; ++page)
+        port.translate(pages[page]);
+}
 
-    bool write = instr.write;
-    for (auto &group : groups) {
-        translate(group.vpn,
-                  [this, warp, write, offsets = std::move(group.sectorOffsets),
-                   start = ws.issuedAt](Pfn pfn) {
-                      for (std::uint64_t off : offsets) {
-                          PhysAddr pa = geometry.composePa(
-                              pfn, off * params_.sectorBytes);
-                          ++stats_.dataAccesses;
-                          dataAccess(pa, write, [this, warp, start]() {
-                              stats_.accessLatency.add(eventq.now() - start);
-                              accessDone(warp);
-                          });
-                      }
-                  });
+void
+Sm::translated(RequestId id)
+{
+    Pfn pfn = pool[id].addr;
+    RequestId sector = pool[id].slot;
+    pool.free(id);
+    while (sector != kNoRequest) {
+        Request &req = pool[sector];
+        RequestId next = req.next;
+        req.addr = geometry.composePa(pfn, req.addr);
+        ++stats_.dataAccesses;
+        port.access(sector);
+        sector = next;
     }
 }
 
 void
-Sm::accessDone(WarpId warp)
+Sm::accessDone(RequestId id)
 {
     SW_PROF_SCOPE(prof::Zone::SmExec);
+    WarpId warp = pool[id].slot;
+    pool.free(id);
     WarpState &ws = warps[warp];
+    stats_.accessLatency.add(eventq.now() - ws.issuedAt);
     SW_ASSERT(ws.outstanding > 0, "access completion underflow");
     if (--ws.outstanding == 0) {
         stats_.warpMemLatency.add(eventq.now() - ws.issuedAt);

@@ -21,6 +21,7 @@
 #include <functional>
 #include <vector>
 
+#include "mem/request.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -35,13 +36,23 @@ class CkptWriter;
 class CkptReader;
 class CycleLedger;
 
-/** Translation issued on behalf of this SM: (vpn, completion). */
-using SmTranslateFn =
-    std::function<void(Vpn, std::function<void(Pfn)>)>;
+/**
+ * An SM's way into the machine (the Gpu, or a test double).  Each call
+ * hands over a request record; the machine completes it through the
+ * RequestPool, and the record comes back to Sm::translated() (a
+ * Done::Translation) or Sm::accessDone() (a Done::SmAccess).
+ */
+class SmPort
+{
+  public:
+    /** Translate @p id: key {asid, addr} for SM unit. */
+    virtual void translate(RequestId id) = 0;
+    /** Access the data sector at @p id's addr. */
+    virtual void access(RequestId id) = 0;
 
-/** Data-memory access: (physical sector address, write, completion). */
-using SmDataAccessFn =
-    std::function<void(PhysAddr, bool, std::function<void()>)>;
+  protected:
+    ~SmPort() = default;
+};
 
 /** Optional per-instruction trace hook (Fig 3 dumps). */
 using TraceHookFn =
@@ -59,6 +70,7 @@ class Sm
         std::uint64_t pageBytes = 64 * 1024;
         std::uint32_t sectorBytes = 32;
         std::uint64_t rngSeed = 1;
+        Asid asid = 0;   ///< the tenant whose address space it translates in
     };
 
     struct Stats
@@ -74,8 +86,8 @@ class Sm
         LatencyStat accessLatency;         ///< per data access (Fig 4)
     };
 
-    Sm(EventQueue &eq, Params params, Workload &workload,
-       SmTranslateFn translate, SmDataAccessFn data_access);
+    Sm(EventQueue &eq, Params params, Workload &workload, RequestPool &pool,
+       SmPort &port);
 
     Sm(const Sm &) = delete;
     Sm &operator=(const Sm &) = delete;
@@ -103,6 +115,15 @@ class Sm
      * @return the cycle at which the last slot completes.
      */
     Cycle reservePwIssue(std::uint32_t slots, Asid walkAsid);
+
+    /**
+     * Translation @p id resolved (its addr now holds the PFN): compose the
+     * physical sector addresses of its page and issue them.
+     */
+    void translated(RequestId id);
+
+    /** Data sector @p id finished. */
+    void accessDone(RequestId id);
 
     /** Warps currently blocked on outstanding memory (stall-aware policy). */
     std::uint32_t stalledWarps() const { return blockedWarps; }
@@ -177,7 +198,6 @@ class Sm
     void fetchAndSchedule(WarpId warp);
     void tryIssue(WarpId warp);
     void execMemInstr(WarpId warp);
-    void accessDone(WarpId warp);
     void enterBlocked(WarpId warp);
     void leaveBlocked(WarpId warp);
     void retireWarp(WarpId warp);
@@ -186,8 +206,8 @@ class Sm
     EventQueue &eventq;
     Params params_;
     Workload &workload;
-    SmTranslateFn translate;
-    SmDataAccessFn dataAccess;
+    RequestPool &pool;
+    SmPort &port;
     PageGeometry geometry;
     Rng rng;
 

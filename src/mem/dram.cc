@@ -16,8 +16,8 @@ Dram::Dram(EventQueue &eq, Params params)
     SW_ASSERT(params_.channels > 0, "DRAM needs at least one channel");
 }
 
-void
-Dram::access(PhysAddr addr, bool write, std::function<void()> on_done)
+Cycle
+Dram::access(PhysAddr addr, bool write)
 {
     (void)write; // reads and writes share timing in this model
     ++stats_.accesses;
@@ -33,8 +33,7 @@ Dram::access(PhysAddr addr, bool write, std::function<void()> on_done)
     Cycle done_at = start + params_.accessLatency;
     stats_.queueDelay.add(start - now);
     stats_.totalLatency.add(done_at - now);
-
-    eventq.schedule(done_at, std::move(on_done));
+    return done_at;
 }
 
 void

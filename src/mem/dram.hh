@@ -12,7 +12,6 @@
 #define SW_MEM_DRAM_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -49,8 +48,11 @@ class Dram
     Dram(const Dram &) = delete;
     Dram &operator=(const Dram &) = delete;
 
-    /** Issue one sector access; @p on_done fires at completion. */
-    void access(PhysAddr addr, bool write, std::function<void()> on_done);
+    /**
+     * Issue one sector access now.  @return the cycle it completes; the
+     * caller schedules whatever the completion triggers.
+     */
+    Cycle access(PhysAddr addr, bool write);
 
     /** Zero the statistics (post-warmup measurement reset). */
     void resetStats();

@@ -84,6 +84,8 @@ GpuConfig::validate() const
     if (numTenants > numSms)
         fatal("GpuConfig: %u tenants cannot slice %u SMs", numTenants,
               numSms);
+    if (numTenants > 0x10000)
+        fatal("GpuConfig: at most 65536 tenants (16-bit ASIDs)");
     if (migPartitioning && numTenants > l2TlbWays) {
         fatal("GpuConfig: MIG partitioning needs a way per tenant "
               "(%u tenants, %u ways)", numTenants, l2TlbWays);

@@ -178,26 +178,9 @@ class EventQueue
             if (sweeps[i].id == id) {
                 sweeps.erase(sweeps.begin() +
                              static_cast<std::ptrdiff_t>(i));
-                if (legacySweepId == id)
-                    legacySweepId = 0;
                 return;
             }
         }
-    }
-
-    /**
-     * Legacy single-slot interface: (re)installs one hook, replacing the
-     * previous setPeriodicCheck() subscription.  An @p interval of 0 (or
-     * an empty @p fn) uninstalls it.  Hooks added via addPeriodicCheck()
-     * are unaffected.
-     */
-    void
-    setPeriodicCheck(Cycle interval, SweepFn fn)
-    {
-        if (legacySweepId)
-            removePeriodicCheck(legacySweepId);
-        if (interval && fn)
-            legacySweepId = addPeriodicCheck(interval, std::move(fn));
     }
 
     /** Number of live periodic-check subscriptions. */
@@ -267,7 +250,8 @@ class EventQueue
      * Drop all pending events, periodic-check subscriptions, and counters;
      * reset the clock (tests only).  Sweep subscriptions must not survive:
      * their captures point into components whose lifetime ended with the
-     * run being reset.
+     * run being reset.  Subscription ids keep counting, so a handle from
+     * before the reset never names a later subscription.
      */
     void
     reset()
@@ -279,8 +263,6 @@ class EventQueue
         nextSeq = 0;
         numExecuted = 0;
         sweeps.clear();
-        nextSweepId = 1;
-        legacySweepId = 0;
     }
 
   private:
@@ -326,7 +308,6 @@ class EventQueue
     std::uint64_t numExecuted = 0;
     std::vector<Sweep> sweeps;
     std::uint64_t nextSweepId = 1;
-    std::uint64_t legacySweepId = 0;
 };
 
 } // namespace sw

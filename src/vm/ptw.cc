@@ -14,10 +14,10 @@ namespace sw {
 
 HardwarePtwPool::HardwarePtwPool(EventQueue &eq, Params params,
                                  const AddressSpaceManager &aspaces,
-                                 PageWalkCache &cache, PtAccessFn pt_access,
+                                 PageWalkCache &cache, PtReader &reader,
                                  WalkCompleteFn on_complete)
     : eventq(eq), params_(params), spaces(aspaces), pwc(cache),
-      ptAccess(std::move(pt_access)), onComplete(std::move(on_complete))
+      ptReader(reader), onComplete(std::move(on_complete))
 {
     SW_ASSERT(params_.numWalkers > 0, "need at least one walker");
     SW_ASSERT(params_.pwbPorts > 0, "need at least one PWB port");
@@ -182,24 +182,30 @@ HardwarePtwPool::walkStep(std::uint64_t slot)
     SW_TRACE(tracer_, TracePhase::PtRead, eventq.now(), walk.primary.id,
              walk.primary.key.vpn, std::uint32_t(slot),
              walk.primary.key.asid);
-    ptAccess(addr, [this, slot]() {
-        ActiveWalk &w = active[slot];
-        const PageTableBase &table = spaces.tableFor(w.primary.key.asid);
-        int level_read = w.cursor.level;
-        table.advance(w.cursor);
-        if (!w.cursor.done && level_read > 1) {
-            // The read returned the base of the next-lower table: cache it
-            // so later walks can skip the levels above it.
-            pwc.fill(table, w.cursor.level,
-                     TranslationKey{w.primary.key.asid, w.cursor.vpn},
-                     w.cursor.tableBase);
-        }
-        if (w.cursor.done) {
-            finishWalk(w);
-        } else {
-            walkStep(slot);
-        }
-    });
+    ptReader.ptRead(addr, kHardwareWalker, std::uint32_t(slot));
+}
+
+void
+HardwarePtwPool::ptReadDone(std::uint32_t walker, std::uint32_t slot)
+{
+    SW_ASSERT(walker == kHardwareWalker && slot < active.size(),
+              "page-table read routed to the wrong walker");
+    ActiveWalk &w = active[slot];
+    const PageTableBase &table = spaces.tableFor(w.primary.key.asid);
+    int level_read = w.cursor.level;
+    table.advance(w.cursor);
+    if (!w.cursor.done && level_read > 1) {
+        // The read returned the base of the next-lower table: cache it so
+        // later walks can skip the levels above it.
+        pwc.fill(table, w.cursor.level,
+                 TranslationKey{w.primary.key.asid, w.cursor.vpn},
+                 w.cursor.tableBase);
+    }
+    if (w.cursor.done) {
+        finishWalk(w);
+    } else {
+        walkStep(slot);
+    }
 }
 
 void

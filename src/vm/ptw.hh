@@ -54,15 +54,18 @@ class HardwarePtwPool : public WalkBackend
      * @param spaces per-ASID page tables; each walk descends the table of
      *        its request's ASID
      * @param pwc shared page walk cache (filled as walks descend)
-     * @param pt_access page-table memory read issuer
+     * @param reader page-table memory reads (as kHardwareWalker, lane =
+     *        walker slot)
      * @param on_complete walk-completion sink (the translation engine)
      */
     HardwarePtwPool(EventQueue &eq, Params params,
                     const AddressSpaceManager &spaces, PageWalkCache &pwc,
-                    PtAccessFn pt_access, WalkCompleteFn on_complete);
+                    PtReader &reader, WalkCompleteFn on_complete);
 
     void submit(WalkRequest req) override;
     std::uint64_t inFlight() const override { return inFlightCount; }
+    /** A level read of walker slot @p lane returned. */
+    void ptReadDone(std::uint32_t walker, std::uint32_t lane) override;
     std::string name() const override { return "hw-ptw"; }
 
     void resetStats() override { stats_ = Stats{}; }
@@ -119,7 +122,7 @@ class HardwarePtwPool : public WalkBackend
     Params params_;
     const AddressSpaceManager &spaces;
     PageWalkCache &pwc;
-    PtAccessFn ptAccess;
+    PtReader &ptReader;
     WalkCompleteFn onComplete;
 
     std::deque<WalkRequest> pwb;        ///< bounded buffer

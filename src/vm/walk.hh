@@ -48,11 +48,24 @@ struct WalkResult
 /** Invoked by a backend when a walk finishes. */
 using WalkCompleteFn = std::function<void(const WalkResult &)>;
 
+/** Walker id of a hardware PTW pool's reads (PW Warps use their SM). */
+inline constexpr std::uint32_t kHardwareWalker = ~std::uint32_t(0);
+
 /**
- * Issues one page-table memory read; the engine routes it to the PTE path
- * of the memory hierarchy (or a fixed latency in sensitivity sweeps).
+ * Issues page-table memory reads for walkers.  The TranslationEngine
+ * routes each to the PTE path of the memory hierarchy (or a fixed latency
+ * in sensitivity sweeps) and answers with WalkBackend::ptReadDone().
  */
-using PtAccessFn = std::function<void(PhysAddr, std::function<void()>)>;
+class PtReader
+{
+  public:
+    /** Read the PTE at @p addr for lane @p lane of walker @p walker. */
+    virtual void ptRead(PhysAddr addr, std::uint32_t walker,
+                        std::uint32_t lane) = 0;
+
+  protected:
+    ~PtReader() = default;
+};
 
 /** Resolver of page-table walks behind the L2 TLB. */
 class WalkBackend
@@ -65,6 +78,9 @@ class WalkBackend
 
     /** Number of walks accepted but not yet completed. */
     virtual std::uint64_t inFlight() const = 0;
+
+    /** The PtReader finished a read this backend's walker issued. */
+    virtual void ptReadDone(std::uint32_t walker, std::uint32_t lane) = 0;
 
     virtual std::string name() const = 0;
 

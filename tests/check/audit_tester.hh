@@ -133,7 +133,8 @@ struct AuditTester
     static void
     insertFakeMshr(Cache &cache, std::uint64_t sector_addr)
     {
-        cache.mshrs[sector_addr];
+        if (!cache.mshrs.find(sector_addr))
+            cache.mshrs.insert(sector_addr);
     }
 };
 

@@ -149,6 +149,30 @@ TEST(Auditor, PeriodicSweepDoesNotPerturbTheTimeline)
     EXPECT_EQ(run_once(false), run_once(true));
 }
 
+/**
+ * Gpu::runSegment re-arms the sweep once per segment: a second call on the
+ * same queue replaces the first subscription instead of adding another.
+ */
+TEST(Auditor, ReschedulingKeepsOneSubscription)
+{
+    EventQueue eq;
+    Auditor auditor;
+    auditor.setPolicy(Auditor::FailurePolicy::Record);
+    std::vector<Cycle> sweeps;
+    auditor.registerAudit("probe", AuditScope::Continuous,
+                          [&](AuditContext &) {
+                              sweeps.push_back(eq.now());
+                          });
+    auditor.schedulePeriodic(eq, 100);
+    auditor.schedulePeriodic(eq, 100);
+    EXPECT_EQ(eq.numPeriodicChecks(), 1u);
+
+    for (Cycle c = 10; c <= 200; c += 10)
+        eq.schedule(c, [] {});
+    eq.run();
+    EXPECT_EQ(sweeps, (std::vector<Cycle>{100, 200}));
+}
+
 /** An idle queue never sweeps: the hook cannot keep a drained sim alive. */
 TEST(Auditor, NoSweepsWithoutEvents)
 {

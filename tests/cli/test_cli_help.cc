@@ -11,10 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -42,6 +45,22 @@ runHelp()
     int status = pclose(pipe);
     EXPECT_EQ(status, 0) << "swsim_cli --help exited non-zero";
     return out;
+}
+
+/** Run swsim_cli with @p args; @return (exit status, stdout+stderr). */
+std::pair<int, std::string>
+runCli(const std::string &args)
+{
+    std::string cmd = std::string(SWSIM_CLI_PATH) + " " + args + " 2>&1";
+    std::FILE *pipe = popen(cmd.c_str(), "r");
+    EXPECT_NE(pipe, nullptr);
+    std::string out;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, pipe)) > 0)
+        out.append(buf, n);
+    int status = pclose(pipe);
+    return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
 }
 
 TEST(CliHelp, MatchesGolden)
@@ -78,6 +97,32 @@ TEST(CliHelp, DocumentsObservabilityFlags)
         EXPECT_NE(help.find(flag), std::string::npos)
             << "missing " << flag << " in --help output";
     }
+}
+
+TEST(CliNumbers, BadValuesAreUsageErrors)
+{
+    // Signs, values past 64 bits, 32-bit settings past 2^32 - 1, and
+    // non-positive or non-finite scales end in the usual exit-2 error
+    // instead of an abort, a panic, or a silently truncated value.
+    for (const char *args :
+         {"--ptws -1", "--ptws +4", "--ptws 4294967328",
+          "--intlb 4294967297", "--quota 18446744073709551616",
+          "--quota -5", "--subtlb 4294967296", "--scale 0",
+          "--scale -2", "--scale nan", "--scale inf", "--ptws ''"}) {
+        auto [status, out] = runCli(args);
+        EXPECT_EQ(status, 2) << args << ": " << out;
+        EXPECT_NE(out.find("(try --help)"), std::string::npos)
+            << args << ": " << out;
+    }
+}
+
+TEST(CliNumbers, RangeErrorNamesTheFlag)
+{
+    auto [status, out] = runCli("--intlb 4294967297");
+    EXPECT_EQ(status, 2);
+    EXPECT_NE(out.find("--intlb value '4294967297' is out of range"),
+              std::string::npos)
+        << out;
 }
 
 } // namespace

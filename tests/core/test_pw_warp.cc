@@ -7,6 +7,7 @@
 #include "core/pw_warp.hh"
 #include "vm/page_table.hh"
 #include "sim/config.hh"
+#include "test_util.hh"
 
 using namespace sw;
 
@@ -48,19 +49,24 @@ class PwWarpTest : public ::testing::Test
             issueSlots += slots;
             return start + slots;
         };
-        hooks.ptAccess = [this, mem_latency](PhysAddr,
-                                             std::function<void()> done) {
-            ++memReads;
-            eq.scheduleIn(mem_latency, std::move(done));
-        };
+        readers.push_back(std::make_unique<test::FixedLatencyReader>(
+            eq, mem_latency, memReads));
+        test::FixedLatencyReader &reader = *readers.back();
+        hooks.ptReader = &reader;
         hooks.pwcFill = [this](int level, TranslationKey, PhysAddr) {
             pwcFills.push_back(level);
         };
         hooks.complete = [this](const WalkResult &result) {
             results.push_back(result);
         };
-        return std::make_unique<PwWarp>(eq, spaces, pwb, std::move(hooks),
-                                        timing, lanes, comm);
+        auto warp = std::make_unique<PwWarp>(eq, spaces, pwb,
+                                             std::move(hooks), timing, lanes,
+                                             comm);
+        PwWarp *raw = warp.get();
+        reader.answer = [raw](std::uint32_t, std::uint32_t lane) {
+            raw->ptReadDone(lane);
+        };
+        return warp;
     }
 
     WalkRequest
@@ -86,6 +92,7 @@ class PwWarpTest : public ::testing::Test
     int memReads = 0;
     std::vector<int> pwcFills;
     std::vector<WalkResult> results;
+    std::vector<std::unique_ptr<test::FixedLatencyReader>> readers;
 };
 
 TEST_F(PwWarpTest, IdleWithoutWork)

@@ -4,6 +4,7 @@
 
 #include "core/pw_warp.hh"
 #include "sim/config.hh"
+#include "test_util.hh"
 #include "vm/hashed_page_table.hh"
 
 using namespace sw;
@@ -42,16 +43,21 @@ class PwWarpHashedTest : public ::testing::Test
         hooks.reserveIssue = [this](std::uint32_t slots, Asid) {
             return eq.now() + slots;
         };
-        hooks.ptAccess = [this](PhysAddr, std::function<void()> done) {
-            ++memReads;
-            eq.scheduleIn(40, std::move(done));
-        };
+        reader = std::make_unique<test::FixedLatencyReader>(eq, 40,
+                                                             memReads);
+        hooks.ptReader = reader.get();
         hooks.pwcFill = [this](int, TranslationKey, PhysAddr) { ++pwcFills; };
         hooks.complete = [this](const WalkResult &result) {
             results.push_back(result);
         };
-        return std::make_unique<PwWarp>(eq, spaces, pwb, std::move(hooks),
-                                        PwWarpCodeTiming{}, 8, 40);
+        auto warp = std::make_unique<PwWarp>(eq, spaces, pwb,
+                                             std::move(hooks),
+                                             PwWarpCodeTiming{}, 8, 40);
+        PwWarp *raw = warp.get();
+        reader->answer = [raw](std::uint32_t, std::uint32_t lane) {
+            raw->ptReadDone(lane);
+        };
+        return warp;
     }
 
     EventQueue eq;
@@ -63,6 +69,7 @@ class PwWarpHashedTest : public ::testing::Test
     int memReads = 0;
     int pwcFills = 0;
     std::vector<WalkResult> results;
+    std::unique_ptr<test::FixedLatencyReader> reader;
 };
 
 TEST_F(PwWarpHashedTest, SingleProbeWalk)

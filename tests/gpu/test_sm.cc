@@ -31,9 +31,45 @@ class ScriptedWorkload : public Workload
     int calls = 0;
 };
 
-class SmTest : public ::testing::Test
+/**
+ * Fake machine behind one SM: translation returns PFN = VPN + 1000 and
+ * data completes after fixed latencies; both record what they saw.
+ */
+class SmTest : public ::testing::Test, public SmPort, public RequestSink
 {
   protected:
+    SmTest()
+    {
+        pool.setSink(Done::Translation, this);
+        pool.setSink(Done::SmAccess, this);
+    }
+
+    void
+    translate(RequestId id) override
+    {
+        translations.push_back(pool[id].addr);
+        eq.scheduleIn(translateLatency, [this, id]() {
+            pool[id].addr += 1000;   // fake PFN
+            pool.complete(id);
+        });
+    }
+
+    void
+    access(RequestId id) override
+    {
+        dataAccesses.push_back({pool[id].addr, pool[id].write});
+        eq.scheduleIn(dataLatency, [this, id]() { pool.complete(id); });
+    }
+
+    void
+    requestDone(RequestId id) override
+    {
+        if (pool[id].done == Done::Translation)
+            sm->translated(id);
+        else
+            sm->accessDone(id);
+    }
+
     Sm::Params
     params()
     {
@@ -46,28 +82,21 @@ class SmTest : public ::testing::Test
         return p;
     }
 
-    std::unique_ptr<Sm>
+    Sm *
     makeSm(Workload &wl, Cycle translate_latency = 20,
            Cycle data_latency = 30)
     {
-        return std::make_unique<Sm>(
-            eq, params(), wl,
-            [this, translate_latency](Vpn vpn,
-                                      std::function<void(Pfn)> done) {
-                translations.push_back(vpn);
-                eq.scheduleIn(translate_latency,
-                              [vpn, done = std::move(done)]() {
-                                  done(vpn + 1000);   // fake PFN
-                              });
-            },
-            [this, data_latency](PhysAddr pa, bool write,
-                                 std::function<void()> done) {
-                dataAccesses.push_back({pa, write});
-                eq.scheduleIn(data_latency, std::move(done));
-            });
+        translateLatency = translate_latency;
+        dataLatency = data_latency;
+        sm = std::make_unique<Sm>(eq, params(), wl, pool, *this);
+        return sm.get();
     }
 
     EventQueue eq;
+    RequestPool pool;
+    std::unique_ptr<Sm> sm;
+    Cycle translateLatency = 20;
+    Cycle dataLatency = 30;
     std::vector<Vpn> translations;
     std::vector<std::pair<PhysAddr, bool>> dataAccesses;
 };
@@ -79,7 +108,7 @@ TEST_F(SmTest, CoalescesLanesInOnePageToOneTranslation)
     for (std::uint32_t lane = 0; lane < 32; ++lane)
         wl.instr.addrs[lane] = 0x10000 + lane * 4;   // one page, one sector+
     std::uint64_t quota = 1;
-    auto sm = makeSm(wl);
+    Sm *sm = makeSm(wl);
     sm->start(&quota, 1);
     eq.run();
     EXPECT_EQ(translations.size(), 1u);
@@ -93,11 +122,12 @@ TEST_F(SmTest, CoalescesToUniqueSectors)
     for (std::uint32_t lane = 0; lane < 32; ++lane)
         wl.instr.addrs[lane] = 0x10000 + lane * 4;   // 128 B span: 4 sectors
     std::uint64_t quota = 1;
-    auto sm = makeSm(wl);
+    Sm *sm = makeSm(wl);
     sm->start(&quota, 1);
     eq.run();
     EXPECT_EQ(dataAccesses.size(), 4u);
     EXPECT_EQ(sm->stats().dataAccesses, 4u);
+    EXPECT_EQ(pool.live(), 0u) << "every request record was freed";
 }
 
 TEST_F(SmTest, DivergentLanesGetPerPageTranslations)
@@ -107,11 +137,12 @@ TEST_F(SmTest, DivergentLanesGetPerPageTranslations)
     for (std::uint32_t lane = 0; lane < 8; ++lane)
         wl.instr.addrs[lane] = VirtAddr(lane) * (64 * 1024) + 64;
     std::uint64_t quota = 1;
-    auto sm = makeSm(wl);
+    Sm *sm = makeSm(wl);
     sm->start(&quota, 1);
     eq.run();
     EXPECT_EQ(translations.size(), 8u);
     EXPECT_EQ(dataAccesses.size(), 8u);
+    EXPECT_EQ(pool.live(), 0u) << "every request record was freed";
 }
 
 TEST_F(SmTest, PhysicalAddressComposedFromPfn)
@@ -120,7 +151,7 @@ TEST_F(SmTest, PhysicalAddressComposedFromPfn)
     wl.instr.activeLanes = 1;
     wl.instr.addrs[0] = 0x12345678;
     std::uint64_t quota = 1;
-    auto sm = makeSm(wl);
+    Sm *sm = makeSm(wl);
     sm->start(&quota, 1);
     eq.run();
     ASSERT_EQ(dataAccesses.size(), 1u);
@@ -136,7 +167,7 @@ TEST_F(SmTest, WritesPropagate)
     wl.instr.write = true;
     wl.instr.addrs[0] = 0x9999;
     std::uint64_t quota = 1;
-    auto sm = makeSm(wl);
+    Sm *sm = makeSm(wl);
     sm->start(&quota, 1);
     eq.run();
     ASSERT_EQ(dataAccesses.size(), 1u);
@@ -149,7 +180,7 @@ TEST_F(SmTest, QuotaStopsIssue)
     wl.instr.activeLanes = 1;
     wl.instr.addrs[0] = 0x1000;
     std::uint64_t quota = 10;
-    auto sm = makeSm(wl);
+    Sm *sm = makeSm(wl);
     sm->start(&quota, 4);
     eq.run();
     EXPECT_EQ(sm->stats().warpInstrs, 10u);
@@ -164,7 +195,7 @@ TEST_F(SmTest, ComputeGapDelaysIssue)
     wl.instr.activeLanes = 1;
     wl.instr.addrs[0] = 0x1000;
     std::uint64_t quota = 1;
-    auto sm = makeSm(wl, 1, 1);
+    Sm *sm = makeSm(wl, 1, 1);
     sm->start(&quota, 1);
     eq.run();
     EXPECT_GE(eq.now(), 500u);
@@ -177,7 +208,7 @@ TEST_F(SmTest, IssuePortSerialisesWarps)
     wl.instr.activeLanes = 1;
     wl.instr.addrs[0] = 0x1000;
     std::uint64_t quota = 4;
-    auto sm = makeSm(wl);
+    Sm *sm = makeSm(wl);
     sm->start(&quota, 4);
     eq.run();
     // 4 warps each issued one instruction through the single port.
@@ -190,7 +221,7 @@ TEST_F(SmTest, MemStallAccountedWhenAllWarpsBlocked)
     wl.instr.activeLanes = 1;
     wl.instr.addrs[0] = 0x1000;
     std::uint64_t quota = 2;
-    auto sm = makeSm(wl, /*translate=*/1000, /*data=*/1000);
+    Sm *sm = makeSm(wl, /*translate=*/1000, /*data=*/1000);
     sm->start(&quota, 2);
     eq.run();
     EXPECT_GT(sm->stats().memStallCycles, 1000u);
@@ -203,7 +234,7 @@ TEST_F(SmTest, NoStallWhenWarpsStaggered)
     wl.instr.activeLanes = 1;
     wl.instr.addrs[0] = 0x1000;
     std::uint64_t quota = 40;
-    auto sm = makeSm(wl, 1, 1);   // memory faster than issue
+    Sm *sm = makeSm(wl, 1, 1);   // memory faster than issue
     sm->start(&quota, 4);
     eq.run();
     EXPECT_LT(sm->stats().memStallCycles, eq.now() / 2);
@@ -215,7 +246,7 @@ TEST_F(SmTest, ReservePwIssueHasPriority)
     wl.instr.activeLanes = 1;
     wl.instr.addrs[0] = 0x1000;
     std::uint64_t quota = 0;   // no user work
-    auto sm = makeSm(wl);
+    Sm *sm = makeSm(wl);
     sm->start(&quota, 0);
     Cycle end = sm->reservePwIssue(5, 0);
     EXPECT_EQ(end, eq.now() + 5);
@@ -230,7 +261,7 @@ TEST_F(SmTest, WarpMemLatencyMeasured)
     wl.instr.activeLanes = 1;
     wl.instr.addrs[0] = 0x1000;
     std::uint64_t quota = 1;
-    auto sm = makeSm(wl, 100, 200);
+    Sm *sm = makeSm(wl, 100, 200);
     sm->start(&quota, 1);
     eq.run();
     EXPECT_EQ(sm->stats().warpMemLatency.count, 1u);
@@ -243,7 +274,7 @@ TEST_F(SmTest, AccessLatencyMeasuredFromIssue)
     wl.instr.activeLanes = 1;
     wl.instr.addrs[0] = 0x1000;
     std::uint64_t quota = 1;
-    auto sm = makeSm(wl, 100, 200);
+    Sm *sm = makeSm(wl, 100, 200);
     sm->start(&quota, 1);
     eq.run();
     EXPECT_EQ(sm->stats().accessLatency.count, 1u);
@@ -257,7 +288,7 @@ TEST_F(SmTest, TraceHookSeesEveryInstruction)
     wl.instr.addrs[0] = 0x1000;
     wl.instr.addrs[1] = 0x2000;
     std::uint64_t quota = 6;
-    auto sm = makeSm(wl);
+    Sm *sm = makeSm(wl);
     int traced = 0;
     sm->traceHook = [&](SmId, WarpId, Cycle, const WarpInstr &instr) {
         ++traced;
@@ -274,7 +305,7 @@ TEST_F(SmTest, ResetStatsMidRunKeepsConsistency)
     wl.instr.activeLanes = 1;
     wl.instr.addrs[0] = 0x1000;
     std::uint64_t quota = 20;
-    auto sm = makeSm(wl);
+    Sm *sm = makeSm(wl);
     sm->start(&quota, 2);
     eq.run(50);
     sm->resetStats();
@@ -290,7 +321,7 @@ TEST_F(SmTest, OnWarpRetiredFires)
     wl.instr.activeLanes = 1;
     wl.instr.addrs[0] = 0x1000;
     std::uint64_t quota = 3;
-    auto sm = makeSm(wl);
+    Sm *sm = makeSm(wl);
     int retired = 0;
     sm->onWarpRetired = [&]() { ++retired; };
     sm->start(&quota, 3);

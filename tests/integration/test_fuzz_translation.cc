@@ -58,6 +58,8 @@ TEST_P(TranslationFuzz, AllTranslationsCorrectAndComplete)
     TranslationEngine &engine = gpu.engine();
     EventQueue &eq = gpu.eventQueue();
     PageTableBase &pt = gpu.pageTable();
+    // The SMs never start, so the test owns every translation completion.
+    test::RequestClient client(gpu.memory().requests(), {Done::Translation});
 
     Rng rng(seed * 7919 + 13);
     constexpr int kRequests = 3000;
@@ -80,13 +82,14 @@ TEST_P(TranslationFuzz, AllTranslationsCorrectAndComplete)
         SmId sm = SmId(rng.range(cfg.numSms));
         when += rng.range(20);
         eq.schedule(when, [&, sm, vpn]() {
-            engine.translate(sm, TranslationKey{0, vpn}, [&, vpn](Pfn pfn) {
-                ++completed;
-                auto [it, inserted] = observed.try_emplace(vpn, pfn);
-                // A VPN must always resolve to the same frame.
-                EXPECT_EQ(it->second, pfn);
-                (void)inserted;
-            });
+            engine.translate(client.translation(
+                sm, TranslationKey{0, vpn}, [&, vpn](Pfn pfn) {
+                    ++completed;
+                    auto [it, inserted] = observed.try_emplace(vpn, pfn);
+                    // A VPN must always resolve to the same frame.
+                    EXPECT_EQ(it->second, pfn);
+                    (void)inserted;
+                }));
         });
     }
     eq.run();

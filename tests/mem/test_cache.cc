@@ -2,18 +2,41 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "mem/cache.hh"
+#include "test_util.hh"
 
 using namespace sw;
 
 namespace {
 
+/** Fixed-latency "memory" below a cache under test. */
+struct ScriptedBelow : Cache::Below
+{
+    explicit ScriptedBelow(EventQueue &queue) : eq(queue) {}
+
+    void
+    fetch(Cache &from, const Request &missed) override
+    {
+        ++accesses;
+        Cache *cache = &from;
+        PhysAddr addr = missed.addr;
+        eq.scheduleIn(latency, [cache, addr]() { cache->fill(addr); });
+    }
+
+    EventQueue &eq;
+    Cycle latency = 100;
+    int accesses = 0;
+};
+
 /** Fixture: a small cache over a scripted "memory" with fixed latency. */
 class CacheTest : public ::testing::Test
 {
   protected:
+    CacheTest() : client(pool, {Done::SmAccess}), below(eq) {}
+
     Cache::Params
     smallParams()
     {
@@ -32,13 +55,27 @@ class CacheTest : public ::testing::Test
     std::unique_ptr<Cache>
     makeCache(Cache::Params params, Cycle mem_latency = 100)
     {
-        return std::make_unique<Cache>(
-            eq, params,
-            [this, mem_latency](PhysAddr, bool,
-                                std::function<void()> on_fill) {
-                ++memAccesses;
-                eq.scheduleIn(mem_latency, std::move(on_fill));
-            });
+        below.latency = mem_latency;
+        return std::make_unique<Cache>(eq, params, pool, below);
+    }
+
+    /** Issue one access; @p done runs when it completes. */
+    void
+    access(Cache &cache, PhysAddr addr, bool write,
+           std::function<void()> done)
+    {
+        cache.access(client.issue({.addr = addr, .write = write},
+                                  [done = std::move(done)](const Request &) {
+                                      done();
+                                  }));
+    }
+
+    /** Issue access number @p tag; its (tag, cycle) lands in `order`. */
+    void
+    tagged(Cache &cache, PhysAddr addr, int tag)
+    {
+        access(cache, addr, false,
+               [this, tag]() { order.emplace_back(tag, eq.now()); });
     }
 
     /** Blocking helper: access and run until completion; returns latency. */
@@ -47,7 +84,7 @@ class CacheTest : public ::testing::Test
     {
         Cycle start = eq.now();
         bool done = false;
-        cache.access(addr, write, [&]() { done = true; });
+        access(cache, addr, write, [&]() { done = true; });
         eq.run(kCycleMax, [&]() { return done; });
         while (!done && eq.runOne()) {
         }
@@ -55,7 +92,11 @@ class CacheTest : public ::testing::Test
     }
 
     EventQueue eq;
-    int memAccesses = 0;
+    RequestPool pool;
+    test::RequestClient client;
+    ScriptedBelow below;
+    const int &memAccesses = below.accesses;
+    std::vector<std::pair<int, Cycle>> order;
 };
 
 TEST_F(CacheTest, ColdMissGoesToMemory)
@@ -100,9 +141,9 @@ TEST_F(CacheTest, ConcurrentMissesToSameSectorMerge)
 {
     auto cache = makeCache(smallParams());
     int done = 0;
-    cache->access(0x2000, false, [&]() { ++done; });
-    cache->access(0x2000, false, [&]() { ++done; });
-    cache->access(0x2008, false, [&]() { ++done; });
+    access(*cache, 0x2000, false, [&]() { ++done; });
+    access(*cache, 0x2000, false, [&]() { ++done; });
+    access(*cache, 0x2008, false, [&]() { ++done; });
     eq.run();
     EXPECT_EQ(done, 3);
     EXPECT_EQ(memAccesses, 1);
@@ -116,9 +157,9 @@ TEST_F(CacheTest, MshrFileFullParksRequests)
     auto cache = makeCache(params);
     int done = 0;
     // Three distinct sectors: third must wait for an MSHR.
-    cache->access(0x0000, false, [&]() { ++done; });
-    cache->access(0x1000, false, [&]() { ++done; });
-    cache->access(0x2000, false, [&]() { ++done; });
+    access(*cache, 0x0000, false, [&]() { ++done; });
+    access(*cache, 0x1000, false, [&]() { ++done; });
+    access(*cache, 0x2000, false, [&]() { ++done; });
     eq.run();
     EXPECT_EQ(done, 3);
     EXPECT_EQ(cache->stats().mshrFailures, 1u);
@@ -132,10 +173,51 @@ TEST_F(CacheTest, MergeCapacityExhaustedParksAndEventuallyCompletes)
     auto cache = makeCache(params);
     int done = 0;
     for (int i = 0; i < 6; ++i)
-        cache->access(0x3000, false, [&]() { ++done; });
+        access(*cache, 0x3000, false, [&]() { ++done; });
     eq.run();
     EXPECT_EQ(done, 6);
     EXPECT_GT(cache->stats().mshrFailures, 0u);
+}
+
+TEST_F(CacheTest, MergedWaitersCompleteInArrivalOrder)
+{
+    auto cache = makeCache(smallParams());
+    tagged(*cache, 0x2000, 0);   // allocates the 0x2000 MSHR
+    tagged(*cache, 0x3000, 1);   // allocates the 0x3000 MSHR
+    tagged(*cache, 0x2000, 2);   // merges
+    tagged(*cache, 0x2008, 3);   // same sector: merges
+    eq.run();
+    // Both fills land at 10 + 100; 0x2000 was fetched first and wakes its
+    // waiters in arrival order before 0x3000's.
+    std::vector<std::pair<int, Cycle>> expect = {
+        {0, 110}, {2, 110}, {3, 110}, {1, 110}};
+    EXPECT_EQ(order, expect);
+    EXPECT_EQ(cache->stats().mshrMerges, 2u);
+    EXPECT_EQ(pool.live(), 0u);
+}
+
+TEST_F(CacheTest, ParkedRetriesStopWhenTheQueueMakesNoProgress)
+{
+    Cache::Params params = smallParams();
+    params.mshrEntries = 2;
+    params.maxMergesPerMshr = 1;   // every second request to a sector parks
+    auto cache = makeCache(params);
+    tagged(*cache, 0x0000, 0);     // A: MSHR, filled at 110
+    eq.schedule(50, [&]() {
+        tagged(*cache, 0x1000, 1); // B: MSHR, filled at 160
+        tagged(*cache, 0x1000, 2); // B merge-full: parks
+        tagged(*cache, 0x2000, 3); // C: MSHR file full: parks
+    });
+    eq.run();
+    // At 110 A's fill frees an MSHR, but the head retry (2) re-parks on
+    // B's merge-full MSHR: no progress, so C is not retried until B's fill
+    // at 160, which fetches C (filled at 260) and lets 2 hit.
+    std::vector<std::pair<int, Cycle>> expect = {
+        {0, 110}, {1, 160}, {2, 160}, {3, 260}};
+    EXPECT_EQ(order, expect);
+    EXPECT_EQ(cache->stats().mshrFailures, 3u);
+    EXPECT_EQ(cache->waitingForMshrCount(), 0u);
+    EXPECT_EQ(pool.live(), 0u);
 }
 
 TEST_F(CacheTest, LruEvictionOnSetOverflow)
@@ -219,17 +301,16 @@ TEST_P(CacheGeometry, FillThenProbeConsistent)
     params.sectorBytes = sector;
     params.latency = 1;
     params.mshrEntries = 64;
-    Cache cache(eq, params,
-                [&eq](PhysAddr, bool, std::function<void()> fill) {
-                    eq.scheduleIn(5, std::move(fill));
-                });
+    RequestPool pool;
+    test::RequestClient client(pool, {Done::SmAccess});
+    ScriptedBelow below(eq);
+    below.latency = 5;
+    Cache cache(eq, params, pool, below);
     // Touch a set-worth of lines; all must be resident afterwards.
     for (std::uint32_t i = 0; i < ways; ++i) {
-        bool done = false;
-        cache.access(PhysAddr(i) * 8 * 1024 / ways, false,
-                     [&]() { done = true; });
+        cache.access(client.issue({.addr = PhysAddr(i) * 8 * 1024 / ways}));
         eq.run();
-        ASSERT_TRUE(done);
+        ASSERT_EQ(client.completed, i + 1);
     }
     for (std::uint32_t i = 0; i < ways; ++i)
         EXPECT_TRUE(cache.isResident(PhysAddr(i) * 8 * 1024 / ways));

@@ -23,10 +23,7 @@ TEST(Dram, SingleAccessTakesDeviceLatency)
 {
     EventQueue eq;
     Dram dram(eq, smallParams());
-    Cycle done_at = 0;
-    dram.access(0, false, [&]() { done_at = eq.now(); });
-    eq.run();
-    EXPECT_EQ(done_at, 100u);
+    EXPECT_EQ(dram.access(0, false), 100u);
     EXPECT_EQ(dram.stats().accesses, 1u);
 }
 
@@ -37,9 +34,7 @@ TEST(Dram, SameChannelAccessesQueue)
     std::vector<Cycle> done;
     // Same channel: addresses differ by channels*32 B.
     for (int i = 0; i < 3; ++i)
-        dram.access(PhysAddr(i) * 4 * 32, false,
-                    [&]() { done.push_back(eq.now()); });
-    eq.run();
+        done.push_back(dram.access(PhysAddr(i) * 4 * 32, false));
     ASSERT_EQ(done.size(), 3u);
     EXPECT_EQ(done[0], 100u);
     EXPECT_EQ(done[1], 102u);
@@ -53,9 +48,7 @@ TEST(Dram, DifferentChannelsDontQueue)
     Dram dram(eq, smallParams());
     std::vector<Cycle> done;
     for (int i = 0; i < 4; ++i)
-        dram.access(PhysAddr(i) * 32, false,
-                    [&]() { done.push_back(eq.now()); });
-    eq.run();
+        done.push_back(dram.access(PhysAddr(i) * 32, false));
     for (Cycle c : done)
         EXPECT_EQ(c, 100u);
     EXPECT_EQ(dram.stats().queueDelay.sum, 0u);
@@ -68,9 +61,8 @@ TEST(Dram, ChannelSelectionBits)
     // Address bits below channelShift do not change the channel: two
     // accesses within one sector of the same channel serialise.
     std::vector<Cycle> done;
-    dram.access(0, false, [&]() { done.push_back(eq.now()); });
-    dram.access(16, false, [&]() { done.push_back(eq.now()); });
-    eq.run();
+    done.push_back(dram.access(0, false));
+    done.push_back(dram.access(16, false));
     EXPECT_EQ(done[0], 100u);
     EXPECT_EQ(done[1], 102u);
 }
@@ -79,8 +71,10 @@ TEST(Dram, UtilisationGrowsWithTraffic)
 {
     EventQueue eq;
     Dram dram(eq, smallParams());
+    Cycle last = 0;
     for (int i = 0; i < 50; ++i)
-        dram.access(0, false, []() {});
+        last = dram.access(0, false);
+    eq.schedule(last, []() {});   // advance the clock to the last one
     eq.run();
     EXPECT_GT(dram.utilisation(), 0.5);
 }
@@ -89,8 +83,10 @@ TEST(Dram, ResetStatsClearsCountersAndWindow)
 {
     EventQueue eq;
     Dram dram(eq, smallParams());
+    Cycle last = 0;
     for (int i = 0; i < 10; ++i)
-        dram.access(0, false, []() {});
+        last = dram.access(0, false);
+    eq.schedule(last, []() {});
     eq.run();
     dram.resetStats();
     EXPECT_EQ(dram.stats().accesses, 0u);
@@ -101,10 +97,7 @@ TEST(Dram, WritesShareTiming)
 {
     EventQueue eq;
     Dram dram(eq, smallParams());
-    Cycle done_at = 0;
-    dram.access(64, true, [&]() { done_at = eq.now(); });
-    eq.run();
-    EXPECT_EQ(done_at, 100u);
+    EXPECT_EQ(dram.access(64, true), 100u);
 }
 
 /** Bandwidth property: N back-to-back accesses on one channel take
@@ -121,8 +114,7 @@ TEST_P(DramBandwidth, ChannelOccupancyScalesLinearly)
     Dram dram(eq, params);
     Cycle last = 0;
     for (int i = 0; i < n; ++i)
-        dram.access(0, false, [&]() { last = eq.now(); });
-    eq.run();
+        last = dram.access(0, false);
     EXPECT_EQ(last, params.accessLatency +
                     Cycle(n - 1) * params.cyclesPerSector);
 }

@@ -134,44 +134,31 @@ TEST(EventQueue, ResetClearsEverything)
 }
 
 /**
- * Regression: reset() used to leave periodic-check subscriptions (and the
- * legacy single-slot id) behind, so a recycled queue kept firing hooks
- * owned by the previous simulation.
+ * Regression: reset() used to leave periodic-check subscriptions behind,
+ * so a recycled queue kept firing hooks owned by the previous simulation.
  */
 TEST(EventQueue, ResetDropsPeriodicCheckSubscriptions)
 {
     EventQueue eq;
     int stale = 0;
     eq.addPeriodicCheck(1, [&](Cycle) { ++stale; });
-    eq.setPeriodicCheck(1, [&](Cycle) { ++stale; });
+    std::uint64_t old_id = eq.addPeriodicCheck(1, [&](Cycle) { ++stale; });
     EXPECT_EQ(eq.numPeriodicChecks(), 2u);
 
     eq.reset();
     EXPECT_EQ(eq.numPeriodicChecks(), 0u);
 
+    // A handle from before the reset never names a later subscription.
+    int fired = 0;
+    eq.addPeriodicCheck(1, [&](Cycle) { ++fired; });
+    eq.removePeriodicCheck(old_id);
+    EXPECT_EQ(eq.numPeriodicChecks(), 1u);
+
     for (Cycle c = 1; c <= 10; ++c)
         eq.schedule(c, []() {});
     eq.run();
     EXPECT_EQ(stale, 0) << "stale sweep hooks fired after reset()";
-}
-
-TEST(EventQueue, ResetRestartsSweepIdsSoLegacySlotStillReplaces)
-{
-    EventQueue eq;
-    eq.setPeriodicCheck(5, [](Cycle) {});
-    eq.reset();
-
-    // After reset the legacy slot must behave like a fresh queue: two
-    // installs leave exactly one subscription.
-    int fired = 0;
-    eq.setPeriodicCheck(1, [&](Cycle) { ++fired; });
-    eq.setPeriodicCheck(1, [&](Cycle) { ++fired; });
-    EXPECT_EQ(eq.numPeriodicChecks(), 1u);
-
-    for (Cycle c = 1; c <= 4; ++c)
-        eq.schedule(c, []() {});
-    eq.run();
-    EXPECT_EQ(fired, 4);
+    EXPECT_EQ(fired, 10);
 }
 
 TEST(EventQueue, ResetRecyclesSlabSlots)

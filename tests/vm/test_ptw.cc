@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "test_util.hh"
 #include "vm/ptw.hh"
 
 using namespace sw;
@@ -37,13 +38,17 @@ class PtwTest : public ::testing::Test
     std::unique_ptr<HardwarePtwPool>
     makePool(HardwarePtwPool::Params params, Cycle mem_latency = 50)
     {
-        return std::make_unique<HardwarePtwPool>(
-            eq, params, spaces, pwc,
-            [this, mem_latency](PhysAddr, std::function<void()> done) {
-                ++memReads;
-                eq.scheduleIn(mem_latency, std::move(done));
-            },
+        readers.push_back(std::make_unique<test::FixedLatencyReader>(
+            eq, mem_latency, memReads));
+        test::FixedLatencyReader &reader = *readers.back();
+        auto pool = std::make_unique<HardwarePtwPool>(
+            eq, params, spaces, pwc, reader,
             [this](const WalkResult &result) { results.push_back(result); });
+        HardwarePtwPool *raw = pool.get();
+        reader.answer = [raw](std::uint32_t walker, std::uint32_t lane) {
+            raw->ptReadDone(walker, lane);
+        };
+        return pool;
     }
 
     WalkRequest
@@ -66,6 +71,7 @@ class PtwTest : public ::testing::Test
     PageWalkCache pwc;
     int memReads = 0;
     std::vector<WalkResult> results;
+    std::vector<std::unique_ptr<test::FixedLatencyReader>> readers;
 };
 
 TEST_F(PtwTest, SingleWalkCompletesWithCorrectPfn)

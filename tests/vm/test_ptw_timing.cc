@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/config.hh"
+#include "test_util.hh"
 #include "vm/ptw.hh"
 
 using namespace sw;
@@ -30,14 +31,19 @@ class PtwTimingTest : public ::testing::Test
     std::unique_ptr<HardwarePtwPool>
     makePool(HardwarePtwPool::Params params, Cycle mem_latency)
     {
-        return std::make_unique<HardwarePtwPool>(
-            eq, params, spaces, pwc,
-            [this, mem_latency](PhysAddr, std::function<void()> done) {
-                eq.scheduleIn(mem_latency, std::move(done));
-            },
+        readers.push_back(std::make_unique<test::FixedLatencyReader>(
+            eq, mem_latency, memReads));
+        test::FixedLatencyReader &reader = *readers.back();
+        auto pool = std::make_unique<HardwarePtwPool>(
+            eq, params, spaces, pwc, reader,
             [this](const WalkResult &result) {
                 results.push_back(result);
             });
+        HardwarePtwPool *raw = pool.get();
+        reader.answer = [raw](std::uint32_t walker, std::uint32_t lane) {
+            raw->ptReadDone(walker, lane);
+        };
+        return pool;
     }
 
     /** Leaf-level request (one memory read per walk). */
@@ -62,7 +68,9 @@ class PtwTimingTest : public ::testing::Test
     AddressSpaceManager spaces;
     PageTableBase &pt;
     PageWalkCache pwc;
+    int memReads = 0;
     std::vector<WalkResult> results;
+    std::vector<std::unique_ptr<test::FixedLatencyReader>> readers;
 };
 
 TEST_F(PtwTimingTest, SingleLeafWalkExactLatency)
