@@ -65,6 +65,16 @@ writeBytes(const char *name, const std::vector<std::uint8_t> &bytes)
     return path;
 }
 
+TEST(CkptErrors, RequestRecordInFlightPanicsOnSave)
+{
+    GpuConfig cfg = test::smallConfig();
+    std::unique_ptr<Gpu> gpu = freshGpu(cfg);
+    gpu->runSegment(smallLimits().warpInstrQuota, 0, smallLimits());
+    gpu->memory().requests().alloc({.addr = 0x80});
+    EXPECT_DEATH(encodeCheckpoint(*gpu, smallLimits().warpInstrQuota),
+                 "request records in flight");
+}
+
 TEST(CkptErrors, BadMagicIsFatal)
 {
     GpuConfig cfg = test::smallConfig();
