@@ -9,13 +9,12 @@
  * The phase attribution comes from the structured event log (src/obs):
  * every completed walk is an NDJSON record carrying its queue_delay
  * (creation -> walker pickup) and access_latency (pickup -> fill), so the
- * breakdown is exact even when walks overlap.  The translation lifecycle
- * tracer still runs alongside; its per-phase means must agree with the
- * event-log-derived means within 1% or the harness exits non-zero — the
- * two observers watch the same walks through independent hook paths.
+ * breakdown is exact even when walks overlap.  The log's measured-region
+ * walk count and means must equal the engine's own counters in the
+ * RunResult exactly, or the harness exits non-zero.  The lifecycle tracer
+ * supplies the PT-reads-per-walk column.
  */
 
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -100,8 +99,7 @@ main()
     struct Slot
     {
         LogPhases log;
-        double tracerQueue = 0.0;
-        double tracerAccess = 0.0;
+        RunResult result;
         double ptReads = 0.0;
     };
     std::vector<Slot> slots(suite.size() * ptws.size());
@@ -128,9 +126,7 @@ main()
                     spec.limits = limitsFor(*info);
                     spec.obs = &obs;
                     RunResult result = run(std::move(spec));
-                    slots[slot] = {phasesFromLog(events),
-                                   tracer.queuePhase().mean(),
-                                   tracer.walkPhase().mean(),
+                    slots[slot] = {phasesFromLog(events), result,
                                    tracer.ptReadsPerWalk().mean()};
                     return result;
                 });
@@ -138,18 +134,17 @@ main()
     }
     runner.run();
 
-    // Event-log means must reproduce the tracer's attribution within 1%.
+    // The event log must reproduce the engine's walk counters exactly.
     int violations = 0;
     auto check = [&violations](const char *what, const char *bench,
-                               std::uint32_t n, double log_mean,
-                               double tracer_mean) {
-        double ref = std::max(std::abs(tracer_mean), 1.0);
-        if (std::abs(log_mean - tracer_mean) / ref > 0.01) {
+                               std::uint32_t n, double log_value,
+                               double engine_value) {
+        if (log_value != engine_value) {
             ++violations;
             std::fprintf(stderr,
                          "VALIDATION FAILURE [%s, %u ptws] %s: event log "
-                         "%.2f vs tracer %.2f\n",
-                         bench, n, what, log_mean, tracer_mean);
+                         "%.6f vs engine %.6f\n",
+                         bench, n, what, log_value, engine_value);
         }
     };
 
@@ -159,10 +154,13 @@ main()
     for (std::size_t i = 0; i < suite.size(); ++i) {
         for (std::size_t p = 0; p < ptws.size(); ++p) {
             const Slot &s = slots[i * ptws.size() + p];
-            check("queue", suite[i]->abbr.c_str(), ptws[p], s.log.queue,
-                  s.tracerQueue);
-            check("access", suite[i]->abbr.c_str(), ptws[p], s.log.access,
-                  s.tracerAccess);
+            const char *bench = suite[i]->abbr.c_str();
+            check("walks", bench, ptws[p], double(s.log.walks),
+                  double(s.result.walks));
+            check("queue", bench, ptws[p], s.log.queue,
+                  s.result.avgWalkQueueDelay);
+            check("access", bench, ptws[p], s.log.access,
+                  s.result.avgWalkAccessLatency);
             double share =
                 s.log.total > 0 ? s.log.queue / s.log.total : 0.0;
             if (ptws[p] == 32)
@@ -178,7 +176,7 @@ main()
     std::printf("%s\n", table.str().c_str());
     std::printf("average queue share at 32 PTWs: %.1f%%\n",
                 100.0 * mean(queue_shares_at_32));
-    std::printf("event-log-vs-tracer validation: %s (%d violations)\n",
+    std::printf("event-log-vs-engine validation: %s (%d violations)\n",
                 violations == 0 ? "PASS" : "FAIL", violations);
     std::printf("\npaper: queueing delay is ~95%% of walk latency for "
                 "irregular apps at 32 PTWs\n");

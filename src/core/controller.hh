@@ -32,10 +32,12 @@ class SoftWalkerController
                          std::uint32_t pwb_entries,
                          const AddressSpaceManager &spaces,
                          PwWarp::Hooks hooks, PwWarpCodeTiming timing,
-                         std::uint32_t lanes, Cycle comm_latency)
+                         std::uint32_t lanes, Cycle comm_latency,
+                         const LifecycleStream &lifecycle)
         : eventq(eq), smId(sm), pwb(pwb_entries),
           warp(std::make_unique<PwWarp>(eq, spaces, pwb, std::move(hooks),
-                                        timing, lanes, comm_latency))
+                                        timing, lanes, comm_latency,
+                                        lifecycle))
     {
     }
 
@@ -63,9 +65,6 @@ class SoftWalkerController
         pwb.resetStats();
         warp->resetStats();
     }
-
-    /** Forward the tracer to the PW Warp, stamping with this SM's id. */
-    void setTracer(TranslationTracer *tracer) { warp->setTracer(tracer, smId); }
 
     /** Register controller + SoftPWB + PW Warp counters. */
     void

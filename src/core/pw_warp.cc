@@ -1,7 +1,6 @@
 #include "core/pw_warp.hh"
 
 #include "check/audit.hh"
-#include "obs/trace.hh"
 #include "prof/hostprof.hh"
 #include "sim/logging.hh"
 
@@ -22,9 +21,11 @@ toString(PwOpcode op)
 
 PwWarp::PwWarp(EventQueue &eq, const AddressSpaceManager &aspaces,
                SoftPwb &buffer, Hooks hooks_in, PwWarpCodeTiming timing_in,
-               std::uint32_t num_lanes, Cycle comm_latency)
+               std::uint32_t num_lanes, Cycle comm_latency,
+               const LifecycleStream &lifecycle)
     : eventq(eq), spaces(aspaces), pwb(buffer), hooks(std::move(hooks_in)),
-      timing(timing_in), numLanes(num_lanes), commLatency(comm_latency)
+      timing(timing_in), numLanes(num_lanes), commLatency(comm_latency),
+      lifecycle_(lifecycle)
 {
     SW_ASSERT(numLanes > 0 && numLanes <= 32, "PW Warp lanes out of range");
 }
@@ -61,10 +62,8 @@ PwWarp::startBatch()
         lane.id = slot.req.id;
         lane.key = slot.req.key;
         lanes.push_back(lane);
-        SW_TRACE(tracer_, TracePhase::WalkDispatch, eventq.now(), lane.id,
-                 lane.key.vpn, tracerWhere, lane.key.asid);
-        if (hooks.execStart)
-            hooks.execStart(lane.key);
+        SW_LIFECYCLE(lifecycle_, LifecyclePhase::WalkDispatch, eventq.now(),
+                     lane.id, lane.key, hooks.walker, true);
     }
 
     ++stats_.batches;
@@ -108,9 +107,9 @@ PwWarp::levelIteration()
             spaces.tableFor(lanes[lane_idx].key.asid);
         PhysAddr addr = pt.pteAddr(lanes[lane_idx].cursor);
         auto fire = [this, lane_idx, addr]() {
-            SW_TRACE(tracer_, TracePhase::PtRead, eventq.now(),
-                     lanes[lane_idx].id, lanes[lane_idx].key.vpn,
-                     tracerWhere, lanes[lane_idx].key.asid);
+            SW_LIFECYCLE(lifecycle_, LifecyclePhase::PtRead, eventq.now(),
+                         lanes[lane_idx].id, lanes[lane_idx].key,
+                         hooks.walker, true);
             hooks.ptReader->ptRead(addr, hooks.walker, lane_idx);
         };
         static_assert(EventFn::fitsInline<decltype(fire)>(),

@@ -20,6 +20,7 @@
 
 #include "core/isa.hh"
 #include "core/soft_pwb.hh"
+#include "obs/lifecycle.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "vm/address_space.hh"
@@ -44,7 +45,8 @@ class PwWarp
         std::function<Cycle(std::uint32_t, Asid)> reserveIssue;
         /**
          * Engine's page-table memory read (LDPT), issued as walker
-         * @c walker; it answers with ptReadDone(lane).
+         * @c walker (the warp's SM, also the @c where of its lifecycle
+         * events); it answers with ptReadDone(lane).
          */
         PtReader *ptReader = nullptr;
         std::uint32_t walker = 0;
@@ -55,11 +57,6 @@ class PwWarp
          * resolves the walk and releases the distributor credit.
          */
         WalkCompleteFn complete;
-        /**
-         * A lane's walk started executing (batch pickup) — the cycle
-         * ledger moves the key's waiters to TransPwExec.  Optional.
-         */
-        std::function<void(const TranslationKey &)> execStart;
     };
 
     struct Stats
@@ -75,9 +72,10 @@ class PwWarp
         LatencyStat batchLatency;
     };
 
+    /** Batch pickups and LDPTs are emitted into @p lifecycle. */
     PwWarp(EventQueue &eq, const AddressSpaceManager &spaces, SoftPwb &pwb,
            Hooks hooks, PwWarpCodeTiming timing, std::uint32_t lanes,
-           Cycle comm_latency);
+           Cycle comm_latency, const LifecycleStream &lifecycle);
 
     PwWarp(const PwWarp &) = delete;
     PwWarp &operator=(const PwWarp &) = delete;
@@ -98,17 +96,6 @@ class PwWarp
     std::uint32_t fillsInTransit() const { return fillsInTransit_; }
 
     void resetStats() { stats_ = Stats{}; }
-
-    /**
-     * Install a TranslationTracer; @p where identifies this warp's SM in
-     * the emitted stamps (the warp itself doesn't know its SM id).
-     */
-    void
-    setTracer(TranslationTracer *tracer, std::uint32_t where)
-    {
-        tracer_ = tracer;
-        tracerWhere = where;
-    }
 
     /** Register the warp's counters with the unified stat registry. */
     void registerStats(StatGroup group);
@@ -145,14 +132,13 @@ class PwWarp
     PwWarpCodeTiming timing;
     std::uint32_t numLanes;
     Cycle commLatency;
+    const LifecycleStream &lifecycle_;
 
     bool running = false;
     std::vector<Lane> lanes;
     std::uint32_t pendingLoads = 0;
     std::uint32_t fillsInTransit_ = 0;
     Cycle batchStart = 0;
-    TranslationTracer *tracer_ = nullptr;
-    std::uint32_t tracerWhere = 0;
 
     Stats stats_;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "check/audit.hh"
-#include "obs/cycle_ledger.hh"
 #include "obs/sampler.hh"
 #include "sim/logging.hh"
 
@@ -50,15 +49,9 @@ SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
         hooks.complete = [this, sm](const WalkResult &result) {
             onSoftwareComplete(sm, result);
         };
-        hooks.execStart = [this](const TranslationKey &key) {
-            if (ledger_) {
-                ledger_->transTrackStage(key, LedgerCategory::TransPwExec,
-                                         gpu.eventQueue().now());
-            }
-        };
         controllers.push_back(std::make_unique<SoftWalkerController>(
             eq, sm, cfg.softPwbEntries, engine.spaces(), std::move(hooks),
-            timing, cfg.pwWarpThreads, comm));
+            timing, cfg.pwWarpThreads, comm, gpu.lifecycle()));
     }
 
     if (hybrid) {
@@ -74,7 +67,8 @@ SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
                 SW_ASSERT(inFlightCount > 0, "hybrid in-flight underflow");
                 --inFlightCount;
                 engineComplete(result);
-            });
+            },
+            gpu.lifecycle());
     }
 }
 
@@ -142,8 +136,8 @@ void
 SoftWalkerBackend::sendToSm(SmId target, WalkRequest req)
 {
     ++stats_.toSoftware;
-    if (ledger_)
-        ledger_->pwWalkHosted(target, req.key.asid);
+    SW_LIFECYCLE(gpu.lifecycle(), LifecyclePhase::PwHosted,
+                 gpu.eventQueue().now(), req.id, req.key, target, true);
     // L2 TLB -> SM interconnect hop (modeled as the L2 TLB latency, §6.1).
     ++commInTransit;
     // WalkRequest outgrew the inline event budget when it gained the
@@ -243,23 +237,6 @@ SoftWalkerBackend::drainQueue()
         sendToSm(target, std::move(req));
         barren = 0;
     }
-}
-
-void
-SoftWalkerBackend::setTracer(TranslationTracer *tracer)
-{
-    for (auto &controller : controllers)
-        controller->setTracer(tracer);
-    if (hwPool)
-        hwPool->setTracer(tracer);
-}
-
-void
-SoftWalkerBackend::setLedger(CycleLedger *ledger)
-{
-    ledger_ = ledger;
-    if (hwPool)
-        hwPool->setLedger(ledger);
 }
 
 void

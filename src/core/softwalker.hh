@@ -57,12 +57,6 @@ class SoftWalkerBackend : public WalkBackend
      */
     void registerAudits(Auditor &auditor) override;
 
-    /** Forward the tracer to every PW Warp (and the hybrid hw pool). */
-    void setTracer(TranslationTracer *tracer) override;
-
-    /** Install the cycle ledger (PW-exec stage + hosting attribution). */
-    void setLedger(CycleLedger *ledger) override;
-
     /** Register backend, distributor, per-SM controller + warp counters. */
     void registerStats(StatGroup group) override;
 
@@ -134,7 +128,6 @@ class SoftWalkerBackend : public WalkBackend
     std::uint64_t inFlightCount = 0;
     /** Dispatched requests still crossing the L2 TLB -> SM interconnect. */
     std::uint64_t commInTransit = 0;
-    CycleLedger *ledger_ = nullptr;
 
     Stats stats_;
 };

@@ -32,7 +32,7 @@ Gpu::Gpu(GpuConfig config, std::vector<std::unique_ptr<Workload>> wls)
 
     mem = std::make_unique<MemorySystem>(eventq, cfg, requests_);
     engine_ = std::make_unique<TranslationEngine>(eventq, cfg, *mem,
-                                                  *spaces_);
+                                                  *spaces_, lifecycle_);
     requests_.setSink(Done::SmAccess, this);
     requests_.setSink(Done::Translation, this);
 
@@ -51,7 +51,7 @@ Gpu::Gpu(GpuConfig config, std::vector<std::unique_ptr<Workload>> wls)
         params.asid = tenantOfSm(cfg, id);
         sms.push_back(std::make_unique<Sm>(eventq, params,
                                            *workloads_[params.asid],
-                                           requests_, port));
+                                           requests_, port, lifecycle_));
     }
 
     // Hardware and Ideal backends are self-contained; SoftWalker/Hybrid
@@ -73,7 +73,7 @@ Gpu::Gpu(GpuConfig config, std::vector<std::unique_ptr<Workload>> wls)
         }
         engine_->setBackend(std::make_unique<HardwarePtwPool>(
             eventq, pool, *spaces_, engine_->pwc(), *engine_,
-            engine_->completionFn()));
+            engine_->completionFn(), lifecycle_));
     }
 
     registerGpuAudits();
@@ -243,8 +243,8 @@ Gpu::runSegment(std::uint64_t fetch_quota,
     SW_PROF_SCOPE(prof::Zone::StatsAudit);
     for (auto &sm : sms)
         sm->finalizeStats();
-    if (ledger_)
-        ledger_->syncAll(eventq.now());
+    if (CycleLedger *ledger = lifecycle_.ledger())
+        ledger->syncAll(eventq.now());
 
     // End-of-sim audit: quiescent-only invariants (no leaked MSHR / miss)
     // apply only when the run drained rather than hitting its cycle cap.
@@ -316,59 +316,52 @@ Gpu::restoreState(CkptReader &r)
 void
 Gpu::installObservability(const Observability &obs)
 {
-    if (obs.tracer) {
-        tracer_ = obs.tracer;
-        engine_->setTracer(obs.tracer);
-    }
-    if (obs.ledger) {
-        ledger_ = obs.ledger;
-        if (!ledger_->attached()) {
+    SW_ASSERT(backendInstalled(),
+              "installObservability() before the walk backend: its stats, "
+              "gauges and lifecycle events would go unobserved");
+    CycleLedger *ledger = obs.ledger;
+    if (ledger) {
+        if (!ledger->attached()) {
             std::vector<Asid> sm_asids(sms.size());
             for (SmId id = 0; id < SmId(sms.size()); ++id)
                 sm_asids[id] = tenantOfSm(cfg, id);
-            ledger_->attach(std::move(sm_asids), eventq.now());
+            ledger->attach(std::move(sm_asids), eventq.now());
         }
-        for (auto &sm : sms)
-            sm->ledger = ledger_;
-        engine_->setLedger(ledger_);
         // Top-down conservation: every SM cycle lands in exactly one
         // category.  auditConservation() is const — the audit only reads.
         auditor_.registerAudit(
             "obs.ledger.cycles-conserved", AuditScope::Continuous,
-            [this](AuditContext &ctx) {
-                std::string err = ledger_->auditConservation(eventq.now());
+            [this, ledger](AuditContext &ctx) {
+                std::string err = ledger->auditConservation(eventq.now());
                 if (!err.empty())
                     ctx.fail(err);
             });
     }
-    if (obs.events) {
-        events_ = obs.events;
-        engine_->setEventLog(obs.events);
-    }
-    // After the tracer/ledger: registerStats() exposes "trace.*" and
-    // "ledger.*" only when the corresponding observer is installed.
+    lifecycle_.observe(obs.tracer, ledger, obs.events);
+    // After the stream: registerStats() exposes "trace.*" and "ledger.*"
+    // only when the corresponding observer is installed.
     if (obs.registry)
         registerStats(*obs.registry);
     if (obs.sampler) {
-        sampler_ = obs.sampler;
         registerSamplerGauges(*obs.sampler);
-        if (WalkBackend *backend = engine_->backend())
-            backend->registerGauges(*obs.sampler);
-        if (ledger_) {
+        engine_->backend()->registerGauges(*obs.sampler);
+        if (ledger) {
             // Sync before the sampler reads its gauges so the CSV row and
             // the NDJSON sample record describe the same closed accounts.
             using Totals = std::array<Cycle, kNumLedgerCategories>;
+            EventLog *events = obs.events;
             obs.sampler->onSample(
-                [this, last = std::make_shared<Totals>()](Cycle now) {
-                    ledger_->syncAll(now);
-                    if (!events_)
+                [ledger, events, last = std::make_shared<Totals>()](
+                    Cycle now) {
+                    ledger->syncAll(now);
+                    if (!events)
                         return;
-                    Totals totals = ledger_->categoryTotals();
+                    Totals totals = ledger->categoryTotals();
                     Totals deltas{};
                     for (std::size_t i = 0; i < kNumLedgerCategories; ++i)
                         deltas[i] = totals[i] - (*last)[i];
                     *last = totals;
-                    events_->sample(now, deltas);
+                    events->sample(now, deltas);
                 });
         }
         obs.sampler->install(
@@ -396,16 +389,16 @@ Gpu::registerStats(StatRegistry &registry)
     mem->registerStats(root.group("mem"));
     auditor_.registerStats(root.group("audit"));
 
-    if (tracer_) {
+    if (const TranslationTracer *tracer = lifecycle_.tracer()) {
         StatGroup trace = root.group("trace");
-        trace.latency("queue_phase", &tracer_->queuePhase());
-        trace.latency("walk_phase", &tracer_->walkPhase());
-        trace.latency("total_phase", &tracer_->totalPhase());
-        trace.latency("pt_reads_per_walk", &tracer_->ptReadsPerWalk());
+        trace.latency("queue_phase", &tracer->queuePhase());
+        trace.latency("walk_phase", &tracer->walkPhase());
+        trace.latency("total_phase", &tracer->totalPhase());
+        trace.latency("pt_reads_per_walk", &tracer->ptReadsPerWalk());
     }
 
-    if (ledger_)
-        ledger_->registerStats(root.group("ledger"));
+    if (CycleLedger *ledger = lifecycle_.ledger())
+        ledger->registerStats(root.group("ledger"));
 }
 
 void
@@ -441,12 +434,12 @@ Gpu::resetAllStats()
         sm->resetStats();
     engine_->resetStats();
     mem->resetStats();
-    if (tracer_)
-        tracer_->resetAttribution();
-    if (ledger_)
-        ledger_->reset(eventq.now());
-    if (events_)
-        events_->resetMark(eventq.now());
+    if (TranslationTracer *tracer = lifecycle_.tracer())
+        tracer->resetAttribution();
+    if (CycleLedger *ledger = lifecycle_.ledger())
+        ledger->reset(eventq.now());
+    if (EventLog *events = lifecycle_.events())
+        events->resetMark(eventq.now());
 }
 
 std::uint64_t

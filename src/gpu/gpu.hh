@@ -162,21 +162,19 @@ class Gpu : private SmPort, private RequestSink
     /** Install a per-instruction trace hook on every SM (Fig 3). */
     void setTraceHook(TraceHookFn hook);
 
-    /** The attached cycle ledger (nullptr without observability). */
-    CycleLedger *cycleLedger() { return ledger_; }
-    const CycleLedger *cycleLedger() const { return ledger_; }
-
-    /** The attached structured event log (nullptr without observability). */
-    EventLog *eventLog() { return events_; }
-    const EventLog *eventLog() const { return events_; }
+    /**
+     * The lifecycle stream every component emits into; its consumers are
+     * the tracer, ledger and event log of the installed bundle.
+     */
+    const LifecycleStream &lifecycle() const { return lifecycle_; }
 
     /**
      * Attach the observability bundle: registers every component with the
-     * stat registry, installs the lifecycle tracer on the translation
-     * path, and arms the time-series sampler's periodic sweep.  Call
-     * AFTER the walk backend is installed so backend stats and gauges
-     * register too.  A GPU run with no observability (or a null bundle)
-     * is bit-identical to one that never called this.
+     * stat registry, points the lifecycle stream at the tracer, ledger
+     * and event log, and arms the time-series sampler's periodic sweep.
+     * Panics unless the walk backend is already installed, since backend
+     * stats and gauges register here.  A GPU run with no observability
+     * (or a null bundle) is bit-identical to one that never called this.
      */
     void installObservability(const Observability &obs);
 
@@ -203,6 +201,7 @@ class Gpu : private SmPort, private RequestSink
     EventQueue eventq;
     Auditor auditor_;
     RequestPool requests_;
+    LifecycleStream lifecycle_;
     std::unique_ptr<FrameAllocator> allocator;
     std::unique_ptr<AddressSpaceManager> spaces_;
     std::unique_ptr<MemorySystem> mem;
@@ -211,10 +210,6 @@ class Gpu : private SmPort, private RequestSink
     std::vector<std::unique_ptr<Workload>> workloads_;
     std::vector<std::unique_ptr<Sm>> sms;
 
-    TranslationTracer *tracer_ = nullptr;
-    TimeSeriesSampler *sampler_ = nullptr;
-    CycleLedger *ledger_ = nullptr;
-    EventLog *events_ = nullptr;
 
     std::uint64_t quotaRemaining = 0;
     std::uint64_t warpsAlive = 0;

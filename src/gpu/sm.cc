@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "ckpt/ckpt_io.hh"
-#include "obs/cycle_ledger.hh"
 #include "obs/stat_registry.hh"
 #include "prof/hostprof.hh"
 #include "sim/logging.hh"
@@ -11,9 +10,9 @@
 namespace sw {
 
 Sm::Sm(EventQueue &eq, Params params, Workload &wl, RequestPool &requests,
-       SmPort &machine)
+       SmPort &machine, const LifecycleStream &lifecycle)
     : eventq(eq), params_(params), workload(wl), pool(requests),
-      port(machine),
+      port(machine), lifecycle_(lifecycle),
       geometry(params.pageBytes),
       rng(params.rngSeed * 0x100000001b3ULL + params.id)
 {
@@ -31,10 +30,9 @@ Sm::start(std::uint64_t *instr_quota, std::uint32_t active_warps,
         warps[w].live = true;
         ++liveWarps;
     }
-    if (ledger) {
-        ledger->smSchedState(params_.id, eventq.now(), liveWarps > 0,
-                             liveWarps > 0 && blockedWarps >= liveWarps);
-    }
+    SW_LIFECYCLE(lifecycle_, LifecyclePhase::SmSched, eventq.now(), 0, {},
+                 params_.id, false, liveWarps > 0,
+                 liveWarps > 0 && blockedWarps >= liveWarps);
     for (WarpId w = 0; w < count; ++w) {
         Cycle delay = skew_base + skew_stride * w;
         if (delay == 0) {
@@ -51,8 +49,9 @@ Sm::reservePwIssue(std::uint32_t slots, Asid walkAsid)
     Cycle start = std::max(eventq.now(), nextIssueFree);
     nextIssueFree = start + slots;
     stats_.pwIssueCycles += slots;
-    if (ledger)
-        ledger->pwReserve(params_.id, start, start + slots, walkAsid);
+    SW_LIFECYCLE(lifecycle_, LifecyclePhase::PwReserve, eventq.now(), 0,
+                 TranslationKey{walkAsid, 0}, params_.id, true, start,
+                 start + slots);
     return start + slots;
 }
 
@@ -244,8 +243,8 @@ Sm::updateStallWindow()
         fullyStalled = false;
         stats_.memStallCycles += now - stallStart;
     }
-    if (ledger)
-        ledger->smSchedState(params_.id, now, liveWarps > 0, stalled_now);
+    SW_LIFECYCLE(lifecycle_, LifecyclePhase::SmSched, now, 0, {}, params_.id,
+                 false, liveWarps > 0, stalled_now);
 }
 
 void

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "mem/request.hh"
+#include "obs/lifecycle.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -34,7 +35,6 @@ namespace sw {
 class StatGroup;
 class CkptWriter;
 class CkptReader;
-class CycleLedger;
 
 /**
  * An SM's way into the machine (the Gpu, or a test double).  Each call
@@ -86,8 +86,12 @@ class Sm
         LatencyStat accessLatency;         ///< per data access (Fig 4)
     };
 
+    /**
+     * Scheduler-state changes and PW-issue reservations are emitted into
+     * @p lifecycle (cycle-ledger attribution).
+     */
     Sm(EventQueue &eq, Params params, Workload &workload, RequestPool &pool,
-       SmPort &port);
+       SmPort &port, const LifecycleStream &lifecycle);
 
     Sm(const Sm &) = delete;
     Sm &operator=(const Sm &) = delete;
@@ -178,13 +182,6 @@ class Sm
     /** Invoked whenever a warp retires (all work done). */
     std::function<void()> onWarpRetired;
 
-    /**
-     * Set by the GPU when cycle accounting is requested; the SM reports
-     * scheduler-state transitions and PW-issue reservations (pure
-     * observer, never scheduled on).
-     */
-    CycleLedger *ledger = nullptr;
-
   private:
     struct WarpState
     {
@@ -208,6 +205,7 @@ class Sm
     Workload &workload;
     RequestPool &pool;
     SmPort &port;
+    const LifecycleStream &lifecycle_;
     PageGeometry geometry;
     Rng rng;
 

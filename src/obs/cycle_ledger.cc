@@ -56,18 +56,83 @@ CycleLedger::attach(std::vector<Asid> smAsids, Cycle now)
     sms_.assign(smAsid_.size(), SmLedger{});
     for (SmLedger &led : sms_)
         led.spanStart = now;
-    // Pre-populate the per-ASID accounts and the host x walk interference
-    // matrices for the full tenant universe so registerStats() can hand
+    // Size the per-tenant accounts and the host x walk interference
+    // matrices for the full tenant universe, so registerStats() can hand
     // out stable pointers and dumps always show the complete matrix.
-    for (Asid host : smAsid_) {
-        asidAccounts_.try_emplace(host);
-        for (Asid walk : smAsid_) {
-            hostedCycles_[host].try_emplace(walk, 0);
-            hostedWalks_[host].try_emplace(walk, 0);
-        }
-    }
+    const Asid tenants =
+        *std::max_element(smAsid_.begin(), smAsid_.end()) + 1;
+    std::vector<bool> owns(tenants, false);
+    for (Asid asid : smAsid_)
+        owns[asid] = true;
+    SW_ASSERT(std::find(owns.begin(), owns.end(), false) == owns.end(),
+              "every tenant 0..%u must own an SM", unsigned(tenants - 1));
+    asidAccounts_.assign(tenants, {});
+    hostedCycles_.assign(std::size_t(tenants) * tenants, 0);
+    hostedWalks_.assign(std::size_t(tenants) * tenants, 0);
     start_ = now;
     syncedAt_ = now;
+}
+
+void
+CycleLedger::consume(const LifecycleEvent &event)
+{
+    if (sms_.empty())
+        return;
+    const SmId sm = event.where;
+    const Cycle now = event.cycle;
+    switch (event.phase) {
+      case LifecyclePhase::SmSched:
+        smSchedState(sm, now, event.a != 0, event.b != 0);
+        break;
+      case LifecyclePhase::L1Miss:
+        transEnter(sm, event.key, now);
+        break;
+      case LifecyclePhase::L1Hit:
+      case LifecyclePhase::Wakeup:
+        transLeave(sm, event.key, now);
+        break;
+      case LifecyclePhase::MshrFail:
+        transPark(sm, event.key, now);
+        break;
+      case LifecyclePhase::L2Merge:
+        transJoin(sm, event.key, now);
+        break;
+      case LifecyclePhase::MshrAlloc:
+      case LifecyclePhase::InTlbAlloc:
+        transTrackNew(event.key,
+                      event.phase == LifecyclePhase::InTlbAlloc
+                          ? LedgerCategory::TransInTlbMshr
+                          : LedgerCategory::TransWalkDispatch,
+                      now);
+        transJoin(sm, event.key, now);
+        break;
+      case LifecyclePhase::WalkDispatch:
+        transTrackStage(event.key,
+                        event.software ? LedgerCategory::TransPwExec
+                                       : LedgerCategory::TransPtwExec,
+                        now);
+        break;
+      case LifecyclePhase::Fault:
+        transTrackStage(event.key, LedgerCategory::TransFault, now);
+        break;
+      case LifecyclePhase::FaultReplay:
+        transTrackStage(event.key,
+                        event.a ? LedgerCategory::TransInTlbMshr
+                                : LedgerCategory::TransWalkDispatch,
+                        now);
+        break;
+      case LifecyclePhase::WalkFill:
+        transTrackDone(event.key);
+        break;
+      case LifecyclePhase::PwReserve:
+        pwReserve(sm, event.a, event.b, event.key.asid);
+        break;
+      case LifecyclePhase::PwHosted:
+        pwWalkHosted(sm, event.key.asid);
+        break;
+      default:
+        break;
+    }
 }
 
 LedgerCategory
@@ -118,7 +183,7 @@ CycleLedger::closeSpan(SmId sm, Cycle now)
         if (ovEnd > ovStart) {
             const Cycle ov = ovEnd - ovStart;
             carved += ov;
-            hostedCycles_[host][iv.walkAsid] += ov;
+            hostedCycles_[cell(host, iv.walkAsid)] += ov;
         }
         if (iv.end > now) {
             iv.start = now; // the rest belongs to future spans
@@ -145,8 +210,6 @@ CycleLedger::closeSpan(SmId sm, Cycle now)
 void
 CycleLedger::smSchedState(SmId sm, Cycle now, bool anyLive, bool stalled)
 {
-    if (sms_.empty())
-        return;
     SW_ASSERT(sm < sms_.size(), "ledger SM id out of range");
     SmLedger &led = sms_[sm];
     if (led.anyLive == anyLive && led.stalled == stalled)
@@ -154,6 +217,15 @@ CycleLedger::smSchedState(SmId sm, Cycle now, bool anyLive, bool stalled)
     closeSpan(sm, now);
     led.anyLive = anyLive;
     led.stalled = stalled;
+}
+
+std::uint32_t
+CycleLedger::findMember(const KeyState &state, SmId sm) const
+{
+    std::uint32_t node = state.members;
+    while (node != kNoMember && members_[node].sm != sm)
+        node = members_[node].next;
+    return node;
 }
 
 void
@@ -164,142 +236,147 @@ CycleLedger::addMember(SmId sm, KeyState &state, LedgerCategory stage,
     SW_ASSERT(isTransStage(stage), "member stage must be a Trans* stage");
     closeSpan(sm, now);
     ++sms_[sm].stageCount[stageIndex(stage)];
-    state.sms.emplace(sm, stage);
+    std::uint32_t node = freeMembers_;
+    if (node == kNoMember) {
+        node = std::uint32_t(members_.size());
+        members_.emplace_back();
+    } else {
+        freeMembers_ = members_[node].next;
+    }
+    members_[node] = Member{sm, stage, state.members};
+    state.members = node;
 }
 
 void
-CycleLedger::moveMember(SmId sm, KeyState &state, LedgerCategory stage,
+CycleLedger::moveMember(std::uint32_t member, LedgerCategory stage,
                         Cycle now)
 {
-    auto it = state.sms.find(sm);
-    SW_ASSERT(it != state.sms.end(), "moveMember on non-member SM");
-    if (it->second == stage)
+    Member &m = members_[member];
+    if (m.stage == stage)
         return;
     SW_ASSERT(isTransStage(stage), "member stage must be a Trans* stage");
-    closeSpan(sm, now);
-    --sms_[sm].stageCount[stageIndex(it->second)];
-    ++sms_[sm].stageCount[stageIndex(stage)];
-    it->second = stage;
+    closeSpan(m.sm, now);
+    --sms_[m.sm].stageCount[stageIndex(m.stage)];
+    ++sms_[m.sm].stageCount[stageIndex(stage)];
+    m.stage = stage;
+}
+
+void
+CycleLedger::moveRiders(const KeyState &state, Cycle now)
+{
+    // Only SMs already riding the walk advance with it; SMs still in an
+    // sm-local stage (L1 miss, L2 queue) move via transJoin().
+    for (std::uint32_t node = state.members; node != kNoMember;
+         node = members_[node].next) {
+        if (isTrackStage(members_[node].stage))
+            moveMember(node, state.trackStage, now);
+    }
 }
 
 void
 CycleLedger::transEnter(SmId sm, const TranslationKey &key, Cycle now)
 {
-    if (sms_.empty())
-        return;
-    KeyState &state = keys_[key];
-    if (state.sms.count(sm))
+    KeyState *state = keys_.find(key);
+    if (!state)
+        state = &keys_.insert(key);
+    else if (findMember(*state, sm) != kNoMember)
         return; // already tracked (retry/merge path) — idempotent
-    addMember(sm, state, LedgerCategory::TransL1Miss, now);
+    addMember(sm, *state, LedgerCategory::TransL1Miss, now);
 }
 
 void
 CycleLedger::transLeave(SmId sm, const TranslationKey &key, Cycle now)
 {
-    if (sms_.empty())
+    KeyState *state = keys_.find(key);
+    if (!state)
         return;
-    auto kit = keys_.find(key);
-    if (kit == keys_.end())
-        return;
-    KeyState &state = kit->second;
-    auto it = state.sms.find(sm);
-    if (it == state.sms.end())
+    std::uint32_t *link = &state->members;
+    while (*link != kNoMember && members_[*link].sm != sm)
+        link = &members_[*link].next;
+    const std::uint32_t node = *link;
+    if (node == kNoMember)
         return;
     closeSpan(sm, now);
-    --sms_[sm].stageCount[stageIndex(it->second)];
-    state.sms.erase(it);
-    if (state.sms.empty() &&
-        state.trackStage == LedgerCategory::NumCategories) {
-        keys_.erase(kit);
+    --sms_[sm].stageCount[stageIndex(members_[node].stage)];
+    *link = members_[node].next;
+    members_[node].next = freeMembers_;
+    freeMembers_ = node;
+    if (state->members == kNoMember &&
+        state->trackStage == LedgerCategory::NumCategories) {
+        keys_.erase(key);
     }
 }
 
 void
 CycleLedger::transPark(SmId sm, const TranslationKey &key, Cycle now)
 {
-    if (sms_.empty())
-        return;
-    KeyState &state = keys_[key];
-    auto it = state.sms.find(sm);
-    if (it == state.sms.end())
-        addMember(sm, state, LedgerCategory::TransL2Queue, now);
+    KeyState *state = keys_.find(key);
+    if (!state)
+        state = &keys_.insert(key);
+    std::uint32_t node = findMember(*state, sm);
+    if (node == kNoMember)
+        addMember(sm, *state, LedgerCategory::TransL2Queue, now);
     else
-        moveMember(sm, state, LedgerCategory::TransL2Queue, now);
+        moveMember(node, LedgerCategory::TransL2Queue, now);
 }
 
 void
 CycleLedger::transJoin(SmId sm, const TranslationKey &key, Cycle now)
 {
-    if (sms_.empty())
+    KeyState *state = keys_.find(key);
+    if (!state)
         return;
-    auto kit = keys_.find(key);
-    if (kit == keys_.end())
-        return;
-    KeyState &state = kit->second;
-    if (state.trackStage == LedgerCategory::NumCategories)
+    if (state->trackStage == LedgerCategory::NumCategories)
         return; // no walk in flight; stay at the local stage
-    auto it = state.sms.find(sm);
-    if (it == state.sms.end())
-        addMember(sm, state, state.trackStage, now);
+    std::uint32_t node = findMember(*state, sm);
+    if (node == kNoMember)
+        addMember(sm, *state, state->trackStage, now);
     else
-        moveMember(sm, state, state.trackStage, now);
+        moveMember(node, state->trackStage, now);
 }
 
 void
 CycleLedger::transTrackNew(const TranslationKey &key, LedgerCategory stage,
                            Cycle now)
 {
-    if (sms_.empty())
-        return;
     SW_ASSERT(isTrackStage(stage), "track stage must be key-wide");
-    KeyState &state = keys_[key];
-    state.trackStage = stage;
-    for (auto &member : state.sms) {
-        // Only SMs already riding the walk advance with it; SMs still in
-        // an sm-local stage (L1 miss, L2 queue) move via transJoin().
-        if (isTrackStage(member.second))
-            moveMember(member.first, state, stage, now);
-    }
+    KeyState *state = keys_.find(key);
+    if (!state)
+        state = &keys_.insert(key);
+    state->trackStage = stage;
+    moveRiders(*state, now);
 }
 
 void
 CycleLedger::transTrackStage(const TranslationKey &key, LedgerCategory stage,
                              Cycle now)
 {
-    if (sms_.empty())
-        return;
-    auto kit = keys_.find(key);
-    if (kit == keys_.end())
+    KeyState *state = keys_.find(key);
+    if (!state)
         return;
     SW_ASSERT(isTrackStage(stage), "track stage must be key-wide");
-    KeyState &state = kit->second;
-    state.trackStage = stage;
-    for (auto &member : state.sms) {
-        if (isTrackStage(member.second))
-            moveMember(member.first, state, stage, now);
-    }
+    state->trackStage = stage;
+    moveRiders(*state, now);
 }
 
 void
-CycleLedger::transTrackDone(const TranslationKey &key, Cycle now)
+CycleLedger::transTrackDone(const TranslationKey &key)
 {
-    (void)now; // members stay at their last stage until transLeave()
-    if (sms_.empty())
+    // Members stay at their last stage until their transLeave() wakeup.
+    KeyState *state = keys_.find(key);
+    if (!state)
         return;
-    auto kit = keys_.find(key);
-    if (kit == keys_.end())
-        return;
-    kit->second.trackStage = LedgerCategory::NumCategories;
-    if (kit->second.sms.empty())
-        keys_.erase(kit);
+    state->trackStage = LedgerCategory::NumCategories;
+    if (state->members == kNoMember)
+        keys_.erase(key);
 }
 
 void
 CycleLedger::pwReserve(SmId sm, Cycle start, Cycle end, Asid walkAsid)
 {
-    if (sms_.empty())
-        return;
     SW_ASSERT(sm < sms_.size(), "ledger SM id out of range");
+    SW_ASSERT(walkAsid < asidAccounts_.size(), "unknown walk tenant %u",
+              unsigned(walkAsid));
     if (start >= end)
         return;
     SmLedger &led = sms_[sm];
@@ -316,10 +393,10 @@ CycleLedger::pwReserve(SmId sm, Cycle start, Cycle end, Asid walkAsid)
 void
 CycleLedger::pwWalkHosted(SmId sm, Asid walkAsid)
 {
-    if (sms_.empty())
-        return;
     SW_ASSERT(sm < sms_.size(), "ledger SM id out of range");
-    ++hostedWalks_[smAsid_[sm]][walkAsid];
+    SW_ASSERT(walkAsid < asidAccounts_.size(), "unknown walk tenant %u",
+              unsigned(walkAsid));
+    ++hostedWalks_[cell(smAsid_[sm], walkAsid)];
 }
 
 void
@@ -352,14 +429,10 @@ CycleLedger::reset(Cycle now)
             led.pwIntervals.front().start = now;
         }
     }
-    for (auto &entry : asidAccounts_)
-        entry.second.fill(0);
-    for (auto &row : hostedCycles_)
-        for (auto &cell : row.second)
-            cell.second = 0;
-    for (auto &row : hostedWalks_)
-        for (auto &cell : row.second)
-            cell.second = 0;
+    for (auto &accounts : asidAccounts_)
+        accounts.fill(0);
+    std::fill(hostedCycles_.begin(), hostedCycles_.end(), 0);
+    std::fill(hostedWalks_.begin(), hostedWalks_.end(), 0);
     start_ = now;
     syncedAt_ = now;
 }
@@ -374,10 +447,9 @@ CycleLedger::account(SmId sm, LedgerCategory cat) const
 Cycle
 CycleLedger::asidAccount(Asid asid, LedgerCategory cat) const
 {
-    auto it = asidAccounts_.find(asid);
-    if (it == asidAccounts_.end())
+    if (asid >= asidAccounts_.size())
         return 0;
-    return it->second[static_cast<std::size_t>(cat)];
+    return asidAccounts_[asid][static_cast<std::size_t>(cat)];
 }
 
 std::array<Cycle, kNumLedgerCategories>
@@ -402,21 +474,17 @@ CycleLedger::pwOccupancyStalled() const
 Cycle
 CycleLedger::hostedCycles(Asid host, Asid walk) const
 {
-    auto row = hostedCycles_.find(host);
-    if (row == hostedCycles_.end())
-        return 0;
-    auto cell = row->second.find(walk);
-    return cell == row->second.end() ? 0 : cell->second;
+    const Asid tenants = Asid(asidAccounts_.size());
+    return host < tenants && walk < tenants ? hostedCycles_[cell(host, walk)]
+                                            : 0;
 }
 
 std::uint64_t
 CycleLedger::hostedWalks(Asid host, Asid walk) const
 {
-    auto row = hostedWalks_.find(host);
-    if (row == hostedWalks_.end())
-        return 0;
-    auto cell = row->second.find(walk);
-    return cell == row->second.end() ? 0 : cell->second;
+    const Asid tenants = Asid(asidAccounts_.size());
+    return host < tenants && walk < tenants ? hostedWalks_[cell(host, walk)]
+                                            : 0;
 }
 
 void
@@ -430,24 +498,29 @@ CycleLedger::registerStats(StatGroup group)
                       &sms_[sm].accounts[cat]);
         }
     }
-    for (auto &entry : asidAccounts_) {
-        StatGroup g = group.group("asid" + std::to_string(entry.first));
+    const Asid tenants = Asid(asidAccounts_.size());
+    for (Asid asid = 0; asid < tenants; ++asid) {
+        StatGroup g = group.group("asid" + std::to_string(asid));
         for (std::size_t cat = 0; cat < kNumLedgerCategories; ++cat) {
             g.counter(categoryName(static_cast<LedgerCategory>(cat)),
-                      &entry.second[cat]);
+                      &asidAccounts_[asid][cat]);
         }
     }
-    for (auto &row : hostedCycles_) {
-        StatGroup g = group.group("asid" + std::to_string(row.first))
+    for (Asid host = 0; host < tenants; ++host) {
+        StatGroup g = group.group("asid" + std::to_string(host))
                           .group("hosted_cycles");
-        for (auto &cell : row.second)
-            g.counter("asid" + std::to_string(cell.first), &cell.second);
+        for (Asid walk = 0; walk < tenants; ++walk) {
+            g.counter("asid" + std::to_string(walk),
+                      &hostedCycles_[cell(host, walk)]);
+        }
     }
-    for (auto &row : hostedWalks_) {
-        StatGroup g = group.group("asid" + std::to_string(row.first))
+    for (Asid host = 0; host < tenants; ++host) {
+        StatGroup g = group.group("asid" + std::to_string(host))
                           .group("hosted_walks");
-        for (auto &cell : row.second)
-            g.counter("asid" + std::to_string(cell.first), &cell.second);
+        for (Asid walk = 0; walk < tenants; ++walk) {
+            g.counter("asid" + std::to_string(walk),
+                      &hostedWalks_[cell(host, walk)]);
+        }
     }
     group.gauge("elapsed", [this]() {
         return static_cast<double>(syncedAt_ - start_);
@@ -461,8 +534,8 @@ CycleLedger::auditConservation(Cycle now) const
         return "";
     std::ostringstream err;
     const Cycle elapsed = now - start_;
-    std::map<Asid, Cycle> openByAsid;
-    std::map<Asid, Cycle> smsOfAsid;
+    std::vector<Cycle> openByAsid(asidAccounts_.size(), 0);
+    std::vector<Cycle> smsOfAsid(asidAccounts_.size(), 0);
     for (SmId sm = 0; sm < sms_.size(); ++sm) {
         const SmLedger &led = sms_[sm];
         if (now < led.spanStart) {
@@ -478,17 +551,18 @@ CycleLedger::auditConservation(Cycle now) const
                 << " + open span " << open << " != elapsed " << elapsed;
             return err.str();
         }
-        openByAsid[smAsid_[sm]] = openByAsid[smAsid_[sm]] + open;
-        smsOfAsid[smAsid_[sm]] = smsOfAsid[smAsid_[sm]] + 1;
+        openByAsid[smAsid_[sm]] += open;
+        smsOfAsid[smAsid_[sm]] += 1;
     }
-    for (const auto &entry : asidAccounts_) {
-        const Cycle sum = std::accumulate(entry.second.begin(),
-                                          entry.second.end(), Cycle{0});
-        const Cycle expect = smsOfAsid[entry.first] * elapsed;
-        if (sum + openByAsid[entry.first] != expect) {
-            err << "ledger asid" << entry.first
-                << " leaks cycles: accounts " << sum << " + open "
-                << openByAsid[entry.first] << " != " << expect;
+    for (Asid asid = 0; asid < asidAccounts_.size(); ++asid) {
+        const auto &accounts = asidAccounts_[asid];
+        const Cycle sum =
+            std::accumulate(accounts.begin(), accounts.end(), Cycle{0});
+        const Cycle expect = smsOfAsid[asid] * elapsed;
+        if (sum + openByAsid[asid] != expect) {
+            err << "ledger asid" << asid << " leaks cycles: accounts "
+                << sum << " + open " << openByAsid[asid]
+                << " != " << expect;
             return err.str();
         }
     }
@@ -516,21 +590,19 @@ CycleLedger::dumpJson() const
         out << "}";
     }
     out << "],\"per_asid\":[";
-    bool first = true;
-    for (const auto &entry : asidAccounts_) {
-        out << (first ? "" : ",") << "{\"asid\":" << entry.first << ",";
-        writeAccounts(entry.second);
+    const Asid tenants = Asid(asidAccounts_.size());
+    for (Asid asid = 0; asid < tenants; ++asid) {
+        out << (asid ? "," : "") << "{\"asid\":" << asid << ",";
+        writeAccounts(asidAccounts_[asid]);
         out << "}";
-        first = false;
     }
     out << "],\"interference\":[";
-    first = true;
-    for (const auto &row : hostedCycles_) {
-        for (const auto &cell : row.second) {
-            out << (first ? "" : ",") << "{\"host\":" << row.first
-                << ",\"walk\":" << cell.first << ",\"cycles\":" << cell.second
-                << ",\"walks\":" << hostedWalks(row.first, cell.first) << "}";
-            first = false;
+    for (Asid host = 0; host < tenants; ++host) {
+        for (Asid walk = 0; walk < tenants; ++walk) {
+            out << (host || walk ? "," : "") << "{\"host\":" << host
+                << ",\"walk\":" << walk
+                << ",\"cycles\":" << hostedCycles_[cell(host, walk)]
+                << ",\"walks\":" << hostedWalks_[cell(host, walk)] << "}";
         }
     }
     out << "],\"totals\":{";

@@ -18,6 +18,17 @@ EventLog::EventLog()
 }
 
 void
+EventLog::consume(const LifecycleEvent &event)
+{
+    if (event.phase == LifecyclePhase::WalkFill) {
+        walk(event.cycle, event.walk, event.key, event.software, event.a,
+             event.b);
+    } else if (event.phase == LifecyclePhase::Fault) {
+        fault(event.cycle, event.walk, event.key, event.software);
+    }
+}
+
+void
 EventLog::walk(Cycle now, std::uint64_t id, const TranslationKey &key,
                bool software, Cycle queueDelay, Cycle accessLatency)
 {

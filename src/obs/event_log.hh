@@ -6,9 +6,10 @@
  * tag (`softwalker.events/1`), then one record per completed walk, per
  * page fault, and per time-series sample (with per-category ledger
  * deltas).  Records are buffered in memory and flushed by the caller
- * after the run — the log is a pure observer fed from existing hook
- * sites and never schedules events, so enabling it cannot perturb the
- * simulation (pinned by the zero-perturbation fingerprint suite).
+ * after the run.  Walk and fault records come from the LifecycleStream
+ * (obs/lifecycle.hh), samples and reset markers from the Gpu; the log
+ * never schedules events, so enabling it cannot perturb the simulation
+ * (pinned by the zero-perturbation fingerprint suite).
  *
  * The NDJSON shape exists so CI and external dashboards can trend runs
  * with line-oriented tools (jq, swbench-compare's NDJSON flattener)
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "obs/cycle_ledger.hh"
+#include "obs/lifecycle.hh"
 #include "sim/types.hh"
 #include "vm/address.hh"
 
@@ -43,21 +45,10 @@ class EventLog
     EventLog &operator=(const EventLog &) = delete;
 
     /**
-     * A walk completed and its translation was delivered:
-     * {"type":"walk","cycle":..,"id":..,"asid":..,"vpn":..,"sw":..,
-     *  "queue_delay":..,"access_latency":..}
-     * `sw` is true when a PW-warp (software) walked, false for the
-     * hardware PTW path.
+     * Stream entry: a WalkFill becomes a walk record, a Fault a fault
+     * record (shapes below); every other phase is ignored.
      */
-    void walk(Cycle now, std::uint64_t id, const TranslationKey &key,
-              bool software, Cycle queueDelay, Cycle accessLatency);
-
-    /**
-     * A walk hit a page fault and entered the fault buffer:
-     * {"type":"fault","cycle":..,"id":..,"asid":..,"vpn":..,"sw":..}
-     */
-    void fault(Cycle now, std::uint64_t id, const TranslationKey &key,
-               bool software);
+    void consume(const LifecycleEvent &event);
 
     /**
      * A time-series sample fired; @p deltas are the per-category ledger
@@ -81,6 +72,23 @@ class EventLog
     void write(std::ostream &out) const;
 
   private:
+    /**
+     * A walk completed and its translation was delivered:
+     * {"type":"walk","cycle":..,"id":..,"asid":..,"vpn":..,"sw":..,
+     *  "queue_delay":..,"access_latency":..}
+     * `sw` is true when a PW-warp (software) walked, false for the
+     * hardware PTW path.
+     */
+    void walk(Cycle now, std::uint64_t id, const TranslationKey &key,
+              bool software, Cycle queueDelay, Cycle accessLatency);
+
+    /**
+     * A walk hit a page fault and entered the fault buffer:
+     * {"type":"fault","cycle":..,"id":..,"asid":..,"vpn":..,"sw":..}
+     */
+    void fault(Cycle now, std::uint64_t id, const TranslationKey &key,
+               bool software);
+
     std::vector<std::string> lines_;
 };
 

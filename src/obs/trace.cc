@@ -7,28 +7,6 @@
 
 namespace sw {
 
-const char *
-toString(TracePhase phase)
-{
-    switch (phase) {
-      case TracePhase::L1Miss:        return "l1_miss";
-      case TracePhase::L2Lookup:      return "l2_lookup";
-      case TracePhase::L2Hit:         return "l2_hit";
-      case TracePhase::L2Miss:        return "l2_miss";
-      case TracePhase::MshrAlloc:     return "mshr_alloc";
-      case TracePhase::InTlbAlloc:    return "intlb_alloc";
-      case TracePhase::MshrFail:      return "mshr_fail";
-      case TracePhase::WalkCreated:   return "walk_created";
-      case TracePhase::BackendSubmit: return "backend_submit";
-      case TracePhase::WalkDispatch:  return "walk_dispatch";
-      case TracePhase::PtRead:        return "pt_read";
-      case TracePhase::WalkFill:      return "walk_fill";
-      case TracePhase::Fault:         return "fault";
-      case TracePhase::Wakeup:        return "wakeup";
-    }
-    return "?";
-}
-
 TranslationTracer::TranslationTracer(std::size_t capacity)
     : capacity_(capacity)
 {
@@ -38,11 +16,16 @@ TranslationTracer::TranslationTracer(std::size_t capacity)
 }
 
 void
-TranslationTracer::record(TracePhase phase, Cycle cycle, std::uint64_t id,
-                          Vpn vpn, std::uint32_t where, Asid asid)
+TranslationTracer::consume(const LifecycleEvent &event)
 {
+    const LifecyclePhase phase = event.phase;
+    if (phase > LifecyclePhase::Wakeup)
+        return; // ledger-only transitions
+    const Cycle cycle = event.cycle;
+    const std::uint64_t id = event.walk;
+    const std::uint32_t where = event.where;
     ++stampsRecorded_;
-    Stamp stamp{cycle, id, vpn, where, phase, asid};
+    Stamp stamp{cycle, id, event.key.vpn, where, phase, event.key.asid};
     if (ring.size() < capacity_) {
         ring.push_back(stamp);
     } else {
@@ -55,16 +38,16 @@ TranslationTracer::record(TracePhase phase, Cycle cycle, std::uint64_t id,
     if (id == 0)
         return;
     switch (phase) {
-      case TracePhase::WalkCreated: {
+      case LifecyclePhase::WalkCreated: {
         WalkSpan span;
         span.id = id;
-        span.vpn = vpn;
-        span.asid = asid;
+        span.vpn = event.key.vpn;
+        span.asid = event.key.asid;
         span.created = cycle;
         live[id] = span;
         break;
       }
-      case TracePhase::WalkDispatch: {
+      case LifecyclePhase::WalkDispatch: {
         auto it = live.find(id);
         if (it != live.end() && it->second.dispatched == 0) {
             it->second.dispatched = cycle;
@@ -72,13 +55,13 @@ TranslationTracer::record(TracePhase phase, Cycle cycle, std::uint64_t id,
         }
         break;
       }
-      case TracePhase::PtRead: {
+      case LifecyclePhase::PtRead: {
         auto it = live.find(id);
         if (it != live.end())
             ++it->second.ptReads;
         break;
       }
-      case TracePhase::WalkFill: {
+      case LifecyclePhase::WalkFill: {
         auto it = live.find(id);
         if (it == live.end())
             break;
@@ -103,7 +86,7 @@ TranslationTracer::record(TracePhase phase, Cycle cycle, std::uint64_t id,
         }
         break;
       }
-      case TracePhase::Fault:
+      case LifecyclePhase::Fault:
         // The replay arrives as a fresh WalkCreated with a new id; drop
         // the faulted span so the live map doesn't accumulate them.
         live.erase(id);
@@ -158,7 +141,7 @@ TranslationTracer::writeTraceJson(std::ostream &out) const
 
     for (const WalkSpan &span : spans()) {
         unsigned long long tid =
-            span.where == kNoWhere ? 0ull
+            span.where == LifecycleEvent::kNoWhere ? 0ull
                                    : static_cast<unsigned long long>(
                                          span.where);
         sep();
@@ -194,7 +177,7 @@ TranslationTracer::writeTraceJson(std::ostream &out) const
             "\"args\":{\"id\":%llu,\"vpn\":%llu,\"asid\":%u}}",
             toString(stamp.phase),
             static_cast<unsigned long long>(stamp.cycle),
-            stamp.where == kNoWhere
+            stamp.where == LifecycleEvent::kNoWhere
                 ? 0ull
                 : static_cast<unsigned long long>(stamp.where),
             static_cast<unsigned long long>(stamp.id),

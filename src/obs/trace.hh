@@ -2,20 +2,17 @@
  * @file
  * TranslationTracer: ring-buffered per-request lifecycle recorder.
  *
- * Components stamp each translation's phase transitions (L1 TLB miss ->
- * L2 lookup -> MSHR/In-TLB alloc -> backend submit -> PTW/PW-Warp dispatch
- * -> per-level walk memory reads -> fill -> wakeup) through the SW_TRACE
- * macro.  The tracer never schedules events and never advances the clock,
- * so an installed tracer leaves the simulated timeline bit-identical; an
- * uninstalled tracer (null pointer) costs one predicted branch, and builds
- * configured with -DSOFTWALKER_TRACING=OFF compile the stamps away
- * entirely, mirroring the SW_AUDIT pattern from src/check.
+ * A consumer of the LifecycleStream (obs/lifecycle.hh): it stamps each
+ * translation's phase transitions (L1 TLB miss -> L2 lookup -> MSHR/In-TLB
+ * alloc -> backend submit -> PTW/PW-Warp dispatch -> per-level walk memory
+ * reads -> fill -> wakeup) and ignores the ledger-only phases.  The tracer
+ * never schedules events and never advances the clock, so an installed
+ * tracer leaves the simulated timeline bit-identical.
  *
  * Output: a Chrome/Perfetto trace_event JSON array (writeTraceJson) with
  * one "X" (complete) event per walk phase span and "i" (instant) events
  * for the raw stamps, plus per-phase latency attribution (queue = walk
- * created -> walker pickup, walk = pickup -> fill) that the rebuilt Fig 7
- * harness reads instead of coarse engine aggregates.
+ * created -> walker pickup, walk = pickup -> fill).
  */
 
 #ifndef SW_OBS_TRACE_HH
@@ -26,68 +23,24 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/lifecycle.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
-#ifndef SOFTWALKER_TRACE
-#define SOFTWALKER_TRACE 1
-#endif
-
-#if SOFTWALKER_TRACE
-/** Stamp a lifecycle phase if a tracer is installed (null check only). */
-#define SW_TRACE(tracer, ...)                                               \
-    do {                                                                    \
-        if (tracer)                                                         \
-            (tracer)->record(__VA_ARGS__);                                  \
-    } while (0)
-#else
-#define SW_TRACE(tracer, ...)                                               \
-    do {                                                                    \
-        (void)sizeof(tracer);                                               \
-    } while (0)
-#endif
-
 namespace sw {
-
-/** True when the build compiles the SW_TRACE stamps in. */
-inline constexpr bool kTracingCompiled = SOFTWALKER_TRACE != 0;
-
-/** Lifecycle phases of one translation / page-table walk. */
-enum class TracePhase : std::uint8_t
-{
-    L1Miss,         ///< L1 TLB lookup missed
-    L2Lookup,       ///< request reached the L2 TLB
-    L2Hit,          ///< L2 TLB lookup hit
-    L2Miss,         ///< L2 TLB lookup missed
-    MshrAlloc,      ///< regular L2 MSHR allocated
-    InTlbAlloc,     ///< In-TLB MSHR slot allocated (§4.5)
-    MshrFail,       ///< no miss-tracking capacity; requester parked
-    WalkCreated,    ///< walk spawned (after the PWC consult)
-    BackendSubmit,  ///< walk handed to the walk backend
-    WalkDispatch,   ///< picked up by a hardware walker / PW-Warp lane
-    PtRead,         ///< one per-level page-table memory read issued
-    WalkFill,       ///< walk completed; TLBs filled
-    Fault,          ///< walk faulted into the Fault Buffer
-    Wakeup,         ///< an L1 waiter was resolved
-};
-
-const char *toString(TracePhase phase);
 
 /** Ring-buffered lifecycle recorder with per-phase latency attribution. */
 class TranslationTracer
 {
   public:
-    /** @p where values meaning "not tied to one SM / walker". */
-    static constexpr std::uint32_t kNoWhere = ~0u;
-
     /** One raw phase stamp. */
     struct Stamp
     {
         Cycle cycle = 0;
         std::uint64_t id = 0;    ///< walk id (0: not yet / not applicable)
         Vpn vpn = 0;
-        std::uint32_t where = kNoWhere;  ///< SM id when known
-        TracePhase phase = TracePhase::L1Miss;
+        std::uint32_t where = LifecycleEvent::kNoWhere;  ///< SM id when known
+        LifecyclePhase phase = LifecyclePhase::L1Miss;
         Asid asid = 0;           ///< owning tenant (per-tenant attribution)
     };
 
@@ -101,7 +54,8 @@ class TranslationTracer
         Cycle dispatched = 0;  ///< first WalkDispatch
         Cycle filled = 0;      ///< WalkFill
         std::uint32_t ptReads = 0;
-        std::uint32_t where = kNoWhere;  ///< dispatch target when known
+        /** Dispatch target when known. */
+        std::uint32_t where = LifecycleEvent::kNoWhere;
     };
 
     /**
@@ -114,9 +68,11 @@ class TranslationTracer
     TranslationTracer(const TranslationTracer &) = delete;
     TranslationTracer &operator=(const TranslationTracer &) = delete;
 
-    /** Stamp one phase transition.  Never schedules; never perturbs. */
-    void record(TracePhase phase, Cycle cycle, std::uint64_t id, Vpn vpn,
-                std::uint32_t where = kNoWhere, Asid asid = 0);
+    /**
+     * Stream entry: stamp one of the tracer's phases; the ledger-only
+     * phases are ignored.  Never schedules; never perturbs.
+     */
+    void consume(const LifecycleEvent &event);
 
     // ---- Per-phase latency attribution (completed walks) ----------------
     /** Walk created -> walker/PW-Warp pickup. */

@@ -5,8 +5,7 @@
  * sweep-speedup and checkpoint/sampling work can be judged with evidence
  * about where host time actually goes.
  *
- * The design follows the SW_AUDIT / SW_TRACE mold from src/check and
- * src/obs:
+ * The design follows the SW_AUDIT mold from src/check:
  *
  *  - `-DSOFTWALKER_HOSTPROF=ON` compiles the zones in (the `hostprof`
  *    preset); the default build compiles every SW_PROF macro to

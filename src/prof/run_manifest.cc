@@ -30,9 +30,6 @@
 #ifndef SOFTWALKER_AUDIT
 #define SOFTWALKER_AUDIT 0
 #endif
-#ifndef SOFTWALKER_TRACE
-#define SOFTWALKER_TRACE 1
-#endif
 
 namespace sw {
 
@@ -77,7 +74,6 @@ RunManifest::collect()
     manifest.buildType = SW_BUILD_TYPE;
     manifest.hostprofCompiled = prof::kHostProfCompiled;
     manifest.auditCompiled = SOFTWALKER_AUDIT != 0;
-    manifest.tracingCompiled = SOFTWALKER_TRACE != 0;
 
 #if defined(__unix__) || defined(__APPLE__)
     char host[256] = "";
@@ -113,8 +109,6 @@ RunManifest::writeJson(std::ostream &out, int indent) const
         << (hostprofCompiled ? "true" : "false") << ",\n";
     out << field << "\"audit_compiled\": "
         << (auditCompiled ? "true" : "false") << ",\n";
-    out << field << "\"tracing_compiled\": "
-        << (tracingCompiled ? "true" : "false") << ",\n";
     out << field << "\"hostname\": \"" << escape(hostname) << "\",\n";
     out << field << "\"hardware_concurrency\": " << hardwareConcurrency
         << ",\n";

@@ -34,7 +34,6 @@ struct RunManifest
     std::string buildType;      ///< CMAKE_BUILD_TYPE
     bool hostprofCompiled = false;
     bool auditCompiled = false;
-    bool tracingCompiled = true;
 
     // ---- Host (collect()-time) ---------------------------------------
     std::string hostname;

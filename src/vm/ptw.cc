@@ -4,9 +4,7 @@
 
 #include "check/audit.hh"
 #include "ckpt/ckpt_io.hh"
-#include "obs/cycle_ledger.hh"
 #include "obs/sampler.hh"
-#include "obs/trace.hh"
 #include "prof/hostprof.hh"
 #include "sim/logging.hh"
 
@@ -15,9 +13,11 @@ namespace sw {
 HardwarePtwPool::HardwarePtwPool(EventQueue &eq, Params params,
                                  const AddressSpaceManager &aspaces,
                                  PageWalkCache &cache, PtReader &reader,
-                                 WalkCompleteFn on_complete)
+                                 WalkCompleteFn on_complete,
+                                 const LifecycleStream &lifecycle)
     : eventq(eq), params_(params), spaces(aspaces), pwc(cache),
-      ptReader(reader), onComplete(std::move(on_complete))
+      ptReader(reader), onComplete(std::move(on_complete)),
+      lifecycle_(lifecycle)
 {
     SW_ASSERT(params_.numWalkers > 0, "need at least one walker");
     SW_ASSERT(params_.pwbPorts > 0, "need at least one PWB port");
@@ -141,24 +141,13 @@ HardwarePtwPool::dispatch()
             w.started = eventq.now();
             w.cursor = w.primary.cursor;
             stats_.queueDelay.add(w.started - w.primary.created);
-            SW_TRACE(tracer_, TracePhase::WalkDispatch, w.started,
-                     w.primary.id, w.primary.key.vpn, std::uint32_t(slot),
-                     w.primary.key.asid);
-            if (ledger_) {
-                ledger_->transTrackStage(w.primary.key,
-                                         LedgerCategory::TransPtwExec,
-                                         w.started);
-            }
+            SW_LIFECYCLE(lifecycle_, LifecyclePhase::WalkDispatch, w.started,
+                         w.primary.id, w.primary.key, std::uint32_t(slot));
             for (const auto &rider : w.coalesced) {
                 stats_.queueDelay.add(w.started - rider.created);
-                SW_TRACE(tracer_, TracePhase::WalkDispatch, w.started,
-                         rider.id, rider.key.vpn, std::uint32_t(slot),
-                         rider.key.asid);
-                if (ledger_) {
-                    ledger_->transTrackStage(rider.key,
-                                             LedgerCategory::TransPtwExec,
-                                             w.started);
-                }
+                SW_LIFECYCLE(lifecycle_, LifecyclePhase::WalkDispatch,
+                             w.started, rider.id, rider.key,
+                             std::uint32_t(slot));
             }
             walkStep(slot);
         });
@@ -179,9 +168,8 @@ HardwarePtwPool::walkStep(std::uint64_t slot)
     const PageTableBase &pt = spaces.tableFor(walk.primary.key.asid);
     PhysAddr addr = pt.pteAddr(walk.cursor);
     ++stats_.memReads;
-    SW_TRACE(tracer_, TracePhase::PtRead, eventq.now(), walk.primary.id,
-             walk.primary.key.vpn, std::uint32_t(slot),
-             walk.primary.key.asid);
+    SW_LIFECYCLE(lifecycle_, LifecyclePhase::PtRead, eventq.now(),
+                 walk.primary.id, walk.primary.key, std::uint32_t(slot));
     ptReader.ptRead(addr, kHardwareWalker, std::uint32_t(slot));
 }
 

@@ -14,6 +14,7 @@
 #include <functional>
 #include <vector>
 
+#include "obs/lifecycle.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
 #include "vm/address_space.hh"
@@ -57,10 +58,12 @@ class HardwarePtwPool : public WalkBackend
      * @param reader page-table memory reads (as kHardwareWalker, lane =
      *        walker slot)
      * @param on_complete walk-completion sink (the translation engine)
+     * @param lifecycle stream the pool emits WalkDispatch / PtRead into
      */
     HardwarePtwPool(EventQueue &eq, Params params,
                     const AddressSpaceManager &spaces, PageWalkCache &pwc,
-                    PtReader &reader, WalkCompleteFn on_complete);
+                    PtReader &reader, WalkCompleteFn on_complete,
+                    const LifecycleStream &lifecycle);
 
     void submit(WalkRequest req) override;
     std::uint64_t inFlight() const override { return inFlightCount; }
@@ -73,8 +76,6 @@ class HardwarePtwPool : public WalkBackend
     /** PTW slot lifecycle + in-flight conservation audits. */
     void registerAudits(Auditor &auditor) override;
 
-    void setTracer(TranslationTracer *tracer) override { tracer_ = tracer; }
-    void setLedger(CycleLedger *ledger) override { ledger_ = ledger; }
     void registerStats(StatGroup group) override;
     void registerGauges(TimeSeriesSampler &sampler) override;
 
@@ -134,8 +135,7 @@ class HardwarePtwPool : public WalkBackend
     std::uint64_t inFlightCount = 0;
     /** Walks accepted but still crossing the PWB enqueue port. */
     std::uint64_t enqInTransit = 0;
-    TranslationTracer *tracer_ = nullptr;
-    CycleLedger *ledger_ = nullptr;
+    const LifecycleStream &lifecycle_;
     Stats stats_;
 };
 

@@ -20,9 +20,7 @@
 namespace sw {
 
 class Auditor;
-class CycleLedger;
 class TimeSeriesSampler;
-class TranslationTracer;
 
 /** One outstanding page-table walk. */
 struct WalkRequest
@@ -92,19 +90,6 @@ class WalkBackend
      * in-flight accounting) with the Simulation Auditor.  Default: none.
      */
     virtual void registerAudits(Auditor &auditor) { (void)auditor; }
-
-    /**
-     * Install a TranslationTracer (nullptr detaches); backends stamp
-     * WalkDispatch / PtRead through it.  Default: ignore.
-     */
-    virtual void setTracer(TranslationTracer *tracer) { (void)tracer; }
-
-    /**
-     * Install a CycleLedger (nullptr detaches); backends report the
-     * moment a walk starts executing (transTrackStage to TransPwExec /
-     * TransPtwExec).  Default: ignore.
-     */
-    virtual void setLedger(CycleLedger *ledger) { (void)ledger; }
 
     /**
      * Register this backend's counters with the unified stat registry

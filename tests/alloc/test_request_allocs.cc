@@ -159,7 +159,8 @@ class RequestPathAllocs : public ::testing::Test
 
     RequestPathAllocs()
         : cfg(config()), alloc(cfg.pageBytes), spaces(cfg, alloc),
-          mem(eq, cfg, pool), engine(eq, cfg, mem, spaces), sink(pool)
+          mem(eq, cfg, pool), engine(eq, cfg, mem, spaces, lifecycle),
+          sink(pool)
     {
         engine.setBackend(std::make_unique<ReadingBackend>(engine, spaces));
     }
@@ -216,6 +217,7 @@ class RequestPathAllocs : public ::testing::Test
     AddressSpaceManager spaces;
     RequestPool pool;
     MemorySystem mem;
+    LifecycleStream lifecycle;
     TranslationEngine engine;
     CountingSink sink;
 };

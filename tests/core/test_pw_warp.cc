@@ -61,7 +61,7 @@ class PwWarpTest : public ::testing::Test
         };
         auto warp = std::make_unique<PwWarp>(eq, spaces, pwb,
                                              std::move(hooks), timing, lanes,
-                                             comm);
+                                             comm, lifecycle);
         PwWarp *raw = warp.get();
         reader.answer = [raw](std::uint32_t, std::uint32_t lane) {
             raw->ptReadDone(lane);
@@ -87,6 +87,7 @@ class PwWarpTest : public ::testing::Test
     AddressSpaceManager spaces;
     PageTableBase &pt;
     SoftPwb pwb;
+    LifecycleStream lifecycle;
     Cycle issueFree = 0;
     std::uint64_t issueSlots = 0;
     int memReads = 0;

@@ -52,7 +52,8 @@ class PwWarpHashedTest : public ::testing::Test
         };
         auto warp = std::make_unique<PwWarp>(eq, spaces, pwb,
                                              std::move(hooks),
-                                             PwWarpCodeTiming{}, 8, 40);
+                                             PwWarpCodeTiming{}, 8, 40,
+                                             lifecycle);
         PwWarp *raw = warp.get();
         reader->answer = [raw](std::uint32_t, std::uint32_t lane) {
             raw->ptReadDone(lane);
@@ -66,6 +67,7 @@ class PwWarpHashedTest : public ::testing::Test
     AddressSpaceManager spaces;
     HashedPageTable &pt;
     SoftPwb pwb;
+    LifecycleStream lifecycle;
     int memReads = 0;
     int pwcFills = 0;
     std::vector<WalkResult> results;

@@ -88,12 +88,13 @@ class SmTest : public ::testing::Test, public SmPort, public RequestSink
     {
         translateLatency = translate_latency;
         dataLatency = data_latency;
-        sm = std::make_unique<Sm>(eq, params(), wl, pool, *this);
+        sm = std::make_unique<Sm>(eq, params(), wl, pool, *this, lifecycle);
         return sm.get();
     }
 
     EventQueue eq;
     RequestPool pool;
+    LifecycleStream lifecycle;
     std::unique_ptr<Sm> sm;
     Cycle translateLatency = 20;
     Cycle dataLatency = 30;

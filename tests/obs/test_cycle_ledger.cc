@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for the top-down cycle ledger (src/obs/cycle_ledger): span
- * attribution across scheduler states, deepest-stage selection over the
+ * Unit tests for the top-down cycle ledger (src/obs/cycle_ledger), driven
+ * through the lifecycle stream the machine emits into: span attribution
+ * across scheduler states, deepest-stage selection over the
  * translation-wait subtree, key-wide track-stage moves, the PW-occupancy
  * carve-out with its host/walk interference matrix, per-ASID slicing,
  * reset semantics, stat registration, and — through AuditTester — the
@@ -15,6 +16,7 @@
 
 #include "check/audit_tester.hh"
 #include "obs/cycle_ledger.hh"
+#include "obs/lifecycle.hh"
 #include "obs/stat_registry.hh"
 
 using namespace sw;
@@ -24,9 +26,56 @@ namespace {
 const TranslationKey kKeyA{0, 0x1234};
 const TranslationKey kKeyB{0, 0x5678};
 
+/** A ledger fed through its own lifecycle stream, as the Gpu wires it. */
+struct LedgerStream
+{
+    LedgerStream() { stream.observe(nullptr, &ledger, nullptr); }
+
+    /** A translation event of @p sm for @p key. */
+    void
+    emit(LifecyclePhase phase, Cycle now, SmId sm, TranslationKey key,
+         bool software = false)
+    {
+        SW_LIFECYCLE(stream, phase, now, 0, key, sm, software);
+    }
+
+    /** A walk-wide event (dispatch, fault, fill) for @p key. */
+    void
+    walk(LifecyclePhase phase, Cycle now, TranslationKey key,
+         bool software = false)
+    {
+        emit(phase, now, LifecycleEvent::kNoWhere, key, software);
+    }
+
+    void
+    sched(SmId sm, Cycle now, bool anyLive, bool stalled)
+    {
+        SW_LIFECYCLE(stream, LifecyclePhase::SmSched, now, 0, {}, sm, false,
+                     anyLive, stalled);
+    }
+
+    void
+    pwReserve(SmId sm, Cycle start, Cycle end, Asid walkAsid)
+    {
+        SW_LIFECYCLE(stream, LifecyclePhase::PwReserve, start, 0,
+                     TranslationKey{walkAsid, 0}, sm, true, start, end);
+    }
+
+    void
+    pwHosted(SmId sm, Asid walkAsid)
+    {
+        SW_LIFECYCLE(stream, LifecyclePhase::PwHosted, 0, 0,
+                     TranslationKey{walkAsid, 0}, sm, true);
+    }
+
+    CycleLedger ledger;
+    LifecycleStream stream;
+};
+
 TEST(CycleLedger, AttachStartsEveryoneIdleAndConserved)
 {
-    CycleLedger ledger;
+    LedgerStream feed;
+    CycleLedger &ledger = feed.ledger;
     EXPECT_FALSE(ledger.attached());
     ledger.attach({0, 0}, 0);
     EXPECT_TRUE(ledger.attached());
@@ -43,22 +92,24 @@ TEST(CycleLedger, AttachStartsEveryoneIdleAndConserved)
 
 TEST(CycleLedger, HooksAreNoOpsBeforeAttach)
 {
-    CycleLedger ledger;
-    ledger.smSchedState(0, 10, true, true);
-    ledger.transEnter(0, kKeyA, 10);
-    ledger.transTrackNew(kKeyA, LedgerCategory::TransInTlbMshr, 10);
-    ledger.pwReserve(0, 10, 20, 0);
-    ledger.pwWalkHosted(0, 0);
+    LedgerStream feed;
+    CycleLedger &ledger = feed.ledger;
+    feed.sched(0, 10, true, true);
+    feed.emit(LifecyclePhase::L1Miss, 10, 0, kKeyA);
+    feed.emit(LifecyclePhase::InTlbAlloc, 10, 0, kKeyA);
+    feed.pwReserve(0, 10, 20, 0);
+    feed.pwHosted(0, 0);
     ledger.syncAll(50);
     EXPECT_EQ(ledger.auditConservation(50), "");
 }
 
 TEST(CycleLedger, SchedStateTransitionsSplitTheTimeline)
 {
-    CycleLedger ledger;
+    LedgerStream feed;
+    CycleLedger &ledger = feed.ledger;
     ledger.attach({0}, 0);
-    ledger.smSchedState(0, 10, true, false); // warps became live
-    ledger.smSchedState(0, 50, true, true);  // all of them blocked
+    feed.sched(0, 10, true, false); // warps became live
+    feed.sched(0, 50, true, true);  // all of them blocked
     ledger.syncAll(80);
 
     EXPECT_EQ(ledger.account(0, LedgerCategory::Idle), 10u);
@@ -69,20 +120,21 @@ TEST(CycleLedger, SchedStateTransitionsSplitTheTimeline)
 
 TEST(CycleLedger, LifecycleStagesAttributeAStalledSm)
 {
-    CycleLedger ledger;
-    ledger.attach({0}, 0);
-    ledger.smSchedState(0, 0, true, true);
+    LedgerStream feed;
+    CycleLedger &ledger = feed.ledger;
+    ledger.attach({0, 0}, 0);
+    feed.sched(0, 0, true, true);
 
-    ledger.transEnter(0, kKeyA, 10);  // [0,10) stalled, nothing pending
-    ledger.transPark(0, kKeyA, 30);   // [10,30) in L1-miss handling
-    // The walk comes into existence while this SM is parked: parked SMs
-    // stay at their sm-local stage until their own transJoin() wakeup.
-    ledger.transTrackNew(kKeyA, LedgerCategory::TransInTlbMshr, 45);
-    ledger.transJoin(0, kKeyA, 50);   // [30,50) parked in the L2 queue
-    ledger.transTrackStage(kKeyA, LedgerCategory::TransPwExec, 70);
-    ledger.transTrackDone(kKeyA, 80); // accounting-neutral
-    ledger.transLeave(0, kKeyA, 80);  // [70,80) PW-warp executing
-    ledger.syncAll(100);              // [80,100) stalled again, no walk
+    feed.emit(LifecyclePhase::L1Miss, 10, 0, kKeyA);   // [0,10) stalled
+    feed.emit(LifecyclePhase::MshrFail, 30, 0, kKeyA); // [10,30) L1 miss
+    // SM1's request creates the walk while SM0 is parked: parked SMs stay
+    // at their sm-local stage until their own L2Merge wakeup.
+    feed.emit(LifecyclePhase::InTlbAlloc, 45, 1, kKeyA);
+    feed.emit(LifecyclePhase::L2Merge, 50, 0, kKeyA);  // [30,50) L2 queue
+    feed.walk(LifecyclePhase::WalkDispatch, 70, kKeyA, true);
+    feed.walk(LifecyclePhase::WalkFill, 80, kKeyA);    // accounting-neutral
+    feed.emit(LifecyclePhase::Wakeup, 80, 0, kKeyA);   // [70,80) PW exec
+    ledger.syncAll(100); // [80,100) stalled again, no walk
 
     EXPECT_EQ(ledger.account(0, LedgerCategory::MemWait), 30u);
     EXPECT_EQ(ledger.account(0, LedgerCategory::TransL1Miss), 20u);
@@ -94,22 +146,22 @@ TEST(CycleLedger, LifecycleStagesAttributeAStalledSm)
 
 TEST(CycleLedger, DeepestOutstandingStageWins)
 {
-    CycleLedger ledger;
+    LedgerStream feed;
+    CycleLedger &ledger = feed.ledger;
     ledger.attach({0}, 0);
-    ledger.smSchedState(0, 0, true, true);
+    feed.sched(0, 0, true, true);
 
     // Two outstanding translations: kKeyA still in L1-miss handling,
     // kKeyB ridden to a hardware PTW.  The PTW explains the stall.
-    ledger.transEnter(0, kKeyA, 0);
-    ledger.transEnter(0, kKeyB, 0);
-    ledger.transTrackNew(kKeyB, LedgerCategory::TransInTlbMshr, 0);
-    ledger.transJoin(0, kKeyB, 0);
-    ledger.transTrackStage(kKeyB, LedgerCategory::TransPtwExec, 0);
+    feed.emit(LifecyclePhase::L1Miss, 0, 0, kKeyA);
+    feed.emit(LifecyclePhase::L1Miss, 0, 0, kKeyB);
+    feed.emit(LifecyclePhase::InTlbAlloc, 0, 0, kKeyB);
+    feed.walk(LifecyclePhase::WalkDispatch, 0, kKeyB);
     ledger.syncAll(50);
     EXPECT_EQ(ledger.account(0, LedgerCategory::TransPtwExec), 50u);
 
     // With the PTW walk delivered, the L1 miss is the deepest again.
-    ledger.transLeave(0, kKeyB, 50);
+    feed.emit(LifecyclePhase::Wakeup, 50, 0, kKeyB);
     ledger.syncAll(80);
     EXPECT_EQ(ledger.account(0, LedgerCategory::TransL1Miss), 30u);
     EXPECT_EQ(ledger.auditConservation(80), "");
@@ -117,13 +169,14 @@ TEST(CycleLedger, DeepestOutstandingStageWins)
 
 TEST(CycleLedger, PwReservationIsCarvedOutOfTheStallSpan)
 {
-    CycleLedger ledger;
+    LedgerStream feed;
+    CycleLedger &ledger = feed.ledger;
     ledger.attach({0, 1}, 0); // SM0 tenant 0, SM1 tenant 1
-    ledger.smSchedState(0, 0, true, true);
+    feed.sched(0, 0, true, true);
 
     // SM0 (tenant 0) hosts a walk for tenant 1 in issue slots [20,30).
-    ledger.pwWalkHosted(0, 1);
-    ledger.pwReserve(0, 20, 30, 1);
+    feed.pwHosted(0, 1);
+    feed.pwReserve(0, 20, 30, 1);
     ledger.syncAll(50);
 
     EXPECT_EQ(ledger.account(0, LedgerCategory::MemWait), 40u);
@@ -137,19 +190,20 @@ TEST(CycleLedger, PwReservationIsCarvedOutOfTheStallSpan)
 
 TEST(CycleLedger, PwOccupancyStalledCountsOnlyStallCarvedCycles)
 {
-    CycleLedger ledger;
+    LedgerStream feed;
+    CycleLedger &ledger = feed.ledger;
     ledger.attach({0}, 0);
 
     // [0,40) stalled with a [10,20) reservation: 10 stall-carved cycles.
-    ledger.smSchedState(0, 0, true, true);
-    ledger.pwReserve(0, 10, 20, 0);
+    feed.sched(0, 0, true, true);
+    feed.pwReserve(0, 10, 20, 0);
     ledger.syncAll(40);
     EXPECT_EQ(ledger.pwOccupancyStalled(), 10u);
 
     // [40,80) issuing with a [50,60) reservation: carved to PwOccupancy
     // but NOT stall-carved — the scheduler never counted those cycles.
-    ledger.smSchedState(0, 40, true, false);
-    ledger.pwReserve(0, 50, 60, 0);
+    feed.sched(0, 40, true, false);
+    feed.pwReserve(0, 50, 60, 0);
     ledger.syncAll(80);
     EXPECT_EQ(ledger.account(0, LedgerCategory::PwOccupancy), 20u);
     EXPECT_EQ(ledger.pwOccupancyStalled(), 10u);
@@ -167,12 +221,13 @@ TEST(CycleLedger, PwOccupancyStalledCountsOnlyStallCarvedCycles)
 
 TEST(CycleLedger, PwReservationSplitsAcrossSyncPoints)
 {
-    CycleLedger ledger;
+    LedgerStream feed;
+    CycleLedger &ledger = feed.ledger;
     ledger.attach({0}, 0);
-    ledger.smSchedState(0, 0, true, true);
+    feed.sched(0, 0, true, true);
 
     // A reservation straddling a sync must carve exactly once per half.
-    ledger.pwReserve(0, 10, 30, 0);
+    feed.pwReserve(0, 10, 30, 0);
     ledger.syncAll(20);
     EXPECT_EQ(ledger.account(0, LedgerCategory::PwOccupancy), 10u);
     ledger.syncAll(40);
@@ -183,7 +238,8 @@ TEST(CycleLedger, PwReservationSplitsAcrossSyncPoints)
 
 TEST(CycleLedger, PerAsidAccountsSumTheirSmSlices)
 {
-    CycleLedger ledger;
+    LedgerStream feed;
+    CycleLedger &ledger = feed.ledger;
     ledger.attach({0, 0, 1}, 0); // tenant 0 owns two SMs, tenant 1 one
     ledger.syncAll(100);
     EXPECT_EQ(ledger.asidAccount(0, LedgerCategory::Idle), 200u);
@@ -193,10 +249,11 @@ TEST(CycleLedger, PerAsidAccountsSumTheirSmSlices)
 
 TEST(CycleLedger, ResetZeroesAccountsButKeepsMachineState)
 {
-    CycleLedger ledger;
+    LedgerStream feed;
+    CycleLedger &ledger = feed.ledger;
     ledger.attach({0}, 0);
-    ledger.smSchedState(0, 0, true, true);
-    ledger.transEnter(0, kKeyA, 0);
+    feed.sched(0, 0, true, true);
+    feed.emit(LifecyclePhase::L1Miss, 0, 0, kKeyA);
     ledger.syncAll(50);
     EXPECT_EQ(ledger.account(0, LedgerCategory::TransL1Miss), 50u);
 
@@ -211,9 +268,10 @@ TEST(CycleLedger, ResetZeroesAccountsButKeepsMachineState)
 
 TEST(CycleLedger, DumpJsonCarriesTheFullBreakdown)
 {
-    CycleLedger ledger;
+    LedgerStream feed;
+    CycleLedger &ledger = feed.ledger;
     ledger.attach({0, 1}, 0);
-    ledger.pwWalkHosted(0, 1);
+    feed.pwHosted(0, 1);
     ledger.syncAll(25);
 
     std::string json = ledger.dumpJson();
@@ -228,7 +286,8 @@ TEST(CycleLedger, DumpJsonCarriesTheFullBreakdown)
 TEST(CycleLedger, RegisterStatsExposesEveryAccount)
 {
     StatRegistry registry;
-    CycleLedger ledger;
+    LedgerStream feed;
+    CycleLedger &ledger = feed.ledger;
     ledger.attach({0, 1}, 0);
     ledger.registerStats(registry.root().group("ledger"));
 
@@ -286,9 +345,10 @@ TEST(CycleLedgerAudit, OpenSpansCountTowardConservation)
     // The audit must hold between syncs too: an SM with an open span is
     // conserved because the open time is counted, not because the
     // accounts happen to be current.
-    CycleLedger ledger;
+    LedgerStream feed;
+    CycleLedger &ledger = feed.ledger;
     ledger.attach({0}, 0);
-    ledger.smSchedState(0, 10, true, false);
+    feed.sched(0, 10, true, false);
     EXPECT_EQ(ledger.auditConservation(75), "");
     ledger.syncAll(75);
     EXPECT_EQ(ledger.auditConservation(75), "");

@@ -1,46 +1,75 @@
-/** @file Tests for the translation lifecycle tracer (src/obs). */
+/**
+ * @file
+ * Tests for the translation lifecycle tracer (src/obs), driven through the
+ * lifecycle stream the machine emits into.
+ */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "obs/lifecycle.hh"
 #include "obs/trace.hh"
 
 using namespace sw;
 
 namespace {
 
+constexpr std::uint32_t kNoWhere = LifecycleEvent::kNoWhere;
+
+/** A tracer fed through its own lifecycle stream, as the Gpu wires it. */
+struct TracedStream
+{
+    explicit TracedStream(std::size_t capacity = 1 << 16) : tracer(capacity)
+    {
+        stream.observe(&tracer, nullptr, nullptr);
+    }
+
+    void
+    emit(LifecyclePhase phase, Cycle cycle, std::uint64_t id, Vpn vpn,
+         std::uint32_t where = kNoWhere)
+    {
+        SW_LIFECYCLE(stream, phase, cycle, id, TranslationKey{0, vpn}, where);
+    }
+
+    TranslationTracer tracer;
+    LifecycleStream stream;
+};
+
 TEST(TracePhaseName, CoversLifecycle)
 {
-    EXPECT_STREQ(toString(TracePhase::L1Miss), "l1_miss");
-    EXPECT_STREQ(toString(TracePhase::WalkCreated), "walk_created");
-    EXPECT_STREQ(toString(TracePhase::WalkDispatch), "walk_dispatch");
-    EXPECT_STREQ(toString(TracePhase::PtRead), "pt_read");
-    EXPECT_STREQ(toString(TracePhase::WalkFill), "walk_fill");
-    EXPECT_STREQ(toString(TracePhase::Wakeup), "wakeup");
+    EXPECT_STREQ(toString(LifecyclePhase::L1Miss), "l1_miss");
+    EXPECT_STREQ(toString(LifecyclePhase::WalkCreated), "walk_created");
+    EXPECT_STREQ(toString(LifecyclePhase::WalkDispatch), "walk_dispatch");
+    EXPECT_STREQ(toString(LifecyclePhase::PtRead), "pt_read");
+    EXPECT_STREQ(toString(LifecyclePhase::WalkFill), "walk_fill");
+    EXPECT_STREQ(toString(LifecyclePhase::Wakeup), "wakeup");
+    EXPECT_STREQ(toString(LifecyclePhase::SmSched), "sm_sched");
 }
 
 TEST(Tracer, RecordsStampsInOrder)
 {
-    TranslationTracer tracer;
-    tracer.record(TracePhase::L1Miss, 10, 0, 0x100, 3);
-    tracer.record(TracePhase::L2Lookup, 12, 0, 0x100);
+    TracedStream traced;
+    TranslationTracer &tracer = traced.tracer;
+    traced.emit(LifecyclePhase::L1Miss, 10, 0, 0x100, 3);
+    traced.emit(LifecyclePhase::L2Lookup, 12, 0, 0x100);
     EXPECT_EQ(tracer.stampsRecorded(), 2u);
     EXPECT_EQ(tracer.stampsDropped(), 0u);
     auto stamps = tracer.stamps();
     ASSERT_EQ(stamps.size(), 2u);
-    EXPECT_EQ(stamps[0].phase, TracePhase::L1Miss);
+    EXPECT_EQ(stamps[0].phase, LifecyclePhase::L1Miss);
     EXPECT_EQ(stamps[0].cycle, 10u);
     EXPECT_EQ(stamps[0].where, 3u);
-    EXPECT_EQ(stamps[1].phase, TracePhase::L2Lookup);
-    EXPECT_EQ(stamps[1].where, TranslationTracer::kNoWhere);
+    EXPECT_EQ(stamps[1].phase, LifecyclePhase::L2Lookup);
+    EXPECT_EQ(stamps[1].where, kNoWhere);
 }
 
 TEST(Tracer, RingOverwritesOldest)
 {
-    TranslationTracer tracer(4);
+    TracedStream traced(4);
+    TranslationTracer &tracer = traced.tracer;
     for (Cycle c = 0; c < 6; ++c)
-        tracer.record(TracePhase::L1Miss, c, 0, c);
+        traced.emit(LifecyclePhase::L1Miss, c, 0, c);
     EXPECT_EQ(tracer.stampsRecorded(), 6u);
     EXPECT_EQ(tracer.stampsDropped(), 2u);
     auto stamps = tracer.stamps();
@@ -52,13 +81,14 @@ TEST(Tracer, RingOverwritesOldest)
 
 TEST(Tracer, ReconstructsWalkSpanWithPhaseAttribution)
 {
-    TranslationTracer tracer;
-    tracer.record(TracePhase::WalkCreated, 100, 7, 0xabc);
-    tracer.record(TracePhase::BackendSubmit, 100, 7, 0xabc);
-    tracer.record(TracePhase::WalkDispatch, 130, 7, 0xabc, 2);
-    tracer.record(TracePhase::PtRead, 140, 7, 0xabc);
-    tracer.record(TracePhase::PtRead, 180, 7, 0xabc);
-    tracer.record(TracePhase::WalkFill, 230, 7, 0xabc);
+    TracedStream traced;
+    TranslationTracer &tracer = traced.tracer;
+    traced.emit(LifecyclePhase::WalkCreated, 100, 7, 0xabc);
+    traced.emit(LifecyclePhase::BackendSubmit, 100, 7, 0xabc);
+    traced.emit(LifecyclePhase::WalkDispatch, 130, 7, 0xabc, 2);
+    traced.emit(LifecyclePhase::PtRead, 140, 7, 0xabc);
+    traced.emit(LifecyclePhase::PtRead, 180, 7, 0xabc);
+    traced.emit(LifecyclePhase::WalkFill, 230, 7, 0xabc);
 
     EXPECT_EQ(tracer.spansCompleted(), 1u);
     auto spans = tracer.spans();
@@ -80,11 +110,12 @@ TEST(Tracer, FirstDispatchWins)
 {
     // Batched PW-Warp lanes can re-dispatch riders; the queue phase ends
     // at the first pickup.
-    TranslationTracer tracer;
-    tracer.record(TracePhase::WalkCreated, 10, 1, 0x1);
-    tracer.record(TracePhase::WalkDispatch, 20, 1, 0x1, 0);
-    tracer.record(TracePhase::WalkDispatch, 30, 1, 0x1, 1);
-    tracer.record(TracePhase::WalkFill, 40, 1, 0x1);
+    TracedStream traced;
+    TranslationTracer &tracer = traced.tracer;
+    traced.emit(LifecyclePhase::WalkCreated, 10, 1, 0x1);
+    traced.emit(LifecyclePhase::WalkDispatch, 20, 1, 0x1, 0);
+    traced.emit(LifecyclePhase::WalkDispatch, 30, 1, 0x1, 1);
+    traced.emit(LifecyclePhase::WalkFill, 40, 1, 0x1);
     ASSERT_EQ(tracer.spans().size(), 1u);
     EXPECT_EQ(tracer.spans()[0].dispatched, 20u);
     EXPECT_EQ(tracer.spans()[0].where, 0u);
@@ -92,39 +123,43 @@ TEST(Tracer, FirstDispatchWins)
 
 TEST(Tracer, FillWithoutDispatchAttributesToWalkPhase)
 {
-    TranslationTracer tracer;
-    tracer.record(TracePhase::WalkCreated, 50, 9, 0x9);
-    tracer.record(TracePhase::WalkFill, 90, 9, 0x9);
+    TracedStream traced;
+    TranslationTracer &tracer = traced.tracer;
+    traced.emit(LifecyclePhase::WalkCreated, 50, 9, 0x9);
+    traced.emit(LifecyclePhase::WalkFill, 90, 9, 0x9);
     EXPECT_DOUBLE_EQ(tracer.queuePhase().mean(), 0.0);
     EXPECT_DOUBLE_EQ(tracer.walkPhase().mean(), 40.0);
 }
 
 TEST(Tracer, FaultDropsLiveSpan)
 {
-    TranslationTracer tracer;
-    tracer.record(TracePhase::WalkCreated, 10, 5, 0x5);
-    tracer.record(TracePhase::Fault, 20, 5, 0x5);
+    TracedStream traced;
+    TranslationTracer &tracer = traced.tracer;
+    traced.emit(LifecyclePhase::WalkCreated, 10, 5, 0x5);
+    traced.emit(LifecyclePhase::Fault, 20, 5, 0x5);
     // The replayed walk arrives under a fresh id; the faulted one must not
     // complete a span.
-    tracer.record(TracePhase::WalkFill, 30, 5, 0x5);
+    traced.emit(LifecyclePhase::WalkFill, 30, 5, 0x5);
     EXPECT_EQ(tracer.spansCompleted(), 0u);
     EXPECT_EQ(tracer.totalPhase().count, 0u);
 }
 
 TEST(Tracer, IdZeroStampsSkipReconstruction)
 {
-    TranslationTracer tracer;
-    tracer.record(TracePhase::WalkCreated, 10, 0, 0x1);
-    tracer.record(TracePhase::WalkFill, 20, 0, 0x1);
+    TracedStream traced;
+    TranslationTracer &tracer = traced.tracer;
+    traced.emit(LifecyclePhase::WalkCreated, 10, 0, 0x1);
+    traced.emit(LifecyclePhase::WalkFill, 20, 0, 0x1);
     EXPECT_EQ(tracer.spansCompleted(), 0u);
     EXPECT_EQ(tracer.stampsRecorded(), 2u);
 }
 
 TEST(Tracer, ResetAttributionKeepsHistory)
 {
-    TranslationTracer tracer;
-    tracer.record(TracePhase::WalkCreated, 10, 1, 0x1);
-    tracer.record(TracePhase::WalkFill, 30, 1, 0x1);
+    TracedStream traced;
+    TranslationTracer &tracer = traced.tracer;
+    traced.emit(LifecyclePhase::WalkCreated, 10, 1, 0x1);
+    traced.emit(LifecyclePhase::WalkFill, 30, 1, 0x1);
     tracer.resetAttribution();
     EXPECT_EQ(tracer.totalPhase().count, 0u);
     // Raw history survives the warmup reset; only attribution is zeroed.
@@ -134,10 +169,11 @@ TEST(Tracer, ResetAttributionKeepsHistory)
 
 TEST(Tracer, WriteTraceJsonEmitsEventArray)
 {
-    TranslationTracer tracer;
-    tracer.record(TracePhase::WalkCreated, 100, 7, 0xabc);
-    tracer.record(TracePhase::WalkDispatch, 130, 7, 0xabc, 2);
-    tracer.record(TracePhase::WalkFill, 230, 7, 0xabc);
+    TracedStream traced;
+    TranslationTracer &tracer = traced.tracer;
+    traced.emit(LifecyclePhase::WalkCreated, 100, 7, 0xabc);
+    traced.emit(LifecyclePhase::WalkDispatch, 130, 7, 0xabc, 2);
+    traced.emit(LifecyclePhase::WalkFill, 230, 7, 0xabc);
 
     std::ostringstream out;
     tracer.writeTraceJson(out);
@@ -153,17 +189,28 @@ TEST(Tracer, WriteTraceJsonEmitsEventArray)
     EXPECT_NE(json.find("\"tid\":2"), std::string::npos);
 }
 
+TEST(Tracer, IgnoresLedgerOnlyPhases)
+{
+    TracedStream traced;
+    traced.emit(LifecyclePhase::L1Hit, 1, 0, 0x1, 0);
+    traced.emit(LifecyclePhase::SmSched, 2, 0, 0, 0);
+    traced.emit(LifecyclePhase::PwReserve, 3, 0, 0, 0);
+    EXPECT_EQ(traced.tracer.stampsRecorded(), 0u);
+}
+
 TEST(Tracer, MacroSkipsNullTracer)
 {
-    TranslationTracer *tracer = nullptr;
-    // Must not crash; the stamp is a no-op without an installed tracer.
-    SW_TRACE(tracer, TracePhase::L1Miss, 1, 0, 0x1);
+    LifecycleStream stream;
+    EXPECT_FALSE(stream.observed());
+    // Must not crash: with no consumer the event is never built.
+    SW_LIFECYCLE(stream, LifecyclePhase::L1Miss, 1, 0, {0, 0x1});
     TranslationTracer real;
-    TranslationTracer *installed = &real;
-    SW_TRACE(installed, TracePhase::L1Miss, 1, 0, 0x1);
-    if (kTracingCompiled) {
-        EXPECT_EQ(real.stampsRecorded(), 1u);
-    }
+    stream.observe(&real, nullptr, nullptr);
+    EXPECT_TRUE(stream.observed());
+    SW_LIFECYCLE(stream, LifecyclePhase::L1Miss, 1, 0, {0, 0x1});
+    EXPECT_EQ(real.stampsRecorded(), 1u);
+    stream.observe(nullptr, nullptr, nullptr);
+    EXPECT_FALSE(stream.observed());
 }
 
 } // namespace

@@ -9,7 +9,7 @@
 namespace sw {
 
 struct FixtureAuditCtx;
-struct FixtureTracer;
+struct FixtureStream;
 
 struct FixtureComponent
 {
@@ -27,9 +27,9 @@ struct FixtureComponent
     }
 
     void
-    goodReads(FixtureTracer *tracer, std::uint64_t vpn)
+    goodReads(FixtureStream &stream, std::uint64_t vpn)
     {
-        SW_TRACE(tracer, vpn, slots.size());
+        SW_LIFECYCLE(stream, vpn, slots.size(), counter > limit);
         SW_AUDIT(ctx_, !slots.empty() && slots.front() < vpn);
     }
 

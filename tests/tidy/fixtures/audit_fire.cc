@@ -1,8 +1,8 @@
 // SWTIDY-AS: src/check/fixture_audit_fire.cc
 //
-// Firing cases for softwalker-audit-side-effect: SW_AUDIT/SW_TRACE
-// arguments with side effects execute in audit/tracing builds only, so
-// release runs diverge.
+// Firing cases for softwalker-audit-side-effect: SW_AUDIT/SW_LIFECYCLE
+// arguments with side effects execute only in audit builds or while an
+// observer is attached, so plain runs diverge.
 
 #include <cstdint>
 #include <vector>
@@ -10,7 +10,7 @@
 namespace sw {
 
 struct FixtureAuditCtx;
-struct FixtureTracer;
+struct FixtureStream;
 
 struct FixtureComponent
 {
@@ -31,9 +31,9 @@ struct FixtureComponent
     }
 
     void
-    badMutatorCall(FixtureTracer *tracer, std::uint64_t vpn)
+    badMutatorCall(FixtureStream &stream, std::uint64_t vpn)
     {
-        SW_TRACE(tracer, slots.push_back(vpn)); // FIRE: softwalker-audit-side-effect
+        SW_LIFECYCLE(stream, slots.push_back(vpn)); // FIRE: softwalker-audit-side-effect
     }
 };
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Fixture suite for the portable softwalker- static-analysis engine, plus
+ * Fixture suite for swtidy, the softwalker- static-analysis engine, plus
  * the src/-tree cleanliness gate.
  *
  * Each fixture under tests/tidy/fixtures/ marks every line the analyzer
@@ -14,8 +14,7 @@
  *
  * The same engine then sweeps every .hh/.cc under src/: the tree must be
  * diagnostic-free, which keeps the determinism/hot-path/observability
- * contracts enforced on toolchains without clang-tidy (the CI tidy-plugin
- * job runs the AST-precise twin).
+ * contracts enforced on any toolchain.
  */
 
 #include <algorithm>

@@ -43,7 +43,8 @@ class PtwTest : public ::testing::Test
         test::FixedLatencyReader &reader = *readers.back();
         auto pool = std::make_unique<HardwarePtwPool>(
             eq, params, spaces, pwc, reader,
-            [this](const WalkResult &result) { results.push_back(result); });
+            [this](const WalkResult &result) { results.push_back(result); },
+            lifecycle);
         HardwarePtwPool *raw = pool.get();
         reader.answer = [raw](std::uint32_t walker, std::uint32_t lane) {
             raw->ptReadDone(walker, lane);
@@ -69,6 +70,7 @@ class PtwTest : public ::testing::Test
     AddressSpaceManager spaces;
     PageTableBase &pt;
     PageWalkCache pwc;
+    LifecycleStream lifecycle;
     int memReads = 0;
     std::vector<WalkResult> results;
     std::vector<std::unique_ptr<test::FixedLatencyReader>> readers;

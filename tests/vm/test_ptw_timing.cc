@@ -38,7 +38,8 @@ class PtwTimingTest : public ::testing::Test
             eq, params, spaces, pwc, reader,
             [this](const WalkResult &result) {
                 results.push_back(result);
-            });
+            },
+            lifecycle);
         HardwarePtwPool *raw = pool.get();
         reader.answer = [raw](std::uint32_t walker, std::uint32_t lane) {
             raw->ptReadDone(walker, lane);
@@ -68,6 +69,7 @@ class PtwTimingTest : public ::testing::Test
     AddressSpaceManager spaces;
     PageTableBase &pt;
     PageWalkCache pwc;
+    LifecycleStream lifecycle;
     int memReads = 0;
     std::vector<WalkResult> results;
     std::vector<std::unique_ptr<test::FixedLatencyReader>> readers;

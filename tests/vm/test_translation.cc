@@ -26,14 +26,16 @@ struct EngineRig
     explicit EngineRig(const GpuConfig &config)
         : cfg(config), geom(cfg.pageBytes), alloc(cfg.pageBytes),
           spaces(cfg, alloc), pt(spaces.tableFor(0)), mem(eq, cfg, requests),
-          engine(eq, cfg, mem, spaces), client(requests, {Done::Translation})
+          engine(eq, cfg, mem, spaces, lifecycle),
+          client(requests, {Done::Translation})
     {
         HardwarePtwPool::Params pool;
         pool.numWalkers = cfg.numPtws;
         pool.pwbEntries = cfg.pwbEntries;
         pool.pwbPorts = cfg.pwbPorts;
         engine.setBackend(std::make_unique<HardwarePtwPool>(
-            eq, pool, spaces, engine.pwc(), engine, engine.completionFn()));
+            eq, pool, spaces, engine.pwc(), engine, engine.completionFn(),
+            lifecycle));
     }
 
     GpuConfig cfg;
@@ -44,6 +46,7 @@ struct EngineRig
     PageTableBase &pt;
     RequestPool requests;
     MemorySystem mem;
+    LifecycleStream lifecycle;
     TranslationEngine engine;
     test::RequestClient client;
 };
@@ -57,7 +60,8 @@ class TranslationTest : public ::testing::Test
     explicit TranslationTest(const GpuConfig &config)
         : cfg(config), geom(cfg.pageBytes), alloc(cfg.pageBytes),
           spaces(cfg, alloc), pt(spaces.tableFor(0)), mem(eq, cfg, requests),
-          engine(eq, cfg, mem, spaces), client(requests, {Done::Translation})
+          engine(eq, cfg, mem, spaces, lifecycle),
+          client(requests, {Done::Translation})
     {
         installPool();
     }
@@ -70,7 +74,8 @@ class TranslationTest : public ::testing::Test
         pool.pwbEntries = cfg.pwbEntries;
         pool.pwbPorts = cfg.pwbPorts;
         engine.setBackend(std::make_unique<HardwarePtwPool>(
-            eq, pool, spaces, engine.pwc(), engine, engine.completionFn()));
+            eq, pool, spaces, engine.pwc(), engine, engine.completionFn(),
+            lifecycle));
     }
 
     /** Translate and wait; returns (pfn, latency). */
@@ -97,6 +102,7 @@ class TranslationTest : public ::testing::Test
     PageTableBase &pt;
     RequestPool requests;
     MemorySystem mem;
+    LifecycleStream lifecycle;
     TranslationEngine engine;
     test::RequestClient client;
 };

@@ -1,7 +1,7 @@
 /**
  * @file
- * Lexer-level engine behind the portable `softwalker-` checks.  See
- * analyzer.hh for scope and the relationship to the clang-tidy plugin.
+ * Lexer-level engine behind the `softwalker-` checks.  See analyzer.hh
+ * for scope.
  *
  * The engine works on *stripped* text: comments, string/char literals and
  * preprocessor lines are blanked (length-preserving, so every offset maps
@@ -1170,8 +1170,7 @@ struct Analyzer::Impl
         };
         // Both the regular code and macro bodies: a #define spelled in a
         // sim file expands wherever it is used, so its clock reads count
-        // here (the clang plugin reaches the same verdict via spelling
-        // locations).
+        // here.
         scan(f.code);
         scan(f.ppText);
     }
@@ -1433,7 +1432,7 @@ struct Analyzer::Impl
     checkAuditSideEffect(const SourceFile &f)
     {
         const std::string &code = f.code;
-        for (const char *macro : {"SW_AUDIT", "SW_TRACE"}) {
+        for (const char *macro : {"SW_AUDIT", "SW_LIFECYCLE"}) {
             std::size_t pos = 0;
             while ((pos = code.find(macro, pos)) != std::string::npos) {
                 std::size_t here = pos;
@@ -1461,9 +1460,9 @@ struct Analyzer::Impl
         auto flag = [&](std::size_t off, const std::string &what) {
             report(f, base + off, kAuditSideEffect,
                    what + " inside " + macro +
-                       "(...) — the argument is not evaluated in builds "
-                       "that compile the macro out, so audit/tracing and "
-                       "release runs would diverge");
+                       "(...) — the argument is evaluated only in audit "
+                       "builds or while an observer is attached, so "
+                       "audited/observed and plain runs would diverge");
         };
         for (std::size_t i = 0; i + 1 < args.size(); ++i) {
             if ((args[i] == '+' && args[i + 1] == '+') ||

@@ -1,18 +1,14 @@
 /**
  * @file
- * Portable implementation of the `softwalker-` static-analysis checks
- * (see docs/STATIC_ANALYSIS.md for the catalog and rationale).
+ * swtidy: the project's `softwalker-` static-analysis checks (see
+ * docs/STATIC_ANALYSIS.md for the catalog and rationale).
  *
- * The authoritative implementation is the out-of-tree clang-tidy plugin
- * in tools/tidy-plugin/ — it sees the real AST and computes exact closure
- * sizes.  This engine is the *portable* twin: a lexer-level analyzer with
- * no LLVM dependency, so the fixture suite and the src/-tree cleanliness
- * gate run under plain ctest on any toolchain.  Both implementations
- * enforce the same contracts with the same check names and the same
- * `// NOLINT(softwalker-...)` suppression mechanism; where the lexical
- * engine cannot prove a property (default captures, macro-generated
- * code) it stays silent rather than guessing, so it under-approximates
- * the plugin and never blocks the build on a false positive.
+ * A lexer-level analyzer with no LLVM dependency, so the fixture suite
+ * and the src/-tree cleanliness gate run under plain ctest on any
+ * toolchain.  Findings are suppressed with `// NOLINT(softwalker-...)`.
+ * Where the lexical model cannot prove a property (default captures,
+ * macro-generated code) the engine stays silent rather than guessing: it
+ * under-approximates, so it never blocks the build on a false positive.
  *
  * Checks:
  *  - softwalker-nondeterministic-iteration: range-for / .begin() loops
@@ -28,16 +24,16 @@
  *    enumerators of *Category attribution enums (LedgerCategory) that
  *    categoryName() never names — either way the value silently vanishes
  *    from every metrics dump and exporter.
- *  - softwalker-audit-side-effect: SW_AUDIT/SW_TRACE arguments with side
- *    effects (assignment, ++/--, mutating member calls) — they vanish in
- *    builds that compile the macro out.
+ *  - softwalker-audit-side-effect: SW_AUDIT/SW_LIFECYCLE arguments with
+ *    side effects (assignment, ++/--, mutating member calls) — they run
+ *    only in audit builds or while an observer is attached.
  *  - softwalker-raw-vpn-key: a bare Vpn-typed variable passed as the key
  *    of a translation-structure call (lookup/probe/fill/...) outside
  *    src/vm; since the TranslationKey migration the key is {asid, vpn},
  *    and a raw VPN silently means "ASID 0" — a containment hazard in
- *    multi-tenant code.  (Portable engine only; the clang plugin's type
- *    system makes the mistake a compile error in-tree, so its twin is a
- *    guard for test/fixture code and future overloads.)
+ *    multi-tenant code.  (In-tree the type system already makes the
+ *    mistake a compile error; the check guards test/fixture code and
+ *    future overloads.)
  *
  * Fixture files may carry directives (anywhere in a comment):
  *  - `SWTIDY-AS: <path>`   classify the file as if it lived at <path>
@@ -56,7 +52,7 @@
 
 namespace swtidy {
 
-/** Check name constants (shared with the clang-tidy plugin). */
+/** Check names, as findings and NOLINT suppressions spell them. */
 inline constexpr const char *kNondeterministicIteration =
     "softwalker-nondeterministic-iteration";
 inline constexpr const char *kWallclockInSim = "softwalker-wallclock-in-sim";

@@ -1,12 +1,12 @@
 /**
  * @file
- * swtidy: command-line driver for the portable `softwalker-` checks.
+ * swtidy: command-line driver for the `softwalker-` checks.
  *
  *   swtidy [options] <file>...
  *
  * Prints clang-tidy-style diagnostics (`file:line: warning: ... [check]`)
- * and exits 1 when any check fired, so it slots straight into CI next to
- * (or in place of) the clang-tidy plugin.  See docs/STATIC_ANALYSIS.md.
+ * and exits 1 when any check fired, so it slots straight into CI.  See
+ * docs/STATIC_ANALYSIS.md.
  */
 
 #include <cstdio>
