@@ -42,6 +42,9 @@ struct TranslationKey
                             const TranslationKey &) = default;
 };
 
+/** The empty-slot key of FlatMaps keyed by translation (no such ASID). */
+inline constexpr TranslationKey kNoTranslationKey{~Asid(0), ~Vpn(0)};
+
 } // namespace sw
 
 template <>
