@@ -2,10 +2,9 @@
 //
 // The src/prof allowlist must not leak through macros *defined in sim
 // files*: a clock read spelled in a src/sim file still fires even when
-// it hides inside a macro body (the portable engine sees the token in
-// this file; the plugin anchors on the spelling location, which for a
-// macro defined here is this file).  Contrast with SW_PROF_SCOPE, whose
-// body is spelled in src/prof/hostprof.hh and therefore allowed.
+// it hides inside a macro body (swtidy sees the token in this file).
+// Contrast with SW_PROF_SCOPE, whose body is spelled in
+// src/prof/hostprof.hh and therefore allowed.
 
 #include <chrono>
 #include <cstdint>
