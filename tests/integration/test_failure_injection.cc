@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/softwalker.hh"
 #include "harness/experiment.hh"
+#include "harness/report.hh"
 #include "test_util.hh"
 #include "workload/generators.hh"
 
@@ -151,6 +154,45 @@ TEST(FailureInjection, TinyFootprintSaturatesTlbsHarmlessly)
     gpu.run(limits);
     EXPECT_EQ(gpu.instructionsIssued(), 400u);
     EXPECT_LE(gpu.engine().stats().walksCompleted, 4u);
+}
+
+/** FNV-1a 64 of a result's %a fingerprint. */
+std::uint64_t
+fingerprintDigest(const RunResult &result)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (unsigned char c : fingerprint(result)) {
+        hash ^= c;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+/**
+ * Golden run whose events land far ahead: every page-table read takes
+ * 10,000 cycles and every first touch faults and replays 2,000 cycles
+ * later.  No benchmark workload schedules that far out, so this pins
+ * the event order of long delays on its own.
+ */
+TEST(LongDelayGolden, SoftWalkerFingerprintIsPinned)
+{
+    GpuConfig cfg = test::smallSoftWalkerConfig();
+    cfg.fixedPtAccessLatency = 10000;
+    Gpu gpu(cfg, std::make_unique<RandomAccessWorkload>("long-delay",
+                                                        64ull << 20, 5,
+                                                        1.0));
+    installWalkBackend(gpu);
+    gpu.engine().setMapOnDemand(false);
+    Gpu::RunLimits limits;
+    limits.warpInstrQuota = 300;
+    limits.maxCycles = 20000000;
+    gpu.run(limits);
+
+    EXPECT_EQ(gpu.instructionsIssued(), 300u);
+    EXPECT_GT(gpu.engine().stats().faults, 0u);
+    EXPECT_TRUE(gpu.eventQueue().empty());
+    EXPECT_EQ(fingerprintDigest(collectResult(gpu, "long-delay")),
+              0xac24f061c40fb410ull);
 }
 
 } // namespace
