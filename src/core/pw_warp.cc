@@ -1,5 +1,7 @@
 #include "core/pw_warp.hh"
 
+#include <span>
+
 #include "check/audit.hh"
 #include "prof/hostprof.hh"
 #include "sim/logging.hh"
@@ -27,7 +29,8 @@ PwWarp::PwWarp(EventQueue &eq, const AddressSpaceManager &aspaces,
       timing(timing_in), numLanes(num_lanes), commLatency(comm_latency),
       lifecycle_(lifecycle)
 {
-    SW_ASSERT(numLanes > 0 && numLanes <= 32, "PW Warp lanes out of range");
+    SW_ASSERT(numLanes > 0 && numLanes <= kMaxLanes,
+              "PW Warp lanes out of range");
 }
 
 void
@@ -47,32 +50,30 @@ PwWarp::startBatch()
     running = true;
     batchStart = eventq.now();
 
-    std::vector<std::uint32_t> picked = pwb.collectValid(numLanes);
-    SW_ASSERT(!picked.empty(), "batch started with no valid entries");
+    std::array<std::uint32_t, kMaxLanes> picked;
+    batchLanes = pwb.collectValid(std::span(picked).first(numLanes));
+    SW_ASSERT(batchLanes > 0, "batch started with no valid entries");
 
-    lanes.clear();
-    lanes.reserve(picked.size());
-    for (std::uint32_t slot_idx : picked) {
-        const SoftPwb::Slot &slot = pwb.slot(slot_idx);
-        Lane lane;
-        lane.slot = slot_idx;
+    for (std::uint32_t i = 0; i < batchLanes; ++i) {
+        const SoftPwb::Slot &slot = pwb.slot(picked[i]);
+        Lane &lane = lanes[i];
+        lane.slot = picked[i];
         lane.cursor = slot.req.cursor;
         lane.pickedUp = eventq.now();
         lane.created = slot.req.created;
         lane.id = slot.req.id;
         lane.key = slot.req.key;
-        lanes.push_back(lane);
         SW_LIFECYCLE(lifecycle_, LifecyclePhase::WalkDispatch, eventq.now(),
                      lane.id, lane.key, hooks.walker, true);
     }
 
     ++stats_.batches;
-    stats_.batchSize.add(lanes.size());
+    stats_.batchSize.add(batchLanes);
 
     // Fig 14 lines 1-6: load the requests from SoftPWB and decode them.
     stats_.instructionsIssued += timing.setupInstrs;
     Cycle setup_done =
-        hooks.reserveIssue(timing.setupInstrs, lanes.front().key.asid);
+        hooks.reserveIssue(timing.setupInstrs, lanes[0].key.asid);
     auto fire = [this]() { levelIteration(); };
     static_assert(EventFn::fitsInline<decltype(fire)>(),
                   "batch setup event must not spill to the slab pool");
@@ -85,24 +86,25 @@ PwWarp::levelIteration()
     SW_PROF_SCOPE(prof::Zone::PwWarpExec);
     // Lanes proceed in SIMT lockstep: each iteration handles one radix
     // level for every lane that still has levels to read.
-    std::vector<std::uint32_t> active;
-    for (std::uint32_t i = 0; i < lanes.size(); ++i)
+    std::array<std::uint32_t, kMaxLanes> active;
+    std::uint32_t num_active = 0;
+    for (std::uint32_t i = 0; i < batchLanes; ++i)
         if (!lanes[i].cursor.done)
-            active.push_back(i);
+            active[num_active++] = i;
 
-    if (active.empty()) {
+    if (num_active == 0) {
         finishBatch();
         return;
     }
 
     // Offset computation, LDPT issue, validity check, FPWC store.
     stats_.instructionsIssued += timing.perLevelInstrs;
-    stats_.ldptIssued += active.size();
+    stats_.ldptIssued += num_active;
     Cycle issue_done =
-        hooks.reserveIssue(timing.perLevelInstrs, lanes.front().key.asid);
+        hooks.reserveIssue(timing.perLevelInstrs, lanes[0].key.asid);
 
-    pendingLoads = std::uint32_t(active.size());
-    for (std::uint32_t lane_idx : active) {
+    pendingLoads = num_active;
+    for (std::uint32_t lane_idx : std::span(active).first(num_active)) {
         const PageTableBase &pt =
             spaces.tableFor(lanes[lane_idx].key.asid);
         PhysAddr addr = pt.pteAddr(lanes[lane_idx].cursor);
@@ -121,7 +123,7 @@ PwWarp::levelIteration()
 void
 PwWarp::ptReadDone(std::uint32_t lane_idx)
 {
-    SW_ASSERT(lane_idx < lanes.size(), "LDPT completion for a lost lane");
+    SW_ASSERT(lane_idx < batchLanes, "LDPT completion for a lost lane");
     Lane &lane = lanes[lane_idx];
     const PageTableBase &table = spaces.tableFor(lane.key.asid);
     int level_read = lane.cursor.level;
@@ -157,25 +159,26 @@ PwWarp::finishBatch()
     SW_PROF_SCOPE(prof::Zone::PwWarpExec);
     // FL2T for every lane (plus FFB for faulted lanes), then the fills
     // travel back to the L2 TLB over the interconnect.
+    std::span<const Lane> batch(lanes.data(), batchLanes);
     std::uint32_t fault_lanes = 0;
-    for (const Lane &lane : lanes)
+    for (const Lane &lane : batch)
         if (lane.cursor.fault)
             ++fault_lanes;
 
     std::uint32_t instrs =
         timing.finishInstrs + fault_lanes * timing.faultInstrs;
     stats_.instructionsIssued += instrs;
-    stats_.fl2tIssued += lanes.size() - fault_lanes;
+    stats_.fl2tIssued += batchLanes - fault_lanes;
     stats_.ffbIssued += fault_lanes;
 
-    Cycle issue_done = hooks.reserveIssue(instrs, lanes.front().key.asid);
+    Cycle issue_done = hooks.reserveIssue(instrs, lanes[0].key.asid);
     Cycle arrive = issue_done + commLatency;
 
-    SW_AUDIT(lanes.size() <= numLanes,
-             "batch carries %zu lanes but the warp has %u",
-             lanes.size(), numLanes);
+    SW_AUDIT(batchLanes <= numLanes,
+             "batch carries %u lanes but the warp has %u",
+             batchLanes, numLanes);
 
-    for (const Lane &lane : lanes) {
+    for (const Lane &lane : batch) {
         WalkResult result;
         result.id = lane.id;
         result.key = lane.key;
@@ -201,7 +204,7 @@ PwWarp::finishBatch()
     stats_.batchLatency.add(eventq.now() - batchStart);
 
     running = false;
-    lanes.clear();
+    batchLanes = 0;
     // More requests may have become valid while this batch ran.
     notifyWork();
 }

@@ -14,9 +14,9 @@
 #ifndef SW_CORE_PW_WARP_HH
 #define SW_CORE_PW_WARP_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "core/isa.hh"
 #include "core/soft_pwb.hh"
@@ -33,6 +33,9 @@ namespace sw {
 class PwWarp
 {
   public:
+    /** Lanes of the warp at most (one SIMT warp). */
+    static constexpr std::uint32_t kMaxLanes = 32;
+
     /** Environment supplied by the SoftWalker backend. */
     struct Hooks
     {
@@ -135,7 +138,9 @@ class PwWarp
     const LifecycleStream &lifecycle_;
 
     bool running = false;
-    std::vector<Lane> lanes;
+    /** The running batch: lanes[0, batchLanes). */
+    std::array<Lane, kMaxLanes> lanes{};
+    std::uint32_t batchLanes = 0;
     std::uint32_t pendingLoads = 0;
     std::uint32_t fillsInTransit_ = 0;
     Cycle batchStart = 0;

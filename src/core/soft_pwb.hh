@@ -12,6 +12,7 @@
 #define SW_CORE_SOFT_PWB_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ckpt/ckpt_io.hh"
@@ -100,19 +101,22 @@ class SoftPwb
         panic("SoftPWB overflow: distributor credit accounting broken");
     }
 
-    /** Mark up to @p max valid slots processing; returns their indices. */
-    std::vector<std::uint32_t>
-    collectValid(std::uint32_t max)
+    /**
+     * Mark up to @p picked.size() valid slots processing and write their
+     * indices into @p picked; @return how many were picked.
+     */
+    std::uint32_t
+    collectValid(std::span<std::uint32_t> picked)
     {
-        std::vector<std::uint32_t> picked;
-        for (std::uint32_t i = 0; i < slots.size() && picked.size() < max;
+        std::uint32_t count = 0;
+        for (std::uint32_t i = 0; i < slots.size() && count < picked.size();
              ++i) {
             if (slots[i].state == SlotState::Valid) {
                 slots[i].state = SlotState::Processing;
-                picked.push_back(i);
+                picked[count++] = i;
             }
         }
-        return picked;
+        return count;
     }
 
     Slot &slot(std::uint32_t idx) { return slots.at(idx); }

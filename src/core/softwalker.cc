@@ -27,6 +27,7 @@ SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
         cfg.rngSeed ^ 0x5077a1cebeefULL, std::move(probe),
         pinned ? cfg.numTenants : 1);
     waiting.resize(cfg.numTenants);
+    transit.resize(std::size_t(cfg.numSms) * cfg.softPwbEntries);
 
     EventQueue &eq = gpu.eventQueue();
     TranslationEngine &engine = gpu.engine();
@@ -139,14 +140,21 @@ SoftWalkerBackend::sendToSm(SmId target, WalkRequest req)
     SW_LIFECYCLE(gpu.lifecycle(), LifecyclePhase::PwHosted,
                  gpu.eventQueue().now(), req.id, req.key, target, true);
     // L2 TLB -> SM interconnect hop (modeled as the L2 TLB latency, §6.1).
+    SW_ASSERT(commInTransit < transit.size(),
+              "interconnect ring overflow: %llu requests in transit",
+              static_cast<unsigned long long>(commInTransit));
+    std::size_t tail = transitHead + commInTransit;
+    if (tail >= transit.size())
+        tail -= transit.size();
+    transit[tail] = Hop{std::move(req), target};
     ++commInTransit;
-    // WalkRequest outgrew the inline event budget when it gained the
-    // {asid, vpn} key; box it so the hop event stays inline.
-    auto boxed = std::make_unique<WalkRequest>(std::move(req));
-    auto fire = [this, target, boxed = std::move(boxed)]() {
+    auto fire = [this]() {
         SW_ASSERT(commInTransit > 0, "interconnect transit underflow");
+        Hop &hop = transit[transitHead];
+        if (++transitHead == transit.size())
+            transitHead = 0;
         --commInTransit;
-        controllers[target]->accept(std::move(*boxed));
+        controllers[hop.target]->accept(std::move(hop.req));
     };
     static_assert(EventFn::fitsInline<decltype(fire)>(),
                   "interconnect hop event must not spill to the slab pool");

@@ -126,7 +126,22 @@ class SoftWalkerBackend : public WalkBackend
     /** Next tenant the round-robin arbiter offers capacity to. */
     std::uint32_t drainRrTenant = 0;
     std::uint64_t inFlightCount = 0;
-    /** Dispatched requests still crossing the L2 TLB -> SM interconnect. */
+
+    /** A dispatched request crossing the L2 TLB -> SM interconnect. */
+    struct Hop
+    {
+        WalkRequest req;
+        SmId target = 0;
+    };
+    /**
+     * Requests crossing the interconnect, oldest first, in a ring sized
+     * by the distributor's credits (numSms x softPwbEntries): every hop
+     * takes the same latency, so hops arrive in the order they were sent
+     * and the one arriving is always the oldest.
+     */
+    std::vector<Hop> transit;
+    std::size_t transitHead = 0;
+    /** Requests in the ring (from transitHead on). */
     std::uint64_t commInTransit = 0;
 
     Stats stats_;

@@ -63,7 +63,7 @@ inline constexpr bool kHostProfCompiled = SOFTWALKER_HOSTPROF != 0;
 enum class Zone : std::uint8_t
 {
     Setup,          ///< workload materialisation + GPU construction
-    SimLoop,        ///< EventQueue::run (self = heap/sweep overhead)
+    SimLoop,        ///< EventQueue::run (self = queue/sweep overhead)
     EventDispatch,  ///< one handler invocation (self = uninstrumented work)
     SmExec,         ///< SM fetch/issue/execute scheduling
     TlbLookup,      ///< TranslationEngine TLB lookup / MSHR / fill paths

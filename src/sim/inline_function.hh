@@ -6,7 +6,7 @@
  * std::function heap-allocates any capture larger than its tiny SBO
  * (16 bytes on libstdc++), which puts a malloc/free pair on the critical
  * path of every scheduled event.  InlineFunction stores captures up to
- * `Capacity` bytes directly inside the object — the event heap's vector
+ * `Capacity` bytes directly inside the object — the event queue's slab
  * then holds the whole closure by value and scheduling allocates nothing.
  *
  * Oversized captures still work: they spill to a thread-local slab pool

@@ -1,15 +1,20 @@
 /**
  * @file
- * Exact allocation gate for the request path.
+ * Exact allocation gate for the request path and the software walk path.
  *
  * This executable replaces the global operator new with a counting one
- * (it is linked into this test only) and drives the MemorySystem and the
- * TranslationEngine through two batches of the same shape: L1D misses to
- * the L2D and DRAM, L1D merges, L2D MSHR-full parking, PTE reads, L1 TLB
- * MSHR merges and parking, and L2 TLB parking.  The first batch sizes the
- * request slab, the MSHR tables and the event queue; the second must not
- * allocate at all.  Caches and TLBs are flushed between the batches, so
- * the second repeats the first exactly, miss for miss and cycle for cycle.
+ * (it is linked into this test only) and drives two batches of the same
+ * shape through the machine; the first sizes the slabs, tables and the
+ * event queue's wheel and slab chunks, and the second must not allocate
+ * at all.  Caches and TLBs are flushed between the batches, so the second
+ * repeats the first miss for miss.
+ *
+ *  - Request path: the MemorySystem and the TranslationEngine alone, with
+ *    L1D misses to the L2D and DRAM, L1D merges, L2D MSHR-full parking,
+ *    PTE reads, L1 TLB MSHR merges and parking, and L2 TLB parking.
+ *  - Software walks: a SoftWalker GPU whose walks cross the distributor's
+ *    interconnect hop into the SoftPWBs, run as PW-Warp batches issuing
+ *    LDPTs through the engine, and return to the L2 TLB as FL2T fills.
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +25,11 @@
 #include <new>
 
 #include "check/audit_tester.hh"
+#include "core/softwalker.hh"
 #include "mem/memory_system.hh"
 #include "test_util.hh"
 #include "vm/translation.hh"
+#include "workload/generators.hh"
 
 namespace {
 
@@ -50,14 +57,27 @@ using namespace sw;
 
 namespace {
 
-/** Counts and frees finished data sectors and translations. */
+/**
+ * Counts and frees finished data sectors and translations, taking both
+ * tags over from their owner (if any) until it is destroyed.
+ */
 struct CountingSink : RequestSink
 {
-    explicit CountingSink(RequestPool &requests) : pool(requests)
+    explicit CountingSink(RequestPool &requests)
+        : pool(requests),
+          displaced{pool.replaceSink(Done::SmAccess, this),
+                    pool.replaceSink(Done::Translation, this)}
     {
-        pool.setSink(Done::SmAccess, this);
-        pool.setSink(Done::Translation, this);
     }
+
+    ~CountingSink()
+    {
+        pool.replaceSink(Done::SmAccess, displaced[0]);
+        pool.replaceSink(Done::Translation, displaced[1]);
+    }
+
+    CountingSink(const CountingSink &) = delete;
+    CountingSink &operator=(const CountingSink &) = delete;
 
     void
     requestDone(RequestId id) override
@@ -67,6 +87,7 @@ struct CountingSink : RequestSink
     }
 
     RequestPool &pool;
+    std::array<RequestSink *, 2> displaced;
     std::uint64_t done = 0;
 };
 
@@ -247,6 +268,88 @@ TEST_F(RequestPathAllocs, SecondBatchAllocatesNothing)
     EXPECT_GT(l1d.mshrFailures, 0u);
     EXPECT_GT(mem.l2d().stats().mshrFailures, 0u);
     EXPECT_GT(mem.dram().stats().accesses, 0u);
+}
+
+/**
+ * Software walks on an idle SoftWalker GPU: its SMs never start, so the
+ * only traffic is the translations each batch feeds the engine.
+ */
+class SoftWalkAllocs : public ::testing::Test
+{
+  protected:
+    SoftWalkAllocs()
+        : gpu(test::smallSoftWalkerConfig(),
+              std::make_unique<RandomAccessWorkload>("idle", 64ull << 20,
+                                                     5)),
+          pool(gpu.memory().requests()),
+          sink((installWalkBackend(gpu), pool))
+    {
+    }
+
+    /**
+     * Fewer walks than the distributor has credits (4 SMs x 8 SoftPWB
+     * entries), so none waits in the distributor's queues.
+     */
+    static constexpr Vpn kPages = 24;
+
+    static Vpn vpnOf(Vpn page) { return 0x20000 + page * 8; }
+
+    void
+    flushAll()
+    {
+        for (SmId sm = 0; sm < gpu.config().numSms; ++sm)
+            AuditTester::l1d(gpu.memory(), sm).flush();
+        AuditTester::l2d(gpu.memory()).flush();
+        gpu.engine().flushAsid(0);
+    }
+
+    /** One batch; @return the allocations it made. */
+    std::uint64_t
+    runBatch()
+    {
+        std::uint64_t before = g_allocs;
+        for (Vpn page = 0; page < kPages; ++page) {
+            // Every SM asks for its own pages at once: one walk each,
+            // arriving at the PW Warps faster than they drain.
+            gpu.engine().translate(pool.alloc(
+                {.addr = vpnOf(page),
+                 .unit = SmId(page % gpu.config().numSms),
+                 .done = Done::Translation}));
+        }
+        gpu.eventQueue().run();
+        return g_allocs - before;
+    }
+
+    Gpu gpu;
+    RequestPool &pool;
+    CountingSink sink;
+};
+
+TEST_F(SoftWalkAllocs, SecondBatchAllocatesNothing)
+{
+    std::uint64_t first = runBatch();
+    flushAll();
+    std::uint64_t second = runBatch();
+    EXPECT_GT(first, 0u) << "the first batch sizes the slabs";
+    EXPECT_EQ(second, 0u);
+
+    // Both batches finished everything they issued.
+    EXPECT_EQ(sink.done, 2 * kPages);
+    EXPECT_EQ(pool.live(), 0u);
+    EXPECT_EQ(gpu.engine().outstandingWalks(), 0u);
+
+    // Every walk took the software path end to end, in multi-lane
+    // batches, and none queued at the distributor (its waiting queues
+    // are outside this gate).
+    const SoftWalkerBackend &backend = *softWalkerOf(gpu);
+    EXPECT_EQ(backend.stats().toSoftware, 2 * kPages);
+    EXPECT_EQ(backend.stats().queuedNoCapacity, 0u);
+    EXPECT_EQ(backend.inFlight(), 0u);
+    PwWarp::Stats pw = backend.aggregatePwWarpStats();
+    EXPECT_EQ(pw.walksCompleted, 2 * kPages);
+    EXPECT_LT(pw.batches, pw.walksCompleted);
+    EXPECT_GT(pw.ldptIssued, pw.walksCompleted);
+    EXPECT_EQ(pw.fl2tIssued, 2 * kPages);
 }
 
 } // namespace

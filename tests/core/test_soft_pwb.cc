@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "core/soft_pwb.hh"
 
 using namespace sw;
@@ -42,8 +45,8 @@ TEST(SoftPwb, CollectMarksProcessing)
     pwb.insert(req(1, 1), 0);
     pwb.insert(req(2, 2), 0);
     pwb.insert(req(3, 3), 0);
-    auto picked = pwb.collectValid(2);
-    EXPECT_EQ(picked.size(), 2u);
+    std::array<std::uint32_t, 2> picked{};
+    EXPECT_EQ(pwb.collectValid(picked), 2u);
     EXPECT_EQ(pwb.validCount(), 1u);
     for (auto idx : picked)
         EXPECT_EQ(pwb.slot(idx).state, SoftPwb::SlotState::Processing);
@@ -53,14 +56,16 @@ TEST(SoftPwb, CollectAllWhenFewerThanMax)
 {
     SoftPwb pwb(8);
     pwb.insert(req(1, 1), 0);
-    EXPECT_EQ(pwb.collectValid(32).size(), 1u);
+    std::array<std::uint32_t, 32> picked{};
+    EXPECT_EQ(pwb.collectValid(picked), 1u);
 }
 
 TEST(SoftPwb, ReleaseReturnsSlotToInvalid)
 {
     SoftPwb pwb(4);
     std::uint32_t slot = pwb.insert(req(7, 7), 0);
-    pwb.collectValid(4);
+    std::array<std::uint32_t, 4> picked{};
+    pwb.collectValid(picked);
     pwb.release(slot);
     EXPECT_EQ(pwb.freeSlots(), 4u);
     EXPECT_EQ(pwb.slot(slot).state, SoftPwb::SlotState::Invalid);
@@ -80,7 +85,8 @@ TEST(SoftPwb, SlotsReusedAfterRelease)
     SoftPwb pwb(2);
     std::uint32_t a = pwb.insert(req(1, 1), 0);
     pwb.insert(req(2, 2), 0);
-    pwb.collectValid(2);
+    std::array<std::uint32_t, 2> picked{};
+    pwb.collectValid(picked);
     pwb.release(a);
     std::uint32_t c = pwb.insert(req(3, 3), 0);
     EXPECT_EQ(c, a);

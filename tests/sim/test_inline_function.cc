@@ -7,6 +7,7 @@
 #include <memory>
 #include <utility>
 
+#include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
 
 using namespace sw;
@@ -40,6 +41,27 @@ struct Tracked
 
 int Tracked::live = 0;
 int Tracked::destroyed = 0;
+
+/** Counts how often a capture is moved or copied. */
+struct MoveCount
+{
+    static int moves;
+    static int copies;
+
+    MoveCount() = default;
+    MoveCount(const MoveCount &) noexcept { ++copies; }
+    MoveCount(MoveCount &&) noexcept { ++moves; }
+
+    static void
+    resetCounters()
+    {
+        moves = 0;
+        copies = 0;
+    }
+};
+
+int MoveCount::moves = 0;
+int MoveCount::copies = 0;
 
 } // namespace
 
@@ -244,4 +266,67 @@ TEST(SlabPool, DistinctSizeClassesDoNotMix)
     void *again = detail::SlabPool::allocate(400);
     EXPECT_EQ(again, large);
     detail::SlabPool::deallocate(again, 400);
+}
+
+/**
+ * The event queue builds each handler in its slab slot straight from the
+ * scheduled callable and runs it there: one move of the capture in all,
+ * and none when the event runs.
+ */
+TEST(InlineFunction, EventQueueBuildsHandlersInPlace)
+{
+    MoveCount::resetCounters();
+    Tracked::resetCounters();
+    EventQueue eq;
+    int ran = 0;
+    auto handler = [&ran, count = MoveCount{}, tracked = Tracked{}]() {
+        ++ran;
+    };
+    static_assert(EventFn::fitsInline<decltype(handler)>());
+    eq.schedule(10, std::move(handler));
+    EXPECT_EQ(MoveCount::moves, 1);
+    EXPECT_EQ(MoveCount::copies, 0);
+    EXPECT_EQ(Tracked::live, 2);   // the slot's copy + the moved-from one
+
+    eq.run();
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(MoveCount::moves, 1) << "dispatch moved the handler";
+    EXPECT_EQ(MoveCount::copies, 0);
+    EXPECT_EQ(Tracked::live, 1) << "the slot's handler was not destroyed";
+}
+
+/**
+ * A capture too large for the slot is built once in a slab-pool block,
+ * runs from there, and its block goes back to the pool's freelist.
+ */
+TEST(InlineFunction, EventQueueBuildsSpilledHandlersInPlace)
+{
+    std::array<std::uint8_t, 2 * kEventInlineBytes> blob{};
+    blob[3] = 7;
+    MoveCount::resetCounters();
+    Tracked::resetCounters();
+    auto handler = [blob, count = MoveCount{}, tracked = Tracked{}]() {
+        EXPECT_EQ(blob[3], 7);
+    };
+    static_assert(!EventFn::fitsInline<decltype(handler)>());
+
+    // Park one block of the handler's size class on the freelist.
+    detail::SlabPool::deallocate(
+        detail::SlabPool::allocate(sizeof(handler)), sizeof(handler));
+    std::size_t parked = detail::SlabPool::freeBlocks();
+
+    {
+        EventQueue eq;
+        eq.schedule(3, std::move(handler));
+        EXPECT_EQ(detail::SlabPool::freeBlocks(), parked - 1);
+        EXPECT_EQ(MoveCount::moves, 1);
+        EXPECT_EQ(Tracked::live, 2);
+
+        eq.run();
+        EXPECT_EQ(eq.eventsExecuted(), 1u);
+        EXPECT_EQ(MoveCount::moves, 1) << "dispatch moved the handler";
+        EXPECT_EQ(MoveCount::copies, 0);
+        EXPECT_EQ(Tracked::live, 1);
+        EXPECT_EQ(detail::SlabPool::freeBlocks(), parked);
+    }
 }
