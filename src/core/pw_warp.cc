@@ -1,5 +1,6 @@
 #include "core/pw_warp.hh"
 
+#include <array>
 #include <span>
 
 #include "check/audit.hh"
@@ -50,6 +51,8 @@ PwWarp::startBatch()
     running = true;
     batchStart = eventq.now();
 
+    if (!lanes)
+        lanes = std::make_unique<Lane[]>(numLanes);
     std::array<std::uint32_t, kMaxLanes> picked;
     batchLanes = pwb.collectValid(std::span(picked).first(numLanes));
     SW_ASSERT(batchLanes > 0, "batch started with no valid entries");
@@ -159,7 +162,7 @@ PwWarp::finishBatch()
     SW_PROF_SCOPE(prof::Zone::PwWarpExec);
     // FL2T for every lane (plus FFB for faulted lanes), then the fills
     // travel back to the L2 TLB over the interconnect.
-    std::span<const Lane> batch(lanes.data(), batchLanes);
+    std::span<const Lane> batch(lanes.get(), batchLanes);
     std::uint32_t fault_lanes = 0;
     for (const Lane &lane : batch)
         if (lane.cursor.fault)

@@ -14,9 +14,9 @@
 #ifndef SW_CORE_PW_WARP_HH
 #define SW_CORE_PW_WARP_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "core/isa.hh"
 #include "core/soft_pwb.hh"
@@ -138,8 +138,11 @@ class PwWarp
     const LifecycleStream &lifecycle_;
 
     bool running = false;
-    /** The running batch: lanes[0, batchLanes). */
-    std::array<Lane, kMaxLanes> lanes{};
+    /**
+     * The running batch is lanes[0, batchLanes).  numLanes of them, taken
+     * on the first batch so that building the machine costs nothing.
+     */
+    std::unique_ptr<Lane[]> lanes;
     std::uint32_t batchLanes = 0;
     std::uint32_t pendingLoads = 0;
     std::uint32_t fillsInTransit_ = 0;

@@ -27,7 +27,6 @@ SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
         cfg.rngSeed ^ 0x5077a1cebeefULL, std::move(probe),
         pinned ? cfg.numTenants : 1);
     waiting.resize(cfg.numTenants);
-    transit.resize(std::size_t(cfg.numSms) * cfg.softPwbEntries);
 
     EventQueue &eq = gpu.eventQueue();
     TranslationEngine &engine = gpu.engine();
@@ -140,6 +139,10 @@ SoftWalkerBackend::sendToSm(SmId target, WalkRequest req)
     SW_LIFECYCLE(gpu.lifecycle(), LifecyclePhase::PwHosted,
                  gpu.eventQueue().now(), req.id, req.key, target, true);
     // L2 TLB -> SM interconnect hop (modeled as the L2 TLB latency, §6.1).
+    // The ring is sized on the first hop, so building a machine that
+    // never walks in software costs nothing.
+    if (transit.empty())
+        transit.resize(std::size_t(cfg.numSms) * cfg.softPwbEntries);
     SW_ASSERT(commInTransit < transit.size(),
               "interconnect ring overflow: %llu requests in transit",
               static_cast<unsigned long long>(commInTransit));
