@@ -281,9 +281,9 @@ class SoftWalkAllocs : public ::testing::Test
         : gpu(test::smallSoftWalkerConfig(),
               std::make_unique<RandomAccessWorkload>("idle", 64ull << 20,
                                                      5)),
-          pool(gpu.memory().requests()),
-          sink((installWalkBackend(gpu), pool))
+          pool(gpu.memory().requests()), sink(pool)
     {
+        installWalkBackend(gpu);
     }
 
     /**
