@@ -188,4 +188,47 @@ TEST(CheckpointRoundtrip, CheckpointBytesGaugeAdvances)
     EXPECT_GT(checkpointBytesWritten(), before);
 }
 
+/** FNV-1a 64 of a checkpoint image. */
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (std::uint8_t b : bytes) {
+        hash ^= b;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+/** The image encodeCheckpoint() writes at a bfs run's 1000-instr barrier. */
+std::vector<std::uint8_t>
+bfsBarrierImage(const GpuConfig &cfg)
+{
+    Gpu::RunLimits limits = smallLimits();
+    std::uint64_t barrier = 1000;
+    Gpu gpu(cfg, makeWorkload(findBenchmark("bfs")));
+    installWalkBackend(gpu);
+    gpu.runSegment(barrier, limits.warmupInstrs, limits);
+    return encodeCheckpoint(gpu, barrier);
+}
+
+// Golden images: the softwalker.ckpt/2 bytes of both machines are pinned,
+// so a change to how any component lays out its state (the cache tag
+// store included) cannot alter the format unnoticed.  Regenerate only with
+// a format version bump or a change that moves simulated results.
+TEST(CheckpointGolden, BfsHardwareImage)
+{
+    std::vector<std::uint8_t> image = bfsBarrierImage(test::smallConfig());
+    EXPECT_EQ(image.size(), 367780u);
+    EXPECT_EQ(fnv1a(image), 0xd5efa1a2f1c24f9cull);
+}
+
+TEST(CheckpointGolden, BfsSoftWalkerImage)
+{
+    std::vector<std::uint8_t> image =
+        bfsBarrierImage(test::smallSoftWalkerConfig());
+    EXPECT_EQ(image.size(), 368418u);
+    EXPECT_EQ(fnv1a(image), 0xa2d1af454faf65d3ull);
+}
+
 } // namespace
