@@ -189,4 +189,31 @@ TEST(CkptErrors, SectionSkewIsFatal)
     EXPECT_DEATH(restoreCheckpoint(*gpu, path), "section skew");
 }
 
+TEST(CkptErrors, CacheTagPastTheLineAddressSpaceIsFatal)
+{
+    // The cache keeps each line's full address, rebuilt on restore as
+    // tag * sets + set.  A saved tag no physical address produces must
+    // die, never wrap around into a resident line or the empty-way
+    // sentinel.
+    GpuConfig cfg = test::smallConfig();
+    std::vector<std::uint8_t> bytes = validImage(cfg);
+    // The L2D section: "cache", its name, then u32 lines, u32 valid, and
+    // per valid line u32 index, u64 tag, u32 sector mask, u64 LRU tick.
+    const std::uint8_t pattern[] = {5,   0,   0,   0,   'c', 'a', 'c', 'h',
+                                    'e', 3,   0,   0,   0,   'l', '2', 'd'};
+    auto it = std::search(bytes.begin(), bytes.end(), std::begin(pattern),
+                          std::end(pattern));
+    ASSERT_NE(it, bytes.end());
+    std::size_t at = std::size_t(it - bytes.begin()) + sizeof(pattern);
+    ASSERT_NE(bytes[at + 4] | bytes[at + 5] | bytes[at + 6] | bytes[at + 7],
+              0) << "the L2D holds no valid line to corrupt";
+    std::size_t tag_at = at + 8 + 4;
+    for (std::size_t i = 0; i < 8; ++i)
+        bytes[tag_at + i] = 0xff;
+    std::string path = writeBytes("cache-tag.swckpt", bytes);
+    std::unique_ptr<Gpu> gpu = freshGpu(cfg);
+    EXPECT_DEATH(restoreCheckpoint(*gpu, path),
+                 "'l2d' line [0-9]+: tag 0xffffffffffffffff overflows");
+}
+
 } // namespace
