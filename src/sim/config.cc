@@ -1,5 +1,7 @@
 #include "sim/config.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace sw {
@@ -63,13 +65,41 @@ GpuConfig::validate() const
         fatal("GpuConfig: core organisation must be non-zero");
     if (warpSize > 32)
         fatal("GpuConfig: warpSize > 32 unsupported");
+    if (l1TlbEntries == 0)
+        fatal("GpuConfig: l1TlbEntries must be non-zero");
+    if (l2TlbEntries == 0 || l2TlbWays == 0)
+        fatal("GpuConfig: l2TlbEntries and l2TlbWays must be non-zero");
     if (l2TlbEntries % l2TlbWays != 0)
         fatal("GpuConfig: L2 TLB entries (%u) not divisible by ways (%u)",
               l2TlbEntries, l2TlbWays);
     if (pageBytes != 64ull * 1024 && pageBytes != 2ull * 1024 * 1024)
         fatal("GpuConfig: page size must be 64KB or 2MB");
+    // The caches split addresses with shifts and masks.
+    if (!std::has_single_bit(lineBytes) || lineBytes < 2)
+        fatal("GpuConfig: lineBytes (%u) must be a power of two >= 2",
+              lineBytes);
+    if (!std::has_single_bit(sectorBytes))
+        fatal("GpuConfig: sectorBytes (%u) must be a power of two",
+              sectorBytes);
     if (lineBytes % sectorBytes != 0)
         fatal("GpuConfig: line size not a multiple of sector size");
+    if (lineBytes / sectorBytes > 32) {
+        fatal("GpuConfig: %u sectors per line (lineBytes / sectorBytes) "
+              "exceed the 32-bit sector mask", lineBytes / sectorBytes);
+    }
+    auto check_cache = [this](const char *name, std::uint64_t bytes,
+                              std::uint32_t ways) {
+        if (ways == 0)
+            fatal("GpuConfig: %sWays must be non-zero", name);
+        std::uint64_t set_bytes = std::uint64_t(lineBytes) * ways;
+        if (bytes == 0 || bytes % set_bytes != 0) {
+            fatal("GpuConfig: %sBytes (%llu) is not a whole number of "
+                  "%u-way sets of %u-byte lines", name,
+                  static_cast<unsigned long long>(bytes), ways, lineBytes);
+        }
+    };
+    check_cache("l1d", l1dBytes, l1dWays);
+    check_cache("l2d", l2dBytes, l2dWays);
     if (mode != TranslationMode::HardwarePtw &&
         mode != TranslationMode::Ideal && softPwbEntries == 0) {
         fatal("GpuConfig: SoftWalker mode requires SoftPWB entries");
