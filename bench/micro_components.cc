@@ -126,7 +126,11 @@ struct CacheBenchRig : Cache::Below, RequestSink
 
     void requestDone(RequestId id) override { pool.free(id); }
 
-    RequestId issue() { return pool.alloc({.addr = 0}); }
+    RequestId
+    issue(PhysAddr addr = 0)
+    {
+        return pool.alloc({.addr = addr});
+    }
 
     EventQueue &eq;
     RequestPool pool;
@@ -151,6 +155,29 @@ BM_CacheAccessHit(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheAccessHit);
+
+static void
+BM_CacheMissSweep(benchmark::State &state)
+{
+    EventQueue eq;
+    CacheBenchRig rig(eq);
+    Cache::Params params;   // the Table 3 L2D: 4 MB, 16-way, 128 B lines
+    params.sizeBytes = 4ull * 1024 * 1024;
+    params.ways = 16;
+    params.latency = 1;
+    Cache cache(eq, params, rig.pool, rig);
+    // Random sectors over four times the capacity: nearly every access
+    // scans a full set, misses and picks a victim.
+    const std::uint64_t sectors = 4 * params.sizeBytes / params.sectorBytes;
+    Rng rng(7);
+    for (auto _ : state) {
+        cache.access(rig.issue(rng.range(sectors) * params.sectorBytes));
+        eq.run();
+    }
+    benchmark::DoNotOptimize(cache.stats().evictions);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheMissSweep);
 
 static void
 BM_RngRange(benchmark::State &state)
