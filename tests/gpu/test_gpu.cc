@@ -112,6 +112,21 @@ TEST(Gpu, LargePageMode)
     EXPECT_EQ(gpu.instructionsIssued(), 100u);
 }
 
+TEST(Gpu, CacheSetCountsNeedNotBePowersOfTwo)
+{
+    // A 96 KB L1D (96 sets of 8 ways) and a 3 MB L2D (1,536 sets of 16):
+    // the Gpu validates its config, so these pass validate() and drain.
+    GpuConfig cfg = test::smallConfig();
+    cfg.l1dBytes = 96 * 1024;
+    cfg.l2dBytes = 3ull * 1024 * 1024;
+    Gpu gpu(cfg, streamWorkload());
+    Gpu::RunLimits limits;
+    limits.warpInstrQuota = 100;
+    gpu.run(limits);
+    EXPECT_EQ(gpu.instructionsIssued(), 100u);
+    EXPECT_TRUE(gpu.eventQueue().empty());
+}
+
 TEST(Gpu, TraceHookDeliversInstructions)
 {
     Gpu gpu(test::smallConfig(), streamWorkload());
