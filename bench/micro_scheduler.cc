@@ -8,7 +8,7 @@
  * periodic sweep-hook workload, a queue as deep as gups-sw's with its
  * measured delays, and delays that all land in the far heap.
  *
- * BM_LegacyQueue* replicate the pre-InlineFunction design in-file — a
+ * BM_LegacyQueue* replicate the pre-EventFn design in-file — a
  * std::priority_queue of {cycle, seq, std::function} — so the speedup of
  * the current design is measured against the exact structure it replaced
  * rather than against memory.
@@ -49,7 +49,7 @@ struct Pad64
     std::uint64_t a[8] = {};
 };
 
-/** The design InlineFunction replaced, reproduced for comparison. */
+/** The design EventFn replaced, reproduced for comparison. */
 class LegacyQueue
 {
   public:
@@ -278,30 +278,6 @@ BM_ScheduleWithPeriodicCheck(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kEvents);
 }
 BENCHMARK(BM_ScheduleWithPeriodicCheck);
-
-/** Slab-spilling captures (larger than kEventInlineBytes): the slow path. */
-static void
-BM_ScheduleOversized(benchmark::State &state)
-{
-    struct Pad128
-    {
-        std::uint64_t a[16] = {};
-    };
-    for (auto _ : state) {
-        EventQueue eq;
-        std::uint64_t sink = 0;
-        Pad128 pad;
-        for (int i = 0; i < kEvents; ++i) {
-            pad.a[0] = std::uint64_t(i);
-            eq.schedule(Cycle(i * 7 % 997),
-                        [&sink, pad]() { sink += pad.a[0]; });
-        }
-        eq.run();
-        benchmark::DoNotOptimize(sink);
-    }
-    state.SetItemsProcessed(state.iterations() * kEvents);
-}
-BENCHMARK(BM_ScheduleOversized);
 
 /** gups-sw's peak depth (16,800 pending) with its measured delays. */
 static void

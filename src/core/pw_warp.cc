@@ -77,10 +77,7 @@ PwWarp::startBatch()
     stats_.instructionsIssued += timing.setupInstrs;
     Cycle setup_done =
         hooks.reserveIssue(timing.setupInstrs, lanes[0].key.asid);
-    auto fire = [this]() { levelIteration(); };
-    static_assert(EventFn::fitsInline<decltype(fire)>(),
-                  "batch setup event must not spill to the slab pool");
-    eventq.schedule(setup_done, std::move(fire));
+    eventq.schedule(setup_done, [this]() { levelIteration(); });
 }
 
 void
@@ -111,15 +108,12 @@ PwWarp::levelIteration()
         const PageTableBase &pt =
             spaces.tableFor(lanes[lane_idx].key.asid);
         PhysAddr addr = pt.pteAddr(lanes[lane_idx].cursor);
-        auto fire = [this, lane_idx, addr]() {
+        eventq.schedule(issue_done, [this, lane_idx, addr]() {
             SW_LIFECYCLE(lifecycle_, LifecyclePhase::PtRead, eventq.now(),
                          lanes[lane_idx].id, lanes[lane_idx].key,
                          hooks.walker, true);
             hooks.ptReader->ptRead(addr, hooks.walker, lane_idx);
-        };
-        static_assert(EventFn::fitsInline<decltype(fire)>(),
-                      "LDPT issue event must not spill to the slab pool");
-        eventq.schedule(issue_done, std::move(fire));
+        });
     }
 }
 
@@ -193,14 +187,11 @@ PwWarp::finishBatch()
         // The SoftPWB slot frees now; the fill is in transit until the
         // FL2T/FFB lands at the L2 TLB and the distributor credit drops.
         ++fillsInTransit_;
-        auto fire = [this, result]() {
+        eventq.schedule(arrive, [this, result]() {
             SW_ASSERT(fillsInTransit_ > 0, "FL2T transit underflow");
             --fillsInTransit_;
             hooks.complete(result);
-        };
-        static_assert(EventFn::fitsInline<decltype(fire)>(),
-                      "FL2T fill event must not spill to the slab pool");
-        eventq.schedule(arrive, std::move(fire));
+        });
         pwb.release(lane.slot);
         ++stats_.walksCompleted;
     }

@@ -151,17 +151,14 @@ SoftWalkerBackend::sendToSm(SmId target, WalkRequest req)
         tail -= transit.size();
     transit[tail] = Hop{std::move(req), target};
     ++commInTransit;
-    auto fire = [this]() {
+    gpu.eventQueue().scheduleIn(cfg.effectiveCommLatency(), [this]() {
         SW_ASSERT(commInTransit > 0, "interconnect transit underflow");
         Hop &hop = transit[transitHead];
         if (++transitHead == transit.size())
             transitHead = 0;
         --commInTransit;
         controllers[hop.target]->accept(std::move(hop.req));
-    };
-    static_assert(EventFn::fitsInline<decltype(fire)>(),
-                  "interconnect hop event must not spill to the slab pool");
-    gpu.eventQueue().scheduleIn(cfg.effectiveCommLatency(), std::move(fire));
+    });
 }
 
 std::size_t

@@ -68,10 +68,8 @@ Sm::fetchAndSchedule(WarpId warp)
     --*quota;
     ws.pending = workload.next(params_.id, warp, rng);
     stats_.computeCycles += ws.pending.computeGap;
-    auto fire = [this, warp]() { tryIssue(warp); };
-    static_assert(EventFn::fitsInline<decltype(fire)>(),
-                  "warp issue event must not spill to the slab pool");
-    eventq.scheduleIn(ws.pending.computeGap, std::move(fire));
+    eventq.scheduleIn(ws.pending.computeGap,
+                      [this, warp]() { tryIssue(warp); });
 }
 
 void

@@ -80,10 +80,8 @@ void
 Cache::access(RequestId id)
 {
     ++stats_.accesses;
-    auto fire = [this, id]() { lookup(id, /*retry=*/false); };
-    static_assert(EventFn::fitsInline<decltype(fire)>(),
-                  "cache access event must not spill to the slab pool");
-    eventq.scheduleIn(params_.latency, std::move(fire));
+    eventq.scheduleIn(params_.latency,
+                      [this, id]() { lookup(id, /*retry=*/false); });
 }
 
 bool

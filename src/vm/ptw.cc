@@ -64,7 +64,7 @@ HardwarePtwPool::submit(WalkRequest req)
 
     Cycle enq_done = reservePort();
     ++enqInTransit;
-    auto fire = [this, req = std::move(req)]() mutable {
+    eventq.schedule(enq_done, [this, req = std::move(req)]() mutable {
         SW_ASSERT(enqInTransit > 0, "PWB enqueue transit underflow");
         --enqInTransit;
         if (pwb.size() < params_.pwbEntries) {
@@ -74,10 +74,7 @@ HardwarePtwPool::submit(WalkRequest req)
             overflow.push_back(std::move(req));
         }
         dispatch();
-    };
-    static_assert(EventFn::fitsInline<decltype(fire)>(),
-                  "PWB enqueue event must not spill to the slab pool");
-    eventq.schedule(enq_done, std::move(fire));
+    });
 }
 
 void

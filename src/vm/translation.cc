@@ -94,10 +94,7 @@ TranslationEngine::translate(RequestId id)
     ++stats_.requests;
     ++tenantStats_[req.asid].requests;
     req.start = eventq.now();
-    auto fire = [this, id]() { l1Lookup(id); };
-    static_assert(EventFn::fitsInline<decltype(fire)>(),
-                  "L1 lookup event must not spill to the slab pool");
-    eventq.scheduleIn(cfg.l1TlbLatency, std::move(fire));
+    eventq.scheduleIn(cfg.l1TlbLatency, [this, id]() { l1Lookup(id); });
 }
 
 void
@@ -168,10 +165,7 @@ TranslationEngine::sendToL2(SmId sm, TranslationKey key)
                                .unit = sm,
                                .asid = std::uint16_t(key.asid),
                                .done = Done::Translation});
-    auto fire = [this, id]() { l2Access(id); };
-    static_assert(EventFn::fitsInline<decltype(fire)>(),
-                  "L2 hop event must not spill to the slab pool");
-    eventq.scheduleIn(cfg.l2TlbLatency, std::move(fire));
+    eventq.scheduleIn(cfg.l2TlbLatency, [this, id]() { l2Access(id); });
 }
 
 void
@@ -297,7 +291,7 @@ TranslationEngine::createWalk(TranslationKey key, Cycle created)
     if (mapOnDemand)
         spaces_.tableFor(key.asid).ensureMapped(key.vpn);
 
-    auto fire = [this, key, created]() {
+    eventq.scheduleIn(cfg.pwcLatency, [this, key, created]() {
         PageTableBase &pt = spaces_.tableFor(key.asid);
         int level = 0;
         PhysAddr base = 0;
@@ -315,10 +309,7 @@ TranslationEngine::createWalk(TranslationKey key, Cycle created)
         SW_LIFECYCLE(lifecycle_, LifecyclePhase::BackendSubmit, eventq.now(),
                      req.id, key);
         walkBackend->submit(std::move(req));
-    };
-    static_assert(EventFn::fitsInline<decltype(fire)>(),
-                  "walk-creation event must not spill to the slab pool");
-    eventq.scheduleIn(cfg.pwcLatency, std::move(fire));
+    });
 }
 
 void

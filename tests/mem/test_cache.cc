@@ -89,7 +89,6 @@ class CacheTest : public ::testing::Test
         Cycle start = eq.now();
         bool done = false;
         access(cache, addr, write, [&]() { done = true; });
-        eq.run(kCycleMax, [&]() { return done; });
         while (!done && eq.runOne()) {
         }
         return eq.now() - start;

@@ -95,16 +95,6 @@ TEST(EventQueue, RunHonoursCycleLimit)
     EXPECT_EQ(eq.pending(), 1u);
 }
 
-TEST(EventQueue, RunHonoursPredicate)
-{
-    EventQueue eq;
-    int fired = 0;
-    for (Cycle c = 1; c <= 10; ++c)
-        eq.schedule(c, [&]() { ++fired; });
-    eq.run(kCycleMax, [&]() { return fired >= 4; });
-    EXPECT_EQ(fired, 4);
-}
-
 TEST(EventQueue, EventsExecutedCounts)
 {
     EventQueue eq;

@@ -148,19 +148,6 @@ TEST(TidyFixtures, WallclockMacroBodyInSimStillFires)
     expectFixture("wallclock_macro_body.cc");
 }
 
-TEST(TidyFixtures, InlineCaptureSpillFires)
-{
-    auto expected = parseExpected(fixtureDir() / "capture_fire.cc");
-    EXPECT_EQ(expected.size(), 2u)
-        << "fixture should mark the literal and the named lambda";
-    expectFixture("capture_fire.cc");
-}
-
-TEST(TidyFixtures, InlineCaptureSpillClean)
-{
-    expectFixture("capture_clean.cc");
-}
-
 TEST(TidyFixtures, StatRegistrationFires)
 {
     expectFixture("stats_fire.cc");

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -234,7 +233,6 @@ struct Field
     std::string type;
     std::string name;
     int line = 0;            ///< 1-based
-    std::size_t count = 1;   ///< array element count
 };
 
 struct StructDef
@@ -310,8 +308,8 @@ const std::vector<std::string> &
 allChecks()
 {
     static const std::vector<std::string> names = {
-        kNondeterministicIteration, kWallclockInSim, kInlineCaptureSpill,
-        kStatRegistration, kAuditSideEffect, kRawVpnKey};
+        kNondeterministicIteration, kWallclockInSim, kStatRegistration,
+        kAuditSideEffect, kRawVpnKey};
     return names;
 }
 
@@ -629,7 +627,7 @@ struct Analyzer::Impl
                   std::size_t begin, std::size_t end, StructDef &def)
     {
         static const std::regex fieldRe(
-            R"(^\s*(?:mutable\s+)?([A-Za-z_][\w:]*(?:\s*<[^;{}]*>)?)\s+([A-Za-z_]\w*)\s*(?:\[\s*(\d+)\s*\])?\s*(?:=[^;]*|\{[^;{}]*\})?;)");
+            R"(^\s*(?:mutable\s+)?([A-Za-z_][\w:]*(?:\s*<[^;{}]*>)?)\s+([A-Za-z_]\w*)\s*(?:\[\s*\d+\s*\])?\s*(?:=[^;]*|\{[^;{}]*\})?;)");
         int depth = 0;
         std::size_t lineStart = begin;
         for (std::size_t i = begin; i <= end; ++i) {
@@ -650,9 +648,6 @@ struct Analyzer::Impl
                             field.name = m[2].str();
                             field.line = f.lineOf(lineStart +
                                                   m.position(2));
-                            field.count = m[3].matched
-                                              ? std::stoul(m[3].str())
-                                              : 1;
                             def.fields.push_back(std::move(field));
                         }
                     }
@@ -773,136 +768,6 @@ struct Analyzer::Impl
                 continue;
             out[f.stem] += code.substr(p, bodyEnd - p) + "\n";
         }
-    }
-
-    // ---- type sizing (capture estimation) ---------------------------------
-
-    std::string
-    resolveAlias(std::string type) const
-    {
-        for (int hop = 0; hop < 8; ++hop) {
-            auto it = aliases.find(type);
-            if (it == aliases.end())
-                return type;
-            type = it->second;
-            if (startsWith(type, "std::"))
-                return type;
-        }
-        return type;
-    }
-
-    /**
-     * Estimated sizeof for a (lexical) type name.  Unknown types estimate
-     * as pointer-size, so the engine under-approximates: it never flags a
-     * closure it cannot prove oversized.
-     */
-    std::size_t
-    sizeOfType(std::string type, int depth = 0) const
-    {
-        type = trim(type);
-        if (depth > 6 || type.empty())
-            return 8;
-        for (const char *prefix : {"const ", "volatile ", "typename ",
-                                   "struct ", "mutable "})
-            if (startsWith(type, prefix))
-                return sizeOfType(type.substr(strlenConst(prefix)), depth + 1);
-        if (type.back() == '*')
-            return 8;
-        if (type.back() == '&')
-            return sizeOfType(type.substr(0, type.size() - 1), depth + 1);
-        auto custom = opts.typeSizes.find(type);
-        if (custom != opts.typeSizes.end())
-            return custom->second;
-
-        static const std::map<std::string, std::size_t> builtins = {
-            {"bool", 1},          {"char", 1},
-            {"signed char", 1},   {"unsigned char", 1},
-            {"short", 2},         {"unsigned short", 2},
-            {"int", 4},           {"unsigned", 4},
-            {"unsigned int", 4},  {"float", 4},
-            {"long", 8},          {"unsigned long", 8},
-            {"long long", 8},     {"unsigned long long", 8},
-            {"double", 8},        {"long double", 16},
-            {"int8_t", 1},        {"uint8_t", 1},
-            {"int16_t", 2},       {"uint16_t", 2},
-            {"int32_t", 4},       {"uint32_t", 4},
-            {"int64_t", 8},       {"uint64_t", 8},
-            {"size_t", 8},        {"ptrdiff_t", 8},
-            {"intptr_t", 8},      {"uintptr_t", 8},
-        };
-        std::string bare = type;
-        if (startsWith(bare, "std::"))
-            bare = bare.substr(5);
-        auto b = builtins.find(bare);
-        if (b != builtins.end())
-            return b->second;
-
-        // Templated standard vocabulary types.
-        std::size_t lt = bare.find('<');
-        std::string head = lt == std::string::npos ? bare
-                                                   : trim(bare.substr(0, lt));
-        std::string args = lt == std::string::npos
-                               ? ""
-                               : bare.substr(lt + 1,
-                                             bare.rfind('>') - lt - 1);
-        static const std::map<std::string, std::size_t> templates = {
-            {"vector", 24},     {"deque", 80},      {"string", 32},
-            {"basic_string", 32}, {"function", 32}, {"unique_ptr", 8},
-            {"shared_ptr", 16}, {"weak_ptr", 16},   {"string_view", 16},
-            {"span", 16},       {"map", 48},        {"set", 48},
-            {"unordered_map", 56}, {"unordered_set", 56}, {"list", 24},
-        };
-        auto t = templates.find(head);
-        if (t != templates.end())
-            return t->second;
-        if (head == "pair" || head == "tuple") {
-            std::size_t total = 0;
-            for (const std::string &arg : splitTopLevel(args))
-                total += align8(sizeOfType(arg, depth + 1));
-            return total ? total : 8;
-        }
-        if (head == "optional")
-            return align8(sizeOfType(args, depth + 1)) + 8;
-        if (head == "array") {
-            std::vector<std::string> parts = splitTopLevel(args);
-            if (parts.size() == 2) {
-                char *endp = nullptr;
-                std::string n = trim(parts[1]);
-                unsigned long count = std::strtoul(n.c_str(), &endp, 10);
-                if (endp && *endp == '\0' && count > 0)
-                    return count * sizeOfType(parts[0], depth + 1);
-            }
-            return 8;
-        }
-
-        // Project aliases, then project structs.
-        std::string resolved = resolveAlias(bare);
-        if (resolved != bare && resolved != type)
-            return sizeOfType(resolved, depth + 1);
-        std::size_t scope = bare.rfind("::");
-        std::string leaf = scope == std::string::npos
-                               ? bare
-                               : bare.substr(scope + 2);
-        for (const StructDef &def : structs) {
-            if (def.name != leaf)
-                continue;
-            std::size_t total = 0;
-            for (const Field &field : def.fields) {
-                std::size_t one = sizeOfType(field.type, depth + 1);
-                std::size_t al = std::min<std::size_t>(
-                    8, one ? one : 1);
-                total = (total + al - 1) / al * al;
-                total += one * field.count;
-            }
-            return align8(total ? total : 1);
-        }
-        return 8; // unknown: assume pointer-ish
-    }
-
-    static std::size_t
-    align8(std::size_t n)
-    {
-        return (n + 7) / 8 * 8;
     }
 
     /**
@@ -1176,160 +1041,6 @@ struct Analyzer::Impl
     }
 
     void
-    checkInlineCaptureSpill(const SourceFile &f)
-    {
-        const std::string &code = f.code;
-        for (const char *method : {"schedule", "scheduleIn"}) {
-            std::size_t pos = 0;
-            while ((pos = code.find(method, pos)) != std::string::npos) {
-                std::size_t here = pos;
-                pos += strlenConst(method);
-                if (!wordAt(code, here, method))
-                    continue;
-                // Member access only: x.schedule( / x->schedule(
-                std::size_t before = here;
-                while (before > 0 && std::isspace(static_cast<unsigned char>(
-                                         code[before - 1])))
-                    --before;
-                bool member =
-                    (before > 0 && code[before - 1] == '.') ||
-                    (before > 1 && code[before - 2] == '-' &&
-                     code[before - 1] == '>');
-                if (!member)
-                    continue;
-                std::size_t open = skipSpaces(code,
-                                              here + strlenConst(method));
-                if (open >= code.size() || code[open] != '(')
-                    continue;
-                std::size_t close = matchGroup(code, open);
-                if (close == std::string::npos)
-                    continue;
-                std::string args =
-                    code.substr(open + 1, close - open - 2);
-                for (const std::string &rawArg : splitTopLevel(args)) {
-                    std::string arg = trim(rawArg);
-                    if (arg.empty())
-                        continue;
-                    if (arg[0] == '[') {
-                        analyzeLambda(f, arg, open + 1);
-                        continue;
-                    }
-                    std::string name = arg;
-                    if (startsWith(name, "std::move(") &&
-                        name.back() == ')')
-                        name = trim(name.substr(10, name.size() - 11));
-                    bool ident = !name.empty();
-                    for (char c : name)
-                        if (!identChar(c))
-                            ident = false;
-                    if (!ident)
-                        continue;
-                    findAndAnalyzeNamedLambda(f, name, here);
-                }
-            }
-        }
-    }
-
-    /** Locates `auto <name> = [captures]...` above @p beforePos. */
-    void
-    findAndAnalyzeNamedLambda(const SourceFile &f, const std::string &name,
-                              std::size_t beforePos)
-    {
-        const std::string &code = f.code;
-        std::size_t best = std::string::npos;
-        std::size_t pos = 0;
-        while ((pos = code.find(name, pos)) != std::string::npos &&
-               pos < beforePos) {
-            std::size_t here = pos;
-            pos += name.size();
-            if (!wordAt(code, here, name))
-                continue;
-            // require "auto" before
-            std::size_t t = here;
-            while (t > 0 &&
-                   std::isspace(static_cast<unsigned char>(code[t - 1])))
-                --t;
-            if (t < 4 || code.compare(t - 4, 4, "auto") != 0)
-                continue;
-            std::size_t eq = skipSpaces(code, here + name.size());
-            if (eq >= code.size() || code[eq] != '=')
-                continue;
-            std::size_t lam = skipSpaces(code, eq + 1);
-            if (lam < code.size() && code[lam] == '[')
-                best = lam;
-        }
-        if (best == std::string::npos)
-            return;
-        std::size_t capEnd = matchGroup(code, best);
-        if (capEnd == std::string::npos)
-            return;
-        analyzeCaptures(f, code.substr(best + 1, capEnd - best - 2), best);
-    }
-
-    /** @p lambda starts with '['; analyze its capture list. */
-    void
-    analyzeLambda(const SourceFile &f, const std::string &lambda,
-                  std::size_t atPos)
-    {
-        std::size_t capEnd = matchGroup(lambda, 0);
-        if (capEnd == std::string::npos)
-            return;
-        analyzeCaptures(f, lambda.substr(1, capEnd - 2), atPos);
-    }
-
-    void
-    analyzeCaptures(const SourceFile &f, const std::string &captures,
-                    std::size_t atPos)
-    {
-        std::size_t total = 0;
-        std::vector<std::string> breakdown;
-        for (const std::string &rawCap : splitTopLevel(captures)) {
-            std::string cap = trim(rawCap);
-            if (cap.empty())
-                continue;
-            if (cap == "&" || cap == "=" || cap == "*this")
-                return; // default / whole-object capture: cannot estimate
-            std::size_t sz;
-            if (cap == "this" || cap[0] == '&') {
-                sz = 8;
-            } else {
-                std::string name = cap;
-                std::size_t eq = cap.find('=');
-                if (eq != std::string::npos) {
-                    std::string rhs = trim(cap.substr(eq + 1));
-                    if (startsWith(rhs, "std::move(") && rhs.back() == ')')
-                        rhs = trim(rhs.substr(10, rhs.size() - 11));
-                    name = rhs;
-                    bool ident = !name.empty();
-                    for (char c : name)
-                        if (!identChar(c))
-                            ident = false;
-                    if (!ident) {
-                        total += 8; // opaque init-capture: pointer-ish
-                        continue;
-                    }
-                }
-                std::string type = findDeclType(f, name, atPos);
-                sz = type.empty() ? 8 : sizeOfType(type);
-            }
-            total += sz;
-            breakdown.push_back(cap + "≈" + std::to_string(sz));
-        }
-        if (total > opts.inlineBytes) {
-            std::string detail;
-            for (std::size_t i = 0; i < breakdown.size(); ++i)
-                detail += (i ? ", " : "") + breakdown[i];
-            report(f, atPos, kInlineCaptureSpill,
-                   "lambda scheduled on the EventQueue captures an estimated " +
-                       std::to_string(total) + " bytes (" + detail +
-                       "), over the " + std::to_string(opts.inlineBytes) +
-                       "-byte InlineFunction inline buffer; the closure "
-                       "spills to the slab pool on every schedule — shrink "
-                       "the capture (indices instead of objects)");
-        }
-    }
-
-    void
     checkStatRegistration(const SourceFile &f)
     {
         for (const StructDef &def : structs) {
@@ -1594,8 +1305,6 @@ struct Analyzer::Impl
                 checkNondeterministicIteration(f);
             if (checkEnabled(kWallclockInSim))
                 checkWallclock(f);
-            if (checkEnabled(kInlineCaptureSpill))
-                checkInlineCaptureSpill(f);
             if (checkEnabled(kStatRegistration))
                 checkStatRegistration(f);
             if (checkEnabled(kAuditSideEffect))

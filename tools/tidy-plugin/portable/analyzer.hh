@@ -6,9 +6,10 @@
  * A lexer-level analyzer with no LLVM dependency, so the fixture suite
  * and the src/-tree cleanliness gate run under plain ctest on any
  * toolchain.  Findings are suppressed with `// NOLINT(softwalker-...)`.
- * Where the lexical model cannot prove a property (default captures,
- * macro-generated code) the engine stays silent rather than guessing: it
- * under-approximates, so it never blocks the build on a false positive.
+ * Where the lexical model cannot prove a property (macro-generated code,
+ * a declaration it cannot find) the engine stays silent rather than
+ * guessing: it under-approximates, so it never blocks the build on a
+ * false positive.
  *
  * Checks:
  *  - softwalker-nondeterministic-iteration: range-for / .begin() loops
@@ -16,9 +17,6 @@
  *    breaks the jobs=1-vs-8 and record/replay fingerprint contracts).
  *  - softwalker-wallclock-in-sim: *_clock::now(), rand(), srand(),
  *    std::random_device inside src/{sim,gpu,vm,mem,core,check}.
- *  - softwalker-inline-capture-spill: lambdas handed to EventQueue
- *    schedule()/scheduleIn() whose estimated capture size exceeds the
- *    InlineFunction inline buffer (kEventInlineBytes).
  *  - softwalker-stat-registration: counter fields of *Stats structs never
  *    referenced by the component's registerStats()/registerGauges(), and
  *    enumerators of *Category attribution enums (LedgerCategory) that
@@ -44,8 +42,6 @@
 #ifndef SW_TOOLS_TIDY_PORTABLE_ANALYZER_HH
 #define SW_TOOLS_TIDY_PORTABLE_ANALYZER_HH
 
-#include <cstddef>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -56,8 +52,6 @@ namespace swtidy {
 inline constexpr const char *kNondeterministicIteration =
     "softwalker-nondeterministic-iteration";
 inline constexpr const char *kWallclockInSim = "softwalker-wallclock-in-sim";
-inline constexpr const char *kInlineCaptureSpill =
-    "softwalker-inline-capture-spill";
 inline constexpr const char *kStatRegistration =
     "softwalker-stat-registration";
 inline constexpr const char *kAuditSideEffect =
@@ -114,12 +108,6 @@ struct Options
      * never add entropy), which is why src/prof sits in simDirs too.
      */
     std::vector<std::string> wallclockAllow = {"src/prof"};
-
-    /** InlineFunction inline capture budget (kEventInlineBytes). */
-    std::size_t inlineBytes = 80;
-
-    /** Extra `type name -> size in bytes` entries for capture estimation. */
-    std::map<std::string, std::size_t> typeSizes;
 };
 
 /**

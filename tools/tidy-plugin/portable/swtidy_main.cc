@@ -10,7 +10,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -34,10 +33,6 @@ usage(std::FILE *to)
         "                          may be omitted)\n"
         "  --allow-iteration=SUB   path substring exempt from the\n"
         "                          nondeterministic-iteration check\n"
-        "                          (repeatable)\n"
-        "  --inline-bytes=N        InlineFunction capture budget\n"
-        "                          (default 80)\n"
-        "  --type-size=NAME:BYTES  extra type size for capture estimation\n"
         "                          (repeatable)\n"
         "  --list-checks           print the check catalog and exit\n"
         "  --quiet                 suppress the summary line\n"
@@ -111,26 +106,6 @@ main(int argc, char **argv)
         }
         if (startsWith(arg, "--allow-iteration=")) {
             opts.allowIteration.push_back(arg.substr(18));
-            continue;
-        }
-        if (startsWith(arg, "--inline-bytes=")) {
-            opts.inlineBytes =
-                std::strtoul(arg.c_str() + 15, nullptr, 10);
-            if (opts.inlineBytes == 0) {
-                std::fprintf(stderr, "swtidy: bad --inline-bytes\n");
-                return 2;
-            }
-            continue;
-        }
-        if (startsWith(arg, "--type-size=")) {
-            std::string kv = arg.substr(12);
-            std::size_t colon = kv.find(':');
-            if (colon == std::string::npos) {
-                std::fprintf(stderr, "swtidy: --type-size wants NAME:BYTES\n");
-                return 2;
-            }
-            opts.typeSizes[kv.substr(0, colon)] =
-                std::strtoul(kv.c_str() + colon + 1, nullptr, 10);
             continue;
         }
         if (startsWith(arg, "-")) {
