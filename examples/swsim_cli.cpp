@@ -190,7 +190,11 @@ optionTable(Options &opt)
          }},
         {"--ptws", "<n>", "hardware walker count (scales MSHRs/PWB)",
          [&](const std::vector<std::string> &a) {
-             scalePtwSubsystem(opt.cfg, parseUint32(a[0], "--ptws"));
+             std::uint32_t ptws = parseUint32(a[0], "--ptws");
+             if (ptws == 0)
+                 cliError("--ptws expects at least one walker, got '" +
+                          a[0] + "'");
+             scalePtwSubsystem(opt.cfg, ptws);
          }},
         {"--intlb", "<n>", "In-TLB MSHR capacity",
          [&](const std::vector<std::string> &a) {

@@ -88,9 +88,11 @@ GpuConfig::validate() const
               "exceed the 32-bit sector mask", lineBytes / sectorBytes);
     }
     auto check_cache = [this](const char *name, std::uint64_t bytes,
-                              std::uint32_t ways) {
+                              std::uint32_t ways, std::uint32_t mshrs) {
         if (ways == 0)
             fatal("GpuConfig: %sWays must be non-zero", name);
+        if (mshrs == 0)
+            fatal("GpuConfig: %sMshrs must be non-zero", name);
         std::uint64_t set_bytes = std::uint64_t(lineBytes) * ways;
         if (bytes == 0 || bytes % set_bytes != 0) {
             fatal("GpuConfig: %sBytes (%llu) is not a whole number of "
@@ -98,14 +100,35 @@ GpuConfig::validate() const
                   static_cast<unsigned long long>(bytes), ways, lineBytes);
         }
     };
-    check_cache("l1d", l1dBytes, l1dWays);
-    check_cache("l2d", l2dBytes, l2dWays);
-    if (mode != TranslationMode::HardwarePtw &&
-        mode != TranslationMode::Ideal && softPwbEntries == 0) {
-        fatal("GpuConfig: SoftWalker mode requires SoftPWB entries");
+    check_cache("l1d", l1dBytes, l1dWays, l1dMshrs);
+    check_cache("l2d", l2dBytes, l2dWays, l2dMshrs);
+    if (dramChannels == 0)
+        fatal("GpuConfig: dramChannels must be non-zero");
+    if (pwcEntries == 0)
+        fatal("GpuConfig: pwcEntries must be non-zero");
+    // Ideal mode never runs out of TLB MSHRs.
+    if (mode != TranslationMode::Ideal) {
+        if (l1TlbMshrs == 0)
+            fatal("GpuConfig: l1TlbMshrs must be non-zero");
+        if (l2TlbMshrs == 0 && inTlbMshrMax == 0) {
+            fatal("GpuConfig: l2TlbMshrs must be non-zero without the "
+                  "In-TLB MSHR (inTlbMshrMax = 0)");
+        }
     }
-    if (mode == TranslationMode::HardwarePtw && numPtws == 0)
-        fatal("GpuConfig: hardware mode requires at least one PTW");
+    bool pw_warps = mode == TranslationMode::SoftWalker ||
+                    mode == TranslationMode::Hybrid;
+    bool hw_walkers = mode == TranslationMode::HardwarePtw ||
+                      mode == TranslationMode::Hybrid;
+    if (pw_warps && softPwbEntries == 0)
+        fatal("GpuConfig: SoftWalker mode requires SoftPWB entries");
+    if (pw_warps && (pwWarpThreads == 0 || pwWarpThreads > 32)) {
+        fatal("GpuConfig: pwWarpThreads (%u) must be 1..32, the lanes of "
+              "one warp", pwWarpThreads);
+    }
+    if (hw_walkers && numPtws == 0)
+        fatal("GpuConfig: %s mode needs numPtws > 0", toString(mode));
+    if (hw_walkers && pwbPorts == 0)
+        fatal("GpuConfig: %s mode needs pwbPorts > 0", toString(mode));
     if (inTlbMshrMax > l2TlbEntries)
         fatal("GpuConfig: In-TLB MSHR capacity (%u) exceeds L2 TLB size (%u)",
               inTlbMshrMax, l2TlbEntries);

@@ -13,6 +13,25 @@ namespace {
 
 constexpr std::uint64_t MB = 1024ull * 1024;
 
+/**
+ * Fatal unless @p bytes, benchmark @p name's scaled footprint, holds its
+ * hot window of @p window_pages and at least one warp-cursor partition.
+ */
+void
+requireFootprint(const std::string &name, std::uint64_t bytes,
+                 std::uint64_t window_pages)
+{
+    std::uint64_t need =
+        std::max(window_pages * SyntheticWorkload::kWindowPageBytes,
+                 SyntheticWorkload::kCursorBytes);
+    if (bytes < need) {
+        fatal("benchmark '%s': its scaled footprint of %llu bytes is below "
+              "the %llu bytes it needs", name.c_str(),
+              static_cast<unsigned long long>(bytes),
+              static_cast<unsigned long long>(need));
+    }
+}
+
 std::vector<BenchmarkInfo>
 buildSuite()
 {
@@ -27,6 +46,7 @@ buildSuite()
             params.gatherFraction = gather;
             params.pagesPerInstr = rate;
             params.coldFraction = cold;
+            requireFootprint(name, bytes, params.windowPages);
             return std::make_unique<GraphWorkload>(name, bytes, irregular,
                                                    gap, params);
         };
@@ -40,6 +60,7 @@ buildSuite()
             params.pagesPerInstr = rate;
             params.coldFraction = cold;
             params.setStridePages = set_stride;
+            requireFootprint(name, bytes, params.windowPages);
             return std::make_unique<SparseWorkload>(name, bytes, gap,
                                                     params);
         };
@@ -50,6 +71,7 @@ buildSuite()
             StreamingWorkload::Params params;
             params.strideBytes = stride;
             params.numStreams = streams;
+            requireFootprint(name, bytes, 0);
             return std::make_unique<StreamingWorkload>(name, bytes,
                                                        irregular, gap,
                                                        params);
@@ -75,6 +97,7 @@ buildSuite()
                          WavefrontWorkload::Params params;
                          params.windowPages = 32;
                          params.pagesPerInstr = 1.42;
+                         requireFootprint("nw", bytes, params.windowPages);
                          return std::make_unique<WavefrontWorkload>(
                              "nw", bytes, 20, params);
                      }});
@@ -84,8 +107,10 @@ buildSuite()
     suite.push_back({"xsb", "xsbench [XSBench]", 360, 57.9595, 512, true,
                      true,
                      [](std::uint64_t bytes) -> std::unique_ptr<Workload> {
+                         constexpr std::uint64_t window_pages = 28;
+                         requireFootprint("xsb", bytes, window_pages);
                          return std::make_unique<HashProbeWorkload>(
-                             "xsb", bytes, 35, 0.10, 28, 1.85);
+                             "xsb", bytes, 35, 0.10, window_pages, 1.85);
                      }});
     suite.push_back({"bfs", "breadth-first search [GraphBIG]", 1396,
                      22.1519, 256, true, true,
@@ -100,6 +125,8 @@ buildSuite()
     suite.push_back({"gups", "giga-updates per second [GUPS]", 308,
                      318.8202, 1024, true, true,
                      [](std::uint64_t bytes) -> std::unique_ptr<Workload> {
+                         // The hot region shrinks to fit, to one page.
+                         requireFootprint("gups", bytes, 1);
                          return std::make_unique<RandomAccessWorkload>(
                              "gups", bytes, 40, /*cold_fraction=*/0.30);
                      }});
@@ -117,6 +144,7 @@ buildSuite()
     suite.push_back({"histo", "histogram [CUDA samples]", 1124, 0.0976,
                      32, false, false,
                      [](std::uint64_t bytes) -> std::unique_ptr<Workload> {
+                         requireFootprint("histo", bytes, 0);
                          return std::make_unique<HistogramWorkload>(
                              "histo", bytes, 25);
                      }});

@@ -40,7 +40,7 @@ SyntheticWorkload::cursor(SmId sm, WarpId warp)
         h ^= h >> 33;
         h *= 0xc4ceb9fe1a85ec53ULL;
         h ^= h >> 33;
-        it->second = (h % (footprint / 256)) * 256;
+        it->second = (h % (footprint / kCursorBytes)) * kCursorBytes;
     }
     return it->second;
 }

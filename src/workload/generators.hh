@@ -25,6 +25,12 @@ namespace sw {
 class SyntheticWorkload : public Workload
 {
   public:
+    /** Page size irregular-locality windows are denominated in. */
+    static constexpr std::uint64_t kWindowPageBytes = 64 * 1024;
+
+    /** Warp cursors start on partitions of this many bytes. */
+    static constexpr std::uint64_t kCursorBytes = 256;
+
     SyntheticWorkload(std::string name, std::uint64_t footprint_bytes,
                       bool irregular, std::uint32_t compute_gap);
 
@@ -38,9 +44,6 @@ class SyntheticWorkload : public Workload
   protected:
     /** Base virtual address of the data segment. */
     static constexpr VirtAddr kHeapBase = 1ull << 34;
-
-    /** Page size irregular-locality windows are denominated in. */
-    static constexpr std::uint64_t kWindowPageBytes = 64 * 1024;
 
     /** Uniform random element-aligned address within the footprint. */
     VirtAddr randomAddr(Rng &rng, std::uint64_t align = 8) const;

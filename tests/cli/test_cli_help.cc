@@ -101,14 +101,16 @@ TEST(CliHelp, DocumentsObservabilityFlags)
 
 TEST(CliNumbers, BadValuesAreUsageErrors)
 {
-    // Signs, values past 64 bits, 32-bit settings past 2^32 - 1, and
-    // non-positive or non-finite scales end in the usual exit-2 error
-    // instead of an abort, a panic, or a silently truncated value.
+    // Signs, values past 64 bits, 32-bit settings past 2^32 - 1, zero
+    // walkers, and non-positive or non-finite scales end in the usual
+    // exit-2 error instead of an abort, a panic, or a silently truncated
+    // value.
     for (const char *args :
          {"--ptws -1", "--ptws +4", "--ptws 4294967328",
           "--intlb 4294967297", "--quota 18446744073709551616",
           "--quota -5", "--subtlb 4294967296", "--scale 0",
-          "--scale -2", "--scale nan", "--scale inf", "--ptws ''"}) {
+          "--scale -2", "--scale nan", "--scale inf", "--ptws ''",
+          "--ptws 0", "--mode hybrid --ptws 0"}) {
         auto [status, out] = runCli(args);
         EXPECT_EQ(status, 2) << args << ": " << out;
         EXPECT_NE(out.find("(try --help)"), std::string::npos)
@@ -121,6 +123,18 @@ TEST(CliNumbers, RangeErrorNamesTheFlag)
     auto [status, out] = runCli("--intlb 4294967297");
     EXPECT_EQ(status, 2);
     EXPECT_NE(out.find("--intlb value '4294967297' is out of range"),
+              std::string::npos)
+        << out;
+}
+
+TEST(CliNumbers, FootprintTooSmallForTheBenchmarkIsFatal)
+{
+    // A valid --scale can still leave a benchmark less footprint than it
+    // works in; the workload factory's fatal names both sizes.
+    auto [status, out] = runCli("--bench 2dc --scale 1e-7 --quota 10");
+    EXPECT_EQ(status, 1) << out;
+    EXPECT_NE(out.find("fatal: benchmark '2dc': its scaled footprint of "
+                       "117 bytes is below the 256 bytes it needs"),
               std::string::npos)
         << out;
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "harness/experiment.hh"
 #include "harness/report.hh"
@@ -78,6 +79,63 @@ TEST(RunSpec, ExplicitLimitsBeatBenchmarkDefaults)
     spec.limits = tinyLimits();
     RunResult result = run(std::move(spec));
     EXPECT_EQ(result.warpInstrs, 300u);
+}
+
+/**
+ * The settings next to the ones GpuConfig::validate() rejects: each of
+ * these validates and runs a small bfs to its quota (in audit builds,
+ * with every end-of-run audit clean).
+ */
+TEST(RunSpec, NeighboursOfRejectedConfigsRun)
+{
+    using Mode = TranslationMode;
+    struct Case
+    {
+        const char *name;
+        Mode mode;
+        void (*edit)(GpuConfig &);
+    };
+    const Case cases[] = {
+        {"no L2 TLB MSHRs", Mode::SoftWalker,
+         [](GpuConfig &c) { c.l2TlbMshrs = 0; }},
+        {"In-TLB MSHRs only", Mode::HardwarePtw,
+         [](GpuConfig &c) {
+             c.l2TlbMshrs = 0;
+             c.inTlbMshrMax = 64;
+         }},
+        {"no TLB MSHRs", Mode::Ideal,
+         [](GpuConfig &c) {
+             c.l1TlbMshrs = 0;
+             c.l2TlbMshrs = 0;
+         }},
+        {"no walkers or PWB ports", Mode::Ideal,
+         [](GpuConfig &c) {
+             c.numPtws = 0;
+             c.pwbPorts = 0;
+         }},
+        {"no walkers or PWB ports", Mode::SoftWalker,
+         [](GpuConfig &c) {
+             c.numPtws = 0;
+             c.pwbPorts = 0;
+         }},
+        {"no PWB entries", Mode::HardwarePtw,
+         [](GpuConfig &c) { c.pwbEntries = 0; }},
+        {"no PWB entries", Mode::Hybrid,
+         [](GpuConfig &c) { c.pwbEntries = 0; }},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(toString(c.mode)) + ", " + c.name);
+        RunSpec spec;
+        spec.cfg = c.mode == Mode::SoftWalker || c.mode == Mode::Hybrid
+                       ? makeSoftWalkerConfig(c.mode)
+                       : makeDefaultConfig();
+        spec.cfg.mode = c.mode;
+        c.edit(spec.cfg);
+        spec.cfg.validate();
+        spec.benchmark = &findBenchmark("bfs");
+        spec.limits = tinyLimits();
+        EXPECT_EQ(run(std::move(spec)).warpInstrs, 300u);
+    }
 }
 
 TEST(RunSpecDeath, NoSourceIsFatal)

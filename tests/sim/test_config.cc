@@ -190,6 +190,87 @@ TEST(ConfigDeath, RejectsCacheOfPartialSets)
     EXPECT_DEATH(cfg.validate(), "l2dBytes \\(0\\)");
 }
 
+// Walker, PWC, DRAM and MSHR settings that would otherwise panic in a
+// constructor or deadlock until the end-of-run audit die in validate(),
+// naming the field.  Their accepted neighbours run in
+// RunSpec.NeighboursOfRejectedConfigsRun.
+
+TEST(ConfigDeath, RejectsHybridWithoutWalkers)
+{
+    GpuConfig cfg = makeSoftWalkerConfig(TranslationMode::Hybrid);
+    cfg.numPtws = 0;
+    EXPECT_DEATH(cfg.validate(), "hybrid mode needs numPtws > 0");
+}
+
+TEST(ConfigDeath, RejectsZeroPwbPorts)
+{
+    GpuConfig cfg = makeDefaultConfig();
+    cfg.pwbPorts = 0;
+    EXPECT_DEATH(cfg.validate(), "hw-ptw mode needs pwbPorts > 0");
+    cfg = makeSoftWalkerConfig(TranslationMode::Hybrid);
+    cfg.pwbPorts = 0;
+    EXPECT_DEATH(cfg.validate(), "hybrid mode needs pwbPorts > 0");
+}
+
+TEST(ConfigDeath, RejectsPwWarpLanesOutOfRange)
+{
+    for (TranslationMode mode :
+         {TranslationMode::SoftWalker, TranslationMode::Hybrid}) {
+        GpuConfig cfg = makeSoftWalkerConfig(mode);
+        cfg.pwWarpThreads = 0;
+        EXPECT_DEATH(cfg.validate(), "pwWarpThreads \\(0\\) must be 1..32");
+        cfg.pwWarpThreads = 64;
+        EXPECT_DEATH(cfg.validate(), "pwWarpThreads \\(64\\)");
+    }
+}
+
+TEST(ConfigDeath, RejectsZeroDramChannels)
+{
+    GpuConfig cfg = makeDefaultConfig();
+    cfg.dramChannels = 0;
+    EXPECT_DEATH(cfg.validate(), "dramChannels must be non-zero");
+}
+
+TEST(ConfigDeath, RejectsZeroPwcEntries)
+{
+    GpuConfig cfg = makeDefaultConfig();
+    cfg.pwcEntries = 0;
+    EXPECT_DEATH(cfg.validate(), "pwcEntries must be non-zero");
+}
+
+TEST(ConfigDeath, RejectsZeroL1TlbMshrs)
+{
+    for (TranslationMode mode :
+         {TranslationMode::HardwarePtw, TranslationMode::SoftWalker,
+          TranslationMode::Hybrid}) {
+        GpuConfig cfg = mode == TranslationMode::HardwarePtw
+                            ? makeDefaultConfig()
+                            : makeSoftWalkerConfig(mode);
+        cfg.l1TlbMshrs = 0;
+        EXPECT_DEATH(cfg.validate(), "l1TlbMshrs must be non-zero");
+    }
+}
+
+TEST(ConfigDeath, RejectsZeroL2TlbMshrsWithoutInTlbMshr)
+{
+    GpuConfig cfg = makeDefaultConfig();
+    cfg.l2TlbMshrs = 0;
+    EXPECT_DEATH(cfg.validate(), "l2TlbMshrs must be non-zero without");
+    cfg = makeSoftWalkerConfig(TranslationMode::SoftWalker, 0);
+    cfg.l2TlbMshrs = 0;
+    EXPECT_DEATH(cfg.validate(), "l2TlbMshrs must be non-zero without");
+}
+
+TEST(ConfigDeath, RejectsZeroDataCacheMshrs)
+{
+    GpuConfig cfg = makeDefaultConfig();
+    cfg.l1dMshrs = 0;
+    EXPECT_DEATH(cfg.validate(), "l1dMshrs must be non-zero");
+    cfg = makeDefaultConfig();
+    cfg.l2dMshrs = 0;
+    EXPECT_DEATH(cfg.validate(), "l2dMshrs must be non-zero");
+}
+
 TEST(ConfigDeath, SoftWalkerConfigRejectsHardwareMode)
 {
     EXPECT_DEATH(makeSoftWalkerConfig(TranslationMode::HardwarePtw),

@@ -124,6 +124,41 @@ TEST(BenchmarksDeath, UnknownAbbreviationListsValidNames)
     EXPECT_DEATH(findBenchmark("bsf"), "valid:.*bfs");
 }
 
+// A footprint scale too small for a benchmark ends in a fatal from the
+// workload factory that names the benchmark, its scaled footprint and the
+// footprint it needs.
+
+TEST(BenchmarksDeath, FootprintBelowTheHotWindowIsFatal)
+{
+    EXPECT_DEATH(makeWorkload(findBenchmark("bfs"), 1e-4),
+                 "benchmark 'bfs': its scaled footprint of 146381 bytes is "
+                 "below the 1572864 bytes it needs");
+}
+
+TEST(BenchmarksDeath, ZeroFootprintIsFatal)
+{
+    for (const char *abbr : {"bfs", "gups", "2dc", "spmv", "nw", "xsb",
+                             "gemm", "st2d", "histo"}) {
+        EXPECT_DEATH(makeWorkload(findBenchmark(abbr), 1e-15),
+                     std::string("benchmark '") + abbr +
+                         "': its scaled footprint of 0 bytes");
+    }
+}
+
+TEST(BenchmarksDeath, FootprintBelowOneCursorPartitionIsFatal)
+{
+    // 117 bytes would leave the warp cursors no 256-byte partition to
+    // start on: a division by zero on the first instruction.
+    EXPECT_DEATH(
+        {
+            auto wl = makeWorkload(findBenchmark("2dc"), 1e-7);
+            Rng rng(1);
+            wl->next(0, 0, rng);
+        },
+        "benchmark '2dc': its scaled footprint of 117 bytes is below the "
+        "256 bytes it needs");
+}
+
 TEST(WorkloadRegistry, FindBenchmarkOrNull)
 {
     ASSERT_NE(findBenchmarkOrNull("bfs"), nullptr);
