@@ -274,6 +274,53 @@ TEST(ObsGolden, BenchSmokeOutputsMatchBaselines)
 }
 
 /**
+ * Golden observer outputs on the hardware-PTW machine: the same bfs run
+ * with a sampler attached, so sample records interleave with the
+ * hardware walks' records, and a 4,096-stamp tracer, so both of its
+ * rings wrap.  Both artifacts keep fixed digests.
+ */
+TEST(ObsGolden, HardwarePtwSampledRunKeepsDigests)
+{
+    TranslationTracer tracer(4096);
+    TimeSeriesSampler sampler;
+    CycleLedger ledger;
+    EventLog events;
+    Observability obs;
+    obs.tracer = &tracer;
+    obs.sampler = &sampler;
+    obs.ledger = &ledger;
+    obs.events = &events;
+    obs.sampleInterval = 1000;
+
+    RunSpec spec;
+    spec.cfg = makeDefaultConfig();
+    spec.benchmark = &findBenchmark("bfs");
+    Gpu::RunLimits limits;
+    limits.warpInstrQuota = 2000;
+    limits.warmupInstrs = 500;
+    limits.maxCycles = 4000000;
+    spec.limits = limits;
+    spec.obs = &obs;
+    run(std::move(spec));
+
+    // The run wrapped the tracer's stamp ring and logged both record
+    // kinds.
+    EXPECT_GT(tracer.stampsDropped(), 0u);
+    std::ostringstream log;
+    events.write(log);
+    EXPECT_NE(log.str().find("\"type\":\"sample\""), std::string::npos);
+    EXPECT_NE(log.str().find("\"sw\":false"), std::string::npos);
+    EXPECT_EQ(log.str().find("\"sw\":true"), std::string::npos);
+    EXPECT_EQ(fnv1a(log.str()), 0xc8a52f1483d24364ull);
+
+    if (!prof::kHostProfCompiled) {
+        std::ostringstream trace;
+        tracer.writeTraceJson(trace);
+        EXPECT_EQ(fnv1a(trace.str()), 0x862134fcdd0bf6ddull);
+    }
+}
+
+/**
  * Observers installed before the walk backend would miss its stats,
  * gauges and lifecycle events, so the install order is enforced.
  */

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "obs/lifecycle.hh"
 #include "obs/trace.hh"
+#include "prof/hostprof.hh"
 
 using namespace sw;
 
@@ -27,9 +29,10 @@ struct TracedStream
 
     void
     emit(LifecyclePhase phase, Cycle cycle, std::uint64_t id, Vpn vpn,
-         std::uint32_t where = kNoWhere)
+         std::uint32_t where = kNoWhere, Asid asid = 0)
     {
-        SW_LIFECYCLE(stream, phase, cycle, id, TranslationKey{0, vpn}, where);
+        SW_LIFECYCLE(stream, phase, cycle, id, TranslationKey{asid, vpn},
+                     where);
     }
 
     TranslationTracer tracer;
@@ -187,6 +190,100 @@ TEST(Tracer, WriteTraceJsonEmitsEventArray)
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
     EXPECT_NE(json.find("\"name\":\"walk_dispatch\""), std::string::npos);
     EXPECT_NE(json.find("\"tid\":2"), std::string::npos);
+}
+
+/**
+ * The tracer's trace bytes: @p body is everything before the closing
+ * bracket.  Hostprof builds append their host-side events after it.
+ */
+void
+expectTraceJson(const TranslationTracer &tracer, const std::string &body)
+{
+    std::ostringstream out;
+    tracer.writeTraceJson(out);
+    const std::string json = out.str();
+    if (prof::kHostProfCompiled) {
+        ASSERT_GE(json.size(), body.size());
+        EXPECT_EQ(json.substr(0, body.size()), body);
+        EXPECT_EQ(json.substr(json.size() - 2), "]\n");
+    } else {
+        EXPECT_EQ(json, body + "]\n");
+    }
+}
+
+TEST(Tracer, WriteTraceJsonOfAnEmptyTracer)
+{
+    TranslationTracer tracer;
+    expectTraceJson(tracer, "[");
+}
+
+TEST(Tracer, WriteTraceJsonBytesAfterBothRingsWrap)
+{
+    TracedStream traced(4);
+    TranslationTracer &tracer = traced.tracer;
+    // Walk 1 is the span the span ring drops.
+    traced.emit(LifecyclePhase::WalkCreated, 10, 1, 257);
+    traced.emit(LifecyclePhase::WalkDispatch, 20, 1, 257, 1);
+    traced.emit(LifecyclePhase::WalkFill, 30, 1, 257);
+    // Walk 2 fills without a dispatch: all of it is walk phase, tid 0.
+    traced.emit(LifecyclePhase::WalkCreated, 40, 2, 258);
+    traced.emit(LifecyclePhase::WalkFill, 70, 2, 258);
+    traced.emit(LifecyclePhase::WalkCreated, 80, 3, 259);
+    traced.emit(LifecyclePhase::WalkDispatch, 85, 3, 259, 7);
+    traced.emit(LifecyclePhase::PtRead, 90, 3, 259);
+    traced.emit(LifecyclePhase::PtRead, 95, 3, 259);
+    traced.emit(LifecyclePhase::WalkFill, 120, 3, 259);
+    traced.emit(LifecyclePhase::WalkCreated, 130, 4, 260, kNoWhere, 3);
+    traced.emit(LifecyclePhase::WalkDispatch, 131, 4, 260, 0, 3);
+    traced.emit(LifecyclePhase::WalkFill, 140, 4, 260, kNoWhere, 3);
+    traced.emit(LifecyclePhase::WalkCreated, 150, 5, 261);
+    traced.emit(LifecyclePhase::WalkDispatch, 160, 5, 261, kNoWhere - 1);
+    traced.emit(LifecyclePhase::WalkFill, 200, 5, 261);
+    traced.emit(LifecyclePhase::L1Miss, 210, 0, 262, 5);
+    traced.emit(LifecyclePhase::Wakeup, 220, 0, 262);
+
+    EXPECT_EQ(tracer.stampsRecorded(), 18u);
+    EXPECT_EQ(tracer.stampsDropped(), 14u);
+    EXPECT_EQ(tracer.spansCompleted(), 5u);
+    EXPECT_EQ(tracer.spansDropped(), 1u);
+    expectTraceJson(
+        tracer,
+        "[{\"name\":\"queue\",\"cat\":\"walk\",\"ph\":\"X\",\"ts\":40,"
+        "\"dur\":0,\"pid\":0,\"tid\":0,"
+        "\"args\":{\"id\":2,\"vpn\":258,\"asid\":0}},\n"
+        "{\"name\":\"walk\",\"cat\":\"walk\",\"ph\":\"X\",\"ts\":40,"
+        "\"dur\":30,\"pid\":0,\"tid\":0,"
+        "\"args\":{\"id\":2,\"vpn\":258,\"asid\":0,\"pt_reads\":0}},\n"
+        "{\"name\":\"queue\",\"cat\":\"walk\",\"ph\":\"X\",\"ts\":80,"
+        "\"dur\":5,\"pid\":0,\"tid\":7,"
+        "\"args\":{\"id\":3,\"vpn\":259,\"asid\":0}},\n"
+        "{\"name\":\"walk\",\"cat\":\"walk\",\"ph\":\"X\",\"ts\":85,"
+        "\"dur\":35,\"pid\":0,\"tid\":7,"
+        "\"args\":{\"id\":3,\"vpn\":259,\"asid\":0,\"pt_reads\":2}},\n"
+        "{\"name\":\"queue\",\"cat\":\"walk\",\"ph\":\"X\",\"ts\":130,"
+        "\"dur\":1,\"pid\":0,\"tid\":0,"
+        "\"args\":{\"id\":4,\"vpn\":260,\"asid\":3}},\n"
+        "{\"name\":\"walk\",\"cat\":\"walk\",\"ph\":\"X\",\"ts\":131,"
+        "\"dur\":9,\"pid\":0,\"tid\":0,"
+        "\"args\":{\"id\":4,\"vpn\":260,\"asid\":3,\"pt_reads\":0}},\n"
+        "{\"name\":\"queue\",\"cat\":\"walk\",\"ph\":\"X\",\"ts\":150,"
+        "\"dur\":10,\"pid\":0,\"tid\":4294967294,"
+        "\"args\":{\"id\":5,\"vpn\":261,\"asid\":0}},\n"
+        "{\"name\":\"walk\",\"cat\":\"walk\",\"ph\":\"X\",\"ts\":160,"
+        "\"dur\":40,\"pid\":0,\"tid\":4294967294,"
+        "\"args\":{\"id\":5,\"vpn\":261,\"asid\":0,\"pt_reads\":0}},\n"
+        "{\"name\":\"walk_dispatch\",\"cat\":\"phase\",\"ph\":\"i\","
+        "\"s\":\"t\",\"ts\":160,\"pid\":0,\"tid\":4294967294,"
+        "\"args\":{\"id\":5,\"vpn\":261,\"asid\":0}},\n"
+        "{\"name\":\"walk_fill\",\"cat\":\"phase\",\"ph\":\"i\","
+        "\"s\":\"t\",\"ts\":200,\"pid\":0,\"tid\":0,"
+        "\"args\":{\"id\":5,\"vpn\":261,\"asid\":0}},\n"
+        "{\"name\":\"l1_miss\",\"cat\":\"phase\",\"ph\":\"i\","
+        "\"s\":\"t\",\"ts\":210,\"pid\":0,\"tid\":5,"
+        "\"args\":{\"id\":0,\"vpn\":262,\"asid\":0}},\n"
+        "{\"name\":\"wakeup\",\"cat\":\"phase\",\"ph\":\"i\","
+        "\"s\":\"t\",\"ts\":220,\"pid\":0,\"tid\":0,"
+        "\"args\":{\"id\":0,\"vpn\":262,\"asid\":0}}");
 }
 
 TEST(Tracer, IgnoresLedgerOnlyPhases)
