@@ -189,7 +189,7 @@ CycleLedger::closeSpan(SmId sm, Cycle now)
             iv.start = now; // the rest belongs to future spans
             break;
         }
-        led.pwIntervals.pop_front();
+        led.pwIntervals.popFront();
     }
     const Cycle span = now - from;
     SW_ASSERT(carved <= span, "PW carve-out exceeds span");
@@ -387,7 +387,7 @@ CycleLedger::pwReserve(SmId sm, Cycle start, Cycle end, Asid walkAsid)
         led.pwIntervals.back().end = end; // contiguous same-tenant extend
         return;
     }
-    led.pwIntervals.push_back(PwInterval{start, end, walkAsid});
+    led.pwIntervals.pushBack(PwInterval{start, end, walkAsid});
 }
 
 void
@@ -422,7 +422,7 @@ CycleLedger::reset(Cycle now)
         // window are gone; windows extending past now keep their tail.
         while (!led.pwIntervals.empty() &&
                led.pwIntervals.front().end <= now) {
-            led.pwIntervals.pop_front();
+            led.pwIntervals.popFront();
         }
         if (!led.pwIntervals.empty() &&
             led.pwIntervals.front().start < now) {

@@ -36,13 +36,13 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "obs/lifecycle.hh"
 #include "obs/stat_registry.hh"
 #include "sim/flat_map.hh"
+#include "sim/ring_queue.hh"
 #include "sim/types.hh"
 #include "vm/address.hh"
 
@@ -228,7 +228,7 @@ class CycleLedger
      * @p sm's issue slots [start, end) were reserved for PW-warp
      * instructions walking on behalf of @p walkAsid.  Reservations arrive
      * with monotonically non-decreasing start (the SM's issue cursor), so
-     * the interval deque stays sorted and disjoint.
+     * the interval queue stays sorted and disjoint.
      */
     void pwReserve(SmId sm, Cycle start, Cycle end, Asid walkAsid);
 
@@ -255,7 +255,7 @@ class CycleLedger
         /** Outstanding translations of this SM per Trans* stage. */
         std::array<std::uint32_t, kNumTransStages> stageCount{};
         /** Future/open PW-issue reservations, sorted and disjoint. */
-        std::deque<PwInterval> pwIntervals;
+        RingQueue<PwInterval> pwIntervals;
     };
 
     /** End of a member list. */

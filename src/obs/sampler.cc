@@ -1,7 +1,6 @@
 #include "obs/sampler.hh"
 
-#include <ostream>
-
+#include "obs/text_appender.hh"
 #include "prof/hostprof.hh"
 #include "sim/logging.hh"
 
@@ -72,12 +71,15 @@ TimeSeriesSampler::csvHeader() const
 void
 TimeSeriesSampler::writeCsv(std::ostream &out) const
 {
-    out << csvHeader() << "\n";
+    TextAppender text(out);
+    text << csvHeader() << "\n";
     for (const Row &row : rows_) {
-        out << row.cycle;
-        for (double v : row.values)
-            out << ',' << strprintf("%.6g", v);
-        out << "\n";
+        text << row.cycle;
+        for (double v : row.values) {
+            text << ",";
+            text.general(v, 6);
+        }
+        text << "\n";
     }
 }
 

@@ -20,10 +20,10 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/lifecycle.hh"
+#include "sim/flat_map.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -107,6 +107,37 @@ class TranslationTracer
     void writeTraceJson(std::ostream &out) const;
 
   private:
+    /**
+     * Append @p record to @p records, a ring of capacity_ whose oldest
+     * entry is at @p next once full.  @return true if it overwrote one.
+     */
+    template <typename Record>
+    bool
+    push(std::vector<Record> &records, std::size_t &next,
+         const Record &record) const
+    {
+        if (records.size() < capacity_) {
+            records.push_back(record);
+            return false;
+        }
+        records[next] = record;
+        if (++next == capacity_)
+            next = 0;
+        return true;
+    }
+
+    /** Visit a ring filled by push(), oldest first, in place. */
+    template <typename Record, typename Fn>
+    static void
+    forEachOldestFirst(const std::vector<Record> &records, std::size_t next,
+                       Fn &&fn)
+    {
+        for (std::size_t i = next; i < records.size(); ++i)
+            fn(records[i]);
+        for (std::size_t i = 0; i < next; ++i)
+            fn(records[i]);
+    }
+
     std::size_t capacity_;
 
     std::vector<Stamp> ring;
@@ -114,8 +145,8 @@ class TranslationTracer
     std::uint64_t stampsRecorded_ = 0;
     std::uint64_t stampsDropped_ = 0;
 
-    /** Walks between WalkCreated and WalkFill. */
-    std::unordered_map<std::uint64_t, WalkSpan> live;
+    /** Walks between WalkCreated and WalkFill, by id (0 marks empty). */
+    FlatMap<std::uint64_t, WalkSpan> live{0};
 
     std::vector<WalkSpan> spanRing;
     std::size_t spanNext = 0;

@@ -1,0 +1,86 @@
+/**
+ * @file
+ * RingQueue: a FIFO in one power-of-two array that grows only when full.
+ *
+ * A std::deque allocates and frees a node every few hundred bytes of
+ * traffic as it slides, however short it stays.  A RingQueue reaches its
+ * working size once and then allocates nothing, however long it cycles:
+ * a push that finds it full doubles the array (moving the elements to
+ * its front, oldest first), and it never shrinks.
+ */
+
+#ifndef SW_SIM_RING_QUEUE_HH
+#define SW_SIM_RING_QUEUE_HH
+
+#include <cstddef>
+#include <utility>
+#include <vector>
+
+#include "sim/logging.hh"
+
+namespace sw {
+
+template <typename T>
+class RingQueue
+{
+  public:
+    bool empty() const { return count == 0; }
+    std::size_t size() const { return count; }
+    /** Slots currently allocated (0 until the first push). */
+    std::size_t capacity() const { return slots.size(); }
+
+    T &
+    front()
+    {
+        SW_ASSERT(count > 0, "RingQueue front of an empty queue");
+        return slots[head];
+    }
+
+    T &
+    back()
+    {
+        SW_ASSERT(count > 0, "RingQueue back of an empty queue");
+        return slots[(head + count - 1) & mask()];
+    }
+
+    void
+    pushBack(const T &value)
+    {
+        if (count == slots.size())
+            grow();
+        slots[(head + count) & mask()] = value;
+        ++count;
+    }
+
+    void
+    popFront()
+    {
+        SW_ASSERT(count > 0, "RingQueue pop from an empty queue");
+        head = (head + 1) & mask();
+        --count;
+    }
+
+  private:
+    static constexpr std::size_t kInitialSlots = 8;
+
+    std::size_t mask() const { return slots.size() - 1; }
+
+    void
+    grow()
+    {
+        std::vector<T> bigger(slots.empty() ? kInitialSlots
+                                            : 2 * slots.size());
+        for (std::size_t i = 0; i < count; ++i)
+            bigger[i] = std::move(slots[(head + i) & mask()]);
+        slots = std::move(bigger);
+        head = 0;
+    }
+
+    std::vector<T> slots;
+    std::size_t head = 0;
+    std::size_t count = 0;
+};
+
+} // namespace sw
+
+#endif // SW_SIM_RING_QUEUE_HH

@@ -15,6 +15,9 @@
  *  - Software walks: a SoftWalker GPU whose walks cross the distributor's
  *    interconnect hop into the SoftPWBs, run as PW-Warp batches issuing
  *    LDPTs through the engine, and return to the L2 TLB as FL2T fills.
+ *  - Observers: the translation tracer and the cycle ledger fed the same
+ *    batch of lifecycle events twice.  The event log stays outside the
+ *    gate: its record array grows with the run by design.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +30,9 @@
 #include "check/audit_tester.hh"
 #include "core/softwalker.hh"
 #include "mem/memory_system.hh"
+#include "obs/cycle_ledger.hh"
+#include "obs/lifecycle.hh"
+#include "obs/trace.hh"
 #include "test_util.hh"
 #include "vm/translation.hh"
 #include "workload/generators.hh"
@@ -350,6 +356,118 @@ TEST_F(SoftWalkAllocs, SecondBatchAllocatesNothing)
     EXPECT_LT(pw.batches, pw.walksCompleted);
     EXPECT_GT(pw.ldptIssued, pw.walksCompleted);
     EXPECT_EQ(pw.fl2tIssued, 2 * kPages);
+}
+
+/**
+ * The tracer and the cycle ledger on their own lifecycle stream, fed
+ * concurrent walks through every phase either reads: four SMs of two
+ * tenants miss, the walks are created, dispatched to a neighbouring SM
+ * as PW-Warp work with two issue reservations each (more than a deque
+ * node holds per SM), read the page table and fill.  The tracer's rings
+ * are small enough to wrap.
+ */
+class ObservedAllocs : public ::testing::Test
+{
+  protected:
+    static constexpr SmId kSms = 4;
+    static constexpr std::uint64_t kWalks = 96;
+
+    ObservedAllocs() : tracer(64)
+    {
+        ledger.attach({0, 0, 1, 1}, 0);
+        stream.observe(&tracer, &ledger, nullptr);
+    }
+
+    static SmId smOf(std::uint64_t walk) { return SmId(walk % kSms); }
+
+    static TranslationKey
+    keyOf(std::uint64_t walk)
+    {
+        return {Asid(smOf(walk) / 2), 0x4000 + walk};
+    }
+
+    /** Emit @p phase at the next cycle. */
+    void
+    emit(LifecyclePhase phase, std::uint64_t walk, TranslationKey key,
+         std::uint32_t where, Cycle a = 0, Cycle b = 0)
+    {
+        SW_LIFECYCLE(stream, phase, now, walk, key, where, true, a, b);
+        ++now;
+    }
+
+    /** One batch; @return the allocations it made. */
+    std::uint64_t
+    runBatch()
+    {
+        using P = LifecyclePhase;
+        constexpr std::uint32_t kNoWhere = LifecycleEvent::kNoWhere;
+        std::uint64_t before = g_allocs;
+        for (SmId sm = 0; sm < kSms; ++sm)
+            emit(P::SmSched, 0, {}, sm, 1, 1);
+        for (std::uint64_t walk = 1; walk <= kWalks; ++walk) {
+            const TranslationKey key = keyOf(walk);
+            emit(P::L1Miss, 0, key, smOf(walk));
+            emit(P::L2Lookup, 0, key, smOf(walk));
+            emit(P::L2Miss, 0, key, smOf(walk));
+            emit(P::MshrAlloc, 0, key, smOf(walk));
+            emit(P::WalkCreated, walk, key, kNoWhere);
+            emit(P::BackendSubmit, walk, key, kNoWhere);
+        }
+        for (std::uint64_t walk = 1; walk <= kWalks; ++walk) {
+            const TranslationKey key = keyOf(walk);
+            const SmId host = (smOf(walk) + 1) % kSms;
+            const TranslationKey tenant{key.asid, 0};
+            emit(P::WalkDispatch, walk, key, host);
+            emit(P::PwHosted, 0, tenant, host);
+            emit(P::PwReserve, 0, tenant, host, now, now + 1);
+            emit(P::PtRead, walk, key, host);
+            emit(P::PwReserve, 0, tenant, host, now, now + 1);
+            emit(P::PtRead, walk, key, host);
+            emit(P::PtRead, walk, key, host);
+            emit(P::PtRead, walk, key, host);
+        }
+        for (std::uint64_t walk = 1; walk <= kWalks; ++walk) {
+            emit(P::WalkFill, walk, keyOf(walk), kNoWhere);
+            emit(P::Wakeup, 0, keyOf(walk), smOf(walk));
+        }
+        for (SmId sm = 0; sm < kSms; ++sm)
+            emit(P::SmSched, 0, {}, sm, 1, 0);
+        return g_allocs - before;
+    }
+
+    Cycle now = 1;
+    TranslationTracer tracer;
+    CycleLedger ledger;
+    LifecycleStream stream;
+};
+
+TEST_F(ObservedAllocs, SecondBatchAllocatesNothing)
+{
+    std::uint64_t first = runBatch();
+    std::uint64_t second = runBatch();
+    EXPECT_GT(first, 0u) << "the first batch sizes the maps and rings";
+    EXPECT_EQ(second, 0u);
+
+    // Both batches completed every walk and wrapped the tracer's rings.
+    EXPECT_EQ(tracer.spansCompleted(), 2 * kWalks);
+    EXPECT_GT(tracer.spansDropped(), 0u);
+    EXPECT_GT(tracer.stampsDropped(), 0u);
+    EXPECT_DOUBLE_EQ(tracer.ptReadsPerWalk().mean(), 4.0);
+
+    // Every reservation was carved out of an SM's stall time, and every
+    // hosted walk landed in the interference matrix.
+    ledger.syncAll(now);
+    EXPECT_EQ(ledger.auditConservation(now), "");
+    Cycle occupancy = 0;
+    for (SmId sm = 0; sm < kSms; ++sm)
+        occupancy += ledger.account(sm, LedgerCategory::PwOccupancy);
+    EXPECT_EQ(occupancy, 2 * 2 * kWalks);
+    EXPECT_EQ(ledger.pwOccupancyStalled(), occupancy);
+    std::uint64_t hosted = 0;
+    for (Asid host : {0u, 1u})
+        for (Asid walk : {0u, 1u})
+            hosted += ledger.hostedWalks(host, walk);
+    EXPECT_EQ(hosted, 2 * kWalks);
 }
 
 } // namespace
