@@ -127,7 +127,7 @@ struct Options
     double scale = 1.0;
     std::string metricsOut, traceOut, samplesOut, profileOut;
     std::string eventsOut, promOut, ledgerOut;
-    Cycle sampleInterval = 0;
+    Cycle sampleInterval = Observability{}.sampleInterval;
     std::string recordPath, replayPath, fingerprintOut;
     TraceEndPolicy replayEnd = TraceEndPolicy::Drain;
     std::string convertIn, convertOut;
@@ -323,12 +323,18 @@ optionTable(Options &opt)
          "phase-sampling window in warp instructions (default 2000)",
          [&](const std::vector<std::string> &a) {
              opt.sampling.windowInstrs = parseUint(a[0], "--phase-window");
+             if (opt.sampling.windowInstrs == 0)
+                 cliError("--phase-window expects at least one instruction, "
+                          "got '" + a[0] + "'");
          }},
         {"--phase-clusters", "<k>",
          "phase clusters / representative windows (default 4)",
          [&](const std::vector<std::string> &a) {
              opt.sampling.numClusters =
                  parseUint32(a[0], "--phase-clusters");
+             if (opt.sampling.numClusters == 0)
+                 cliError("--phase-clusters expects at least one cluster, "
+                          "got '" + a[0] + "'");
          }},
         {"--phase-warmup", "<n>",
          "timed-but-unmeasured instructions before each window (default 1000)",
@@ -344,13 +350,11 @@ optionTable(Options &opt)
         {"--phase-time-weight", "<w>",
          "temporal feature weight; high values stratify in time (default 0.5)",
          [&](const std::vector<std::string> &a) {
-             char *end = nullptr;
-             opt.sampling.timeFeatureWeight = std::strtod(a[0].c_str(), &end);
-             if (end == a[0].c_str() || *end != '\0' ||
-                 opt.sampling.timeFeatureWeight < 0.0) {
+             double weight = parseFloat(a[0], "--phase-time-weight");
+             if (!std::isfinite(weight) || weight < 0.0)
                  cliError("--phase-time-weight expects a non-negative "
                           "number, got '" + a[0] + "'");
-             }
+             opt.sampling.timeFeatureWeight = weight;
          }},
         {"--trace-convert", "<in.txt> <out.swtrace>",
          "convert a text trace to binary and exit",
@@ -382,6 +386,9 @@ optionTable(Options &opt)
          "sampling interval in cycles (default 10000)",
          [&](const std::vector<std::string> &a) {
              opt.sampleInterval = parseUint(a[0], "--sample-interval");
+             if (opt.sampleInterval == 0)
+                 cliError("--sample-interval expects at least one cycle, "
+                          "got '" + a[0] + "'");
          }},
         {"--ledger-out", "<file>",
          "dump the top-down cycle ledger as JSON (softwalker.ledger/1)",
@@ -496,8 +503,7 @@ main(int argc, char **argv)
         obs.tracer = &tracer;
     if (!opt.samplesOut.empty()) {
         obs.sampler = &sampler;
-        if (opt.sampleInterval > 0)
-            obs.sampleInterval = opt.sampleInterval;
+        obs.sampleInterval = opt.sampleInterval;
     }
     if (!opt.ledgerOut.empty())
         obs.ledger = &ledger;

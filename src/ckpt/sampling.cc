@@ -44,6 +44,8 @@ buildSamplingPlan(const TraceFile &trace, const SamplingOptions &opts)
 {
     SW_ASSERT(opts.windowInstrs > 0, "sampling window must be non-empty");
     SW_ASSERT(opts.numClusters > 0, "sampling needs at least one cluster");
+    SW_ASSERT(std::isfinite(opts.timeFeatureWeight),
+              "sampling time-feature weight must be finite");
     std::uint64_t total = trace.totalInstrs();
     if (total == 0)
         fatal("phase sampling over an empty trace (%s)",

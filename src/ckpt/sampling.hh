@@ -72,7 +72,7 @@ struct SamplingOptions
      * weighted) time sampling exactly when the histograms carry no
      * signal, while genuinely distinct footprints — whose histogram
      * distance approaches sqrt(2) — still dominate the metric.  Zero
-     * disables it (pure SimPoint behaviour).
+     * disables it (pure SimPoint behaviour).  It must be finite.
      */
     double timeFeatureWeight = 0.5;
     /**

@@ -66,6 +66,7 @@ PwWarp::startBatch()
         lane.created = slot.req.created;
         lane.id = slot.req.id;
         lane.key = slot.req.key;
+        lane.ptReads = 0;
         SW_LIFECYCLE(lifecycle_, LifecyclePhase::WalkDispatch, eventq.now(),
                      lane.id, lane.key, hooks.walker, true);
     }
@@ -109,6 +110,7 @@ PwWarp::levelIteration()
             spaces.tableFor(lanes[lane_idx].key.asid);
         PhysAddr addr = pt.pteAddr(lanes[lane_idx].cursor);
         eventq.schedule(issue_done, [this, lane_idx, addr]() {
+            ++lanes[lane_idx].ptReads;
             SW_LIFECYCLE(lifecycle_, LifecyclePhase::PtRead, eventq.now(),
                          lanes[lane_idx].id, lanes[lane_idx].key,
                          hooks.walker, true);
@@ -182,6 +184,8 @@ PwWarp::finishBatch()
         result.pfn = lane.cursor.pfn;
         result.fault = lane.cursor.fault;
         result.software = true;
+        result.ptReads = lane.ptReads;
+        result.walker = hooks.walker;
         result.queueDelay = lane.pickedUp - lane.created;
         result.accessLatency = arrive - lane.pickedUp;
         // The SoftPWB slot frees now; the fill is in transit until the

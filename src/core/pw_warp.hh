@@ -122,6 +122,7 @@ class PwWarp
         Cycle created = 0;
         std::uint64_t id = 0;
         TranslationKey key;
+        std::uint16_t ptReads = 0;   ///< LDPTs issued for this walk
     };
 
     void startBatch();

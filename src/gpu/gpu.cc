@@ -364,8 +364,7 @@ Gpu::installObservability(const Observability &obs)
                     events->sample(now, deltas);
                 });
         }
-        obs.sampler->install(
-            eventq, obs.sampleInterval > 0 ? obs.sampleInterval : 10000);
+        obs.sampler->install(eventq, obs.sampleInterval);
     }
 }
 

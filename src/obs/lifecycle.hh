@@ -80,6 +80,8 @@ const char *toString(LifecyclePhase phase);
  * - PwReserve: the reserved issue-slot window [a, b);
  * - SmSched: a = any live warps, b = every live warp blocked;
  * - FaultReplay: a = the walk holds an In-TLB MSHR slot.
+ * A WalkFill also carries the rest of the backend's walk record (WalkResult):
+ * the walker that picked the walk up and the page-table reads it issued.
  */
 struct LifecycleEvent
 {
@@ -94,6 +96,8 @@ struct LifecycleEvent
     bool software = false;           ///< walked by a PW Warp
     Cycle a = 0;
     Cycle b = 0;
+    std::uint32_t walker = kNoWhere; ///< WalkFill: PTW slot or PW Warp's SM
+    std::uint32_t ptReads = 0;       ///< WalkFill: page-table reads issued
 };
 
 /** The stream the machine emits into and the three observers read. */

@@ -32,7 +32,7 @@ struct Observability
     TimeSeriesSampler *sampler = nullptr;
     CycleLedger *ledger = nullptr;
     EventLog *events = nullptr;
-    /** Sweep period for the sampler (ignored when sampler is null). */
+    /** Sweep period for the sampler, non-zero (unused without one). */
     Cycle sampleInterval = 10000;
 
     bool

@@ -20,67 +20,32 @@ TranslationTracer::consume(const LifecycleEvent &event)
     const LifecyclePhase phase = event.phase;
     if (phase > LifecyclePhase::Wakeup)
         return; // ledger-only transitions
-    const Cycle cycle = event.cycle;
-    const std::uint64_t id = event.walk;
-    const std::uint32_t where = event.where;
     ++stampsRecorded_;
     if (push(ring, ringNext,
-             Stamp{cycle, id, event.key.vpn, where, phase, event.key.asid}))
+             Stamp{event.cycle, event.walk, event.key.vpn, event.where,
+                   phase, event.key.asid}))
         ++stampsDropped_;
-
-    // Lifecycle reconstruction: only phases keyed by a walk id take part.
-    if (id == 0)
+    if (phase != LifecyclePhase::WalkFill)
         return;
-    switch (phase) {
-      case LifecyclePhase::WalkCreated: {
-        // Walk ids are unique: a replay gets a fresh one.
-        WalkSpan &span = live.insert(id);
-        span.id = id;
-        span.vpn = event.key.vpn;
-        span.asid = event.key.asid;
-        span.created = cycle;
-        break;
-      }
-      case LifecyclePhase::WalkDispatch: {
-        WalkSpan *span = live.find(id);
-        if (span && span->dispatched == 0) {
-            span->dispatched = cycle;
-            span->where = where;
-        }
-        break;
-      }
-      case LifecyclePhase::PtRead:
-        if (WalkSpan *span = live.find(id))
-            ++span->ptReads;
-        break;
-      case LifecyclePhase::WalkFill: {
-        const WalkSpan *found = live.find(id);
-        if (!found)
-            break;
-        WalkSpan span = *found;
-        live.erase(id);
-        span.filled = cycle;
-        // A walk whose backend never stamped a dispatch attributes
-        // everything to the walk phase.
-        Cycle dispatch = span.dispatched ? span.dispatched : span.created;
-        queuePhase_.add(dispatch - span.created);
-        walkPhase_.add(span.filled - dispatch);
-        totalPhase_.add(span.filled - span.created);
-        ptReadsPerWalk_.add(span.ptReads);
-        ++spansCompleted_;
-        if (push(spanRing, spanNext, span))
-            ++spansDropped_;
-        break;
-      }
-      case LifecyclePhase::Fault:
-        // The replay arrives as a fresh WalkCreated with a new id; drop
-        // the faulted span so the live map doesn't accumulate them.
-        if (live.find(id))
-            live.erase(id);
-        break;
-      default:
-        break;
-    }
+
+    // The fill carries the backend's walk record: its span is
+    // [fill - access - queue, fill - access, fill].
+    const Cycle dispatched = event.cycle - event.b;
+    const WalkSpan span{.id = event.walk,
+                        .vpn = event.key.vpn,
+                        .asid = event.key.asid,
+                        .created = dispatched - event.a,
+                        .dispatched = dispatched,
+                        .filled = event.cycle,
+                        .ptReads = event.ptReads,
+                        .where = event.walker};
+    queuePhase_.add(event.a);
+    walkPhase_.add(event.b);
+    totalPhase_.add(event.a + event.b);
+    ptReadsPerWalk_.add(event.ptReads);
+    ++spansCompleted_;
+    if (push(spanRing, spanNext, span))
+        ++spansDropped_;
 }
 
 void
@@ -126,15 +91,15 @@ TranslationTracer::writeTraceJson(std::ostream &out) const
     };
 
     forEachOldestFirst(spanRing, spanNext, [&](const WalkSpan &span) {
-        Cycle dispatch = span.dispatched ? span.dispatched : span.created;
         text << sep
              << "{\"name\":\"queue\",\"cat\":\"walk\",\"ph\":\"X\",\"ts\":"
-             << span.created << ",\"dur\":" << dispatch - span.created
+             << span.created << ",\"dur\":" << span.dispatched - span.created
              << ",\"pid\":0,\"tid\":" << tid(span.where)
              << ",\"args\":{\"id\":" << span.id << ",\"vpn\":" << span.vpn
              << ",\"asid\":" << span.asid << "}},\n"
              << "{\"name\":\"walk\",\"cat\":\"walk\",\"ph\":\"X\",\"ts\":"
-             << dispatch << ",\"dur\":" << span.filled - dispatch
+             << span.dispatched
+             << ",\"dur\":" << span.filled - span.dispatched
              << ",\"pid\":0,\"tid\":" << tid(span.where)
              << ",\"args\":{\"id\":" << span.id << ",\"vpn\":" << span.vpn
              << ",\"asid\":" << span.asid << ",\"pt_reads\":" << span.ptReads

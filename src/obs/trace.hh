@@ -9,6 +9,10 @@
  * never schedules events and never advances the clock, so an installed
  * tracer leaves the simulated timeline bit-identical.
  *
+ * Each walk_fill carries the backend's walk record (WalkResult), so a
+ * walk's span needs no per-walk state here: the walk was picked up its
+ * access latency before the fill and created its queue delay before that.
+ *
  * Output: a Chrome/Perfetto trace_event JSON array (writeTraceJson) with
  * one "X" (complete) event per walk phase span and "i" (instant) events
  * for the raw stamps, plus per-phase latency attribution (queue = walk
@@ -23,7 +27,6 @@
 #include <vector>
 
 #include "obs/lifecycle.hh"
-#include "sim/flat_map.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -44,17 +47,17 @@ class TranslationTracer
         Asid asid = 0;           ///< owning tenant (per-tenant attribution)
     };
 
-    /** Reconstructed span record for one completed walk. */
+    /** Span of one completed walk, from its WalkFill record. */
     struct WalkSpan
     {
         std::uint64_t id = 0;
         Vpn vpn = 0;
         Asid asid = 0;
-        Cycle created = 0;     ///< WalkCreated
-        Cycle dispatched = 0;  ///< first WalkDispatch
-        Cycle filled = 0;      ///< WalkFill
-        std::uint32_t ptReads = 0;
-        /** Dispatch target when known. */
+        Cycle created = 0;     ///< dispatched - queue delay
+        Cycle dispatched = 0;  ///< filled - access latency
+        Cycle filled = 0;      ///< the WalkFill cycle
+        std::uint32_t ptReads = 0;  ///< page-table reads (0: NHA rider)
+        /** PTW slot or PW Warp's SM that picked the walk up. */
         std::uint32_t where = LifecycleEvent::kNoWhere;
     };
 
@@ -69,8 +72,9 @@ class TranslationTracer
     TranslationTracer &operator=(const TranslationTracer &) = delete;
 
     /**
-     * Stream entry: stamp one of the tracer's phases; the ledger-only
-     * phases are ignored.  Never schedules; never perturbs.
+     * Stream entry: stamp one of the tracer's phases, and on a WalkFill
+     * record the span its walk record implies; the ledger-only phases are
+     * ignored.  Never schedules; never perturbs.
      */
     void consume(const LifecycleEvent &event);
 
@@ -144,9 +148,6 @@ class TranslationTracer
     std::size_t ringNext = 0;
     std::uint64_t stampsRecorded_ = 0;
     std::uint64_t stampsDropped_ = 0;
-
-    /** Walks between WalkCreated and WalkFill, by id (0 marks empty). */
-    FlatMap<std::uint64_t, WalkSpan> live{0};
 
     std::vector<WalkSpan> spanRing;
     std::size_t spanNext = 0;

@@ -106,6 +106,7 @@ HardwarePtwPool::dispatch()
         ActiveWalk &walk = active[slot];
         walk.primary = std::move(req);
         walk.coalesced.clear();
+        walk.ptReads = 0;
         walk.live = true;
 
         // NHA: absorb queued walks whose leaf PTEs share this walk's
@@ -165,6 +166,7 @@ HardwarePtwPool::walkStep(std::uint64_t slot)
     const PageTableBase &pt = spaces.tableFor(walk.primary.key.asid);
     PhysAddr addr = pt.pteAddr(walk.cursor);
     ++stats_.memReads;
+    ++walk.ptReads;
     SW_LIFECYCLE(lifecycle_, LifecyclePhase::PtRead, eventq.now(),
                  walk.primary.id, walk.primary.key, std::uint32_t(slot));
     ptReader.ptRead(addr, kHardwareWalker, std::uint32_t(slot));
@@ -199,13 +201,18 @@ HardwarePtwPool::finishWalk(ActiveWalk &walk)
     SW_PROF_SCOPE(prof::Zone::PtwWalk);
     Cycle now = eventq.now();
     Cycle access = now - walk.started;
+    std::uint32_t slot = std::uint32_t(&walk - active.data());
 
-    auto complete_one = [&](const WalkRequest &req, Pfn pfn, bool fault) {
+    // An NHA rider was walked by the primary's slot and read nothing.
+    auto complete_one = [&](const WalkRequest &req, Pfn pfn, bool fault,
+                            std::uint16_t reads) {
         WalkResult result;
         result.id = req.id;
         result.key = req.key;
         result.pfn = pfn;
         result.fault = fault;
+        result.ptReads = reads;
+        result.walker = slot;
         result.queueDelay = walk.started - req.created;
         result.accessLatency = access;
         ++stats_.completed;
@@ -215,19 +222,19 @@ HardwarePtwPool::finishWalk(ActiveWalk &walk)
         onComplete(result);
     };
 
-    complete_one(walk.primary, walk.cursor.pfn, walk.cursor.fault);
+    complete_one(walk.primary, walk.cursor.pfn, walk.cursor.fault,
+                 walk.ptReads);
     for (const auto &rider : walk.coalesced) {
         // Riders resolve through their own address space (the NHA key is
         // ASID-qualified, so in practice it is the primary's).
         const PageTableBase &pt = spaces.tableFor(rider.key.asid);
         bool mapped = pt.isMapped(rider.key.vpn);
         complete_one(rider, mapped ? pt.translate(rider.key.vpn) : 0,
-                     !mapped);
+                     !mapped, 0);
     }
 
     walk.live = false;
     walk.coalesced.clear();
-    std::uint32_t slot = std::uint32_t(&walk - active.data());
     idleSlots.push_back(slot);
     SW_ASSERT(activeWalkers > 0, "active walker underflow");
     --activeWalkers;

@@ -107,6 +107,7 @@ class HardwarePtwPool : public WalkBackend
         std::vector<WalkRequest> coalesced;   ///< NHA-merged riders
         WalkCursor cursor;
         Cycle started = 0;
+        std::uint16_t ptReads = 0;            ///< the primary's level reads
         bool live = false;
     };
 

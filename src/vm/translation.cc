@@ -355,7 +355,8 @@ TranslationEngine::onWalkComplete(const WalkResult &result)
     l2Fill(result.key, result.pfn);
     SW_LIFECYCLE(lifecycle_, LifecyclePhase::WalkFill, eventq.now(),
                  result.id, result.key, LifecycleEvent::kNoWhere,
-                 result.software, result.queueDelay, result.accessLatency);
+                 result.software, result.queueDelay, result.accessLatency,
+                 result.walker, result.ptReads);
 
     ++stats_.walksCompleted;
     stats_.walkQueueDelay.add(result.queueDelay);

@@ -31,7 +31,11 @@ struct WalkRequest
     Cycle created = 0;      ///< cycle the L2 TLB miss spawned the walk
 };
 
-/** Terminal outcome of a walk, with the paper's latency split (§3.2). */
+/**
+ * Terminal outcome of a walk, with the paper's latency split (§3.2).  It
+ * is the one record of a walk's span: @c walker picked the walk up
+ * accessLatency before completion, queueDelay after it was created.
+ */
 struct WalkResult
 {
     std::uint64_t id = 0;
@@ -39,9 +43,12 @@ struct WalkResult
     Pfn pfn = 0;
     bool fault = false;
     bool software = false;   ///< walked by a PW-Warp (vs. hardware PTW)
+    std::uint16_t ptReads = 0; ///< page-table reads (0: an NHA rider)
+    std::uint32_t walker = 0;  ///< PTW slot or PW Warp's SM that took it
     Cycle queueDelay = 0;    ///< created -> picked up by a walker
     Cycle accessLatency = 0; ///< picked up -> completed
 };
+static_assert(sizeof(WalkResult) == 56, "walk records stay 56 bytes");
 
 /** Invoked by a backend when a walk finishes. */
 using WalkCompleteFn = std::function<void(const WalkResult &)>;

@@ -16,8 +16,9 @@
  *    interconnect hop into the SoftPWBs, run as PW-Warp batches issuing
  *    LDPTs through the engine, and return to the L2 TLB as FL2T fills.
  *  - Observers: the translation tracer and the cycle ledger fed the same
- *    batch of lifecycle events twice.  The event log stays outside the
- *    gate: its record array grows with the run by design.
+ *    batch of lifecycle events twice, and the tracer alone, which must
+ *    not allocate even in the first batch.  The event log stays outside
+ *    the gate: its record array grows with the run by design.
  */
 
 #include <gtest/gtest.h>
@@ -389,9 +390,12 @@ class ObservedAllocs : public ::testing::Test
     /** Emit @p phase at the next cycle. */
     void
     emit(LifecyclePhase phase, std::uint64_t walk, TranslationKey key,
-         std::uint32_t where, Cycle a = 0, Cycle b = 0)
+         std::uint32_t where, Cycle a = 0, Cycle b = 0,
+         std::uint32_t walker = LifecycleEvent::kNoWhere,
+         std::uint32_t pt_reads = 0)
     {
-        SW_LIFECYCLE(stream, phase, now, walk, key, where, true, a, b);
+        SW_LIFECYCLE(stream, phase, now, walk, key, where, true, a, b,
+                     walker, pt_reads);
         ++now;
     }
 
@@ -410,6 +414,7 @@ class ObservedAllocs : public ::testing::Test
             emit(P::L2Lookup, 0, key, smOf(walk));
             emit(P::L2Miss, 0, key, smOf(walk));
             emit(P::MshrAlloc, 0, key, smOf(walk));
+            created[walk] = now;
             emit(P::WalkCreated, walk, key, kNoWhere);
             emit(P::BackendSubmit, walk, key, kNoWhere);
         }
@@ -417,6 +422,7 @@ class ObservedAllocs : public ::testing::Test
             const TranslationKey key = keyOf(walk);
             const SmId host = (smOf(walk) + 1) % kSms;
             const TranslationKey tenant{key.asid, 0};
+            dispatched[walk] = now;
             emit(P::WalkDispatch, walk, key, host);
             emit(P::PwHosted, 0, tenant, host);
             emit(P::PwReserve, 0, tenant, host, now, now + 1);
@@ -427,7 +433,9 @@ class ObservedAllocs : public ::testing::Test
             emit(P::PtRead, walk, key, host);
         }
         for (std::uint64_t walk = 1; walk <= kWalks; ++walk) {
-            emit(P::WalkFill, walk, keyOf(walk), kNoWhere);
+            emit(P::WalkFill, walk, keyOf(walk), kNoWhere,
+                 dispatched[walk] - created[walk], now - dispatched[walk],
+                 (smOf(walk) + 1) % kSms, 4);
             emit(P::Wakeup, 0, keyOf(walk), smOf(walk));
         }
         for (SmId sm = 0; sm < kSms; ++sm)
@@ -436,10 +444,24 @@ class ObservedAllocs : public ::testing::Test
     }
 
     Cycle now = 1;
+    /** Each walk's WalkCreated and WalkDispatch cycles, by walk id. */
+    std::array<Cycle, kWalks + 1> created{};
+    std::array<Cycle, kWalks + 1> dispatched{};
     TranslationTracer tracer;
     CycleLedger ledger;
     LifecycleStream stream;
 };
+
+TEST_F(ObservedAllocs, TracerAloneAllocatesNothingFromTheFirstBatch)
+{
+    // Both rings are reserved when the tracer is built, and each span
+    // comes whole from its fill record, so no walk allocates.
+    stream.observe(&tracer, nullptr, nullptr);
+    EXPECT_EQ(runBatch(), 0u);
+    EXPECT_EQ(tracer.spansCompleted(), kWalks);
+    EXPECT_GT(tracer.spansDropped(), 0u);
+    EXPECT_DOUBLE_EQ(tracer.ptReadsPerWalk().mean(), 4.0);
+}
 
 TEST_F(ObservedAllocs, SecondBatchAllocatesNothing)
 {

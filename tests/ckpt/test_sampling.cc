@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -185,6 +186,20 @@ TEST(Sampling, SkipCoveringWholeTraceIsFatal)
     opts.skipInstrs = 200;
     EXPECT_DEATH(buildSamplingPlan(twoPhaseTrace(), opts),
                  "covers the whole");
+}
+
+TEST(Sampling, NonFiniteTimeWeightPanics)
+{
+    // An infinite weight makes window 0's time feature inf * 0 = NaN; no
+    // distance to it compares, so a cluster can end without a
+    // representative window.  A NaN weight is no weight at all.
+    SamplingOptions opts = twoPhaseOptions();
+    for (double weight : {std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+        opts.timeFeatureWeight = weight;
+        EXPECT_DEATH(buildSamplingPlan(twoPhaseTrace(), opts),
+                     "weight must be finite");
+    }
 }
 
 TEST(Sampling, EmptyTraceIsFatal)

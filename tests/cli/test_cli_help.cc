@@ -102,15 +102,17 @@ TEST(CliHelp, DocumentsObservabilityFlags)
 TEST(CliNumbers, BadValuesAreUsageErrors)
 {
     // Signs, values past 64 bits, 32-bit settings past 2^32 - 1, zero
-    // walkers, and non-positive or non-finite scales end in the usual
-    // exit-2 error instead of an abort, a panic, or a silently truncated
-    // value.
+    // walkers, windows, clusters or sample intervals, and non-positive or
+    // non-finite scales and time weights end in the usual exit-2 error
+    // instead of an abort, a hang, or a silently misread value.
     for (const char *args :
          {"--ptws -1", "--ptws +4", "--ptws 4294967328",
           "--intlb 4294967297", "--quota 18446744073709551616",
           "--quota -5", "--subtlb 4294967296", "--scale 0",
           "--scale -2", "--scale nan", "--scale inf", "--ptws ''",
-          "--ptws 0", "--mode hybrid --ptws 0"}) {
+          "--ptws 0", "--mode hybrid --ptws 0", "--phase-window 0",
+          "--phase-clusters 0", "--phase-time-weight inf",
+          "--phase-time-weight nan", "--sample-interval 0"}) {
         auto [status, out] = runCli(args);
         EXPECT_EQ(status, 2) << args << ": " << out;
         EXPECT_NE(out.find("(try --help)"), std::string::npos)

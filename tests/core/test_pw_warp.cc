@@ -24,6 +24,9 @@ K(Vpn vpn)
 class PwWarpTest : public ::testing::Test
 {
   protected:
+    /** The SM the warp under test runs on. */
+    static constexpr std::uint32_t kSm = 5;
+
     PwWarpTest()
         : geom(64 * 1024), alloc(64 * 1024), spaces(spacesConfig(), alloc),
           pt(spaces.tableFor(0)), pwb(8)
@@ -53,6 +56,7 @@ class PwWarpTest : public ::testing::Test
             eq, mem_latency, memReads));
         test::FixedLatencyReader &reader = *readers.back();
         hooks.ptReader = &reader;
+        hooks.walker = kSm;
         hooks.pwcFill = [this](int level, TranslationKey, PhysAddr) {
             pwcFills.push_back(level);
         };
@@ -261,6 +265,25 @@ TEST_F(PwWarpTest, ResumedCursorsSkipLevels)
     EXPECT_EQ(memReads, 1);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].pfn, pt.translate(0x300));
+}
+
+TEST_F(PwWarpTest, WalkRecordCountsEachLanesLdpts)
+{
+    auto warp = makeWarp();
+    pwb.insert(makeRequest(0x42, 1), eq.now());
+    // Lane 2 resumes at the leaf and reads one level.
+    WalkRequest leaf = makeRequest(0x300, 2);
+    while (leaf.cursor.level > 1)
+        pt.advance(leaf.cursor);
+    pwb.insert(std::move(leaf), eq.now());
+    warp->notifyWork();
+    eq.run();
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(warp->stats().batches, 1u);
+    for (const WalkResult &result : results) {
+        EXPECT_EQ(result.walker, kSm);
+        EXPECT_EQ(result.ptReads, result.id == 1 ? 4u : 1u);
+    }
 }
 
 TEST_F(PwWarpTest, PwOpcodeNames)

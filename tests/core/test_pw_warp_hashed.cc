@@ -21,6 +21,9 @@ K(Vpn vpn)
 class PwWarpHashedTest : public ::testing::Test
 {
   protected:
+    /** The SM the warp under test runs on. */
+    static constexpr std::uint32_t kSm = 3;
+
     PwWarpHashedTest()
         : geom(64 * 1024), alloc(64 * 1024), spaces(spacesConfig(), alloc),
           pt(static_cast<HashedPageTable &>(spaces.tableFor(0))), pwb(8)
@@ -46,6 +49,7 @@ class PwWarpHashedTest : public ::testing::Test
         reader = std::make_unique<test::FixedLatencyReader>(eq, 40,
                                                              memReads);
         hooks.ptReader = reader.get();
+        hooks.walker = kSm;
         hooks.pwcFill = [this](int, TranslationKey, PhysAddr) { ++pwcFills; };
         hooks.complete = [this](const WalkResult &result) {
             results.push_back(result);
@@ -109,6 +113,8 @@ TEST_F(PwWarpHashedTest, BatchOverHashedTable)
     for (const auto &result : results) {
         EXPECT_FALSE(result.fault);
         EXPECT_EQ(result.pfn, pt.translate(result.key.vpn));
+        EXPECT_EQ(result.ptReads, pt.walkReads(result.key.vpn));
+        EXPECT_EQ(result.walker, kSm);
     }
 }
 

@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/softwalker.hh"
 #include "harness/corun.hh"
@@ -225,6 +228,43 @@ fnv1a(const std::string &text)
 }
 
 /**
+ * Every span the tracer retained equals the event log's record of the
+ * same walk (@p log is the written NDJSON): fill cycle, queue delay,
+ * access latency, vpn and asid.
+ */
+void
+expectSpansMatchLog(const TranslationTracer &tracer, const std::string &log)
+{
+    // (fill cycle, queue delay, access latency, vpn, asid) by walk id.
+    std::map<std::uint64_t, std::tuple<Cycle, Cycle, Cycle, Vpn, Asid>>
+        walks;
+    std::istringstream lines(log);
+    for (std::string line; std::getline(lines, line);) {
+        unsigned long long cycle, id, vpn, queue, access;
+        unsigned asid;
+        char software[6];
+        if (std::sscanf(line.c_str(),
+                        "{\"type\":\"walk\",\"cycle\":%llu,\"id\":%llu,"
+                        "\"asid\":%u,\"vpn\":%llu,\"sw\":%5[a-z],"
+                        "\"queue_delay\":%llu,\"access_latency\":%llu}",
+                        &cycle, &id, &asid, &vpn, software, &queue,
+                        &access) == 7)
+            walks[id] = {cycle, queue, access, vpn, asid};
+    }
+    const std::vector<TranslationTracer::WalkSpan> spans = tracer.spans();
+    ASSERT_FALSE(spans.empty());
+    for (const TranslationTracer::WalkSpan &span : spans) {
+        auto found = walks.find(span.id);
+        ASSERT_NE(found, walks.end()) << "walk " << span.id << " not logged";
+        ASSERT_EQ(std::tuple(span.filled, span.dispatched - span.created,
+                             span.filled - span.dispatched, span.vpn,
+                             span.asid),
+                  found->second)
+            << "walk " << span.id;
+    }
+}
+
+/**
  * Golden observer outputs: bench-smoke's run (bfs, SoftWalker, quota 2000,
  * warmup 500) in process with the tracer, ledger and event log attached.
  * The event log and the ledger equal the committed baselines byte for
@@ -255,6 +295,7 @@ TEST(ObsGolden, BenchSmokeOutputsMatchBaselines)
     std::ostringstream log;
     events.write(log);
     EXPECT_EQ(log.str(), readBaseline("EVENTS_bfs_sw.ndjson"));
+    expectSpansMatchLog(tracer, log.str());
 
     const std::string artifact = readBaseline("LEDGER_bfs_sw.json");
     const std::string member = "\n  \"ledger\": ";
@@ -312,11 +353,67 @@ TEST(ObsGolden, HardwarePtwSampledRunKeepsDigests)
     EXPECT_NE(log.str().find("\"sw\":false"), std::string::npos);
     EXPECT_EQ(log.str().find("\"sw\":true"), std::string::npos);
     EXPECT_EQ(fnv1a(log.str()), 0xc8a52f1483d24364ull);
+    expectSpansMatchLog(tracer, log.str());
 
     if (!prof::kHostProfCompiled) {
         std::ostringstream trace;
         tracer.writeTraceJson(trace);
         EXPECT_EQ(fnv1a(trace.str()), 0x862134fcdd0bf6ddull);
+    }
+}
+
+/**
+ * Golden observer outputs on the Hybrid machine with NHA coalescing
+ * (`swsim_cli --bench bfs --mode hybrid --nha`): hardware and software
+ * walks interleave in one log, and the hardware walks that NHA merged
+ * into another (riders) issue no page-table reads of their own.  Both
+ * artifacts keep fixed digests.
+ */
+TEST(ObsGolden, HybridNhaRunKeepsDigests)
+{
+    TranslationTracer tracer;
+    EventLog events;
+    Observability obs;
+    obs.tracer = &tracer;
+    obs.events = &events;
+
+    RunSpec spec;
+    spec.cfg = makeSoftWalkerConfig(TranslationMode::Hybrid);
+    spec.cfg.nhaCoalescing = true;
+    spec.benchmark = &findBenchmark("bfs");
+    Gpu::RunLimits limits;
+    limits.warpInstrQuota = 2000;
+    limits.warmupInstrs = 500;
+    limits.maxCycles = 4000000;
+    spec.limits = limits;
+    spec.obs = &obs;
+    run(std::move(spec));
+
+    std::ostringstream out;
+    events.write(out);
+    const std::string log = out.str();
+    auto count = [&](const std::string &needle) {
+        std::size_t n = 0;
+        for (std::size_t at = log.find(needle); at != std::string::npos;
+             at = log.find(needle, at + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(count("\"sw\":false,\"queue_delay\""), 1152u);
+    EXPECT_EQ(count("\"sw\":true,\"queue_delay\""), 1587u);
+    const std::vector<TranslationTracer::WalkSpan> spans = tracer.spans();
+    std::size_t riders = 0;
+    for (const TranslationTracer::WalkSpan &span : spans)
+        riders += span.ptReads == 0;
+    EXPECT_EQ(spans.size(), 2739u);
+    EXPECT_EQ(riders, 732u);
+    EXPECT_EQ(fnv1a(log), 0x8b5c39810c677b25ull);
+    expectSpansMatchLog(tracer, log);
+
+    if (!prof::kHostProfCompiled) {
+        std::ostringstream trace;
+        tracer.writeTraceJson(trace);
+        EXPECT_EQ(fnv1a(trace.str()), 0x3b79f1450e41beceull);
     }
 }
 

@@ -35,6 +35,17 @@ struct TracedStream
                      where);
     }
 
+    /** A WalkFill carrying its walk record, as the engine emits it. */
+    void
+    fill(Cycle cycle, std::uint64_t id, Vpn vpn, Cycle queue_delay,
+         Cycle access_latency, std::uint32_t walker = kNoWhere,
+         std::uint32_t pt_reads = 0, Asid asid = 0)
+    {
+        SW_LIFECYCLE(stream, LifecyclePhase::WalkFill, cycle, id,
+                     TranslationKey{asid, vpn}, kNoWhere, false, queue_delay,
+                     access_latency, walker, pt_reads);
+    }
+
     TranslationTracer tracer;
     LifecycleStream stream;
 };
@@ -86,17 +97,21 @@ TEST(Tracer, ReconstructsWalkSpanWithPhaseAttribution)
 {
     TracedStream traced;
     TranslationTracer &tracer = traced.tracer;
+    // The earlier phases are stamps only; the span is the fill's record.
     traced.emit(LifecyclePhase::WalkCreated, 100, 7, 0xabc);
     traced.emit(LifecyclePhase::BackendSubmit, 100, 7, 0xabc);
     traced.emit(LifecyclePhase::WalkDispatch, 130, 7, 0xabc, 2);
     traced.emit(LifecyclePhase::PtRead, 140, 7, 0xabc);
     traced.emit(LifecyclePhase::PtRead, 180, 7, 0xabc);
-    traced.emit(LifecyclePhase::WalkFill, 230, 7, 0xabc);
+    EXPECT_EQ(tracer.spansCompleted(), 0u);
+    traced.fill(230, 7, 0xabc, 30, 100, 2, 2);
 
+    EXPECT_EQ(tracer.stampsRecorded(), 6u);
     EXPECT_EQ(tracer.spansCompleted(), 1u);
     auto spans = tracer.spans();
     ASSERT_EQ(spans.size(), 1u);
     EXPECT_EQ(spans[0].id, 7u);
+    EXPECT_EQ(spans[0].vpn, 0xabcu);
     EXPECT_EQ(spans[0].created, 100u);
     EXPECT_EQ(spans[0].dispatched, 130u);
     EXPECT_EQ(spans[0].filled, 230u);
@@ -109,60 +124,12 @@ TEST(Tracer, ReconstructsWalkSpanWithPhaseAttribution)
     EXPECT_DOUBLE_EQ(tracer.ptReadsPerWalk().mean(), 2.0);
 }
 
-TEST(Tracer, FirstDispatchWins)
-{
-    // Batched PW-Warp lanes can re-dispatch riders; the queue phase ends
-    // at the first pickup.
-    TracedStream traced;
-    TranslationTracer &tracer = traced.tracer;
-    traced.emit(LifecyclePhase::WalkCreated, 10, 1, 0x1);
-    traced.emit(LifecyclePhase::WalkDispatch, 20, 1, 0x1, 0);
-    traced.emit(LifecyclePhase::WalkDispatch, 30, 1, 0x1, 1);
-    traced.emit(LifecyclePhase::WalkFill, 40, 1, 0x1);
-    ASSERT_EQ(tracer.spans().size(), 1u);
-    EXPECT_EQ(tracer.spans()[0].dispatched, 20u);
-    EXPECT_EQ(tracer.spans()[0].where, 0u);
-}
-
-TEST(Tracer, FillWithoutDispatchAttributesToWalkPhase)
-{
-    TracedStream traced;
-    TranslationTracer &tracer = traced.tracer;
-    traced.emit(LifecyclePhase::WalkCreated, 50, 9, 0x9);
-    traced.emit(LifecyclePhase::WalkFill, 90, 9, 0x9);
-    EXPECT_DOUBLE_EQ(tracer.queuePhase().mean(), 0.0);
-    EXPECT_DOUBLE_EQ(tracer.walkPhase().mean(), 40.0);
-}
-
-TEST(Tracer, FaultDropsLiveSpan)
-{
-    TracedStream traced;
-    TranslationTracer &tracer = traced.tracer;
-    traced.emit(LifecyclePhase::WalkCreated, 10, 5, 0x5);
-    traced.emit(LifecyclePhase::Fault, 20, 5, 0x5);
-    // The replayed walk arrives under a fresh id; the faulted one must not
-    // complete a span.
-    traced.emit(LifecyclePhase::WalkFill, 30, 5, 0x5);
-    EXPECT_EQ(tracer.spansCompleted(), 0u);
-    EXPECT_EQ(tracer.totalPhase().count, 0u);
-}
-
-TEST(Tracer, IdZeroStampsSkipReconstruction)
-{
-    TracedStream traced;
-    TranslationTracer &tracer = traced.tracer;
-    traced.emit(LifecyclePhase::WalkCreated, 10, 0, 0x1);
-    traced.emit(LifecyclePhase::WalkFill, 20, 0, 0x1);
-    EXPECT_EQ(tracer.spansCompleted(), 0u);
-    EXPECT_EQ(tracer.stampsRecorded(), 2u);
-}
-
 TEST(Tracer, ResetAttributionKeepsHistory)
 {
     TracedStream traced;
     TranslationTracer &tracer = traced.tracer;
     traced.emit(LifecyclePhase::WalkCreated, 10, 1, 0x1);
-    traced.emit(LifecyclePhase::WalkFill, 30, 1, 0x1);
+    traced.fill(30, 1, 0x1, 5, 15, 0, 4);
     tracer.resetAttribution();
     EXPECT_EQ(tracer.totalPhase().count, 0u);
     // Raw history survives the warmup reset; only attribution is zeroed.
@@ -176,7 +143,7 @@ TEST(Tracer, WriteTraceJsonEmitsEventArray)
     TranslationTracer &tracer = traced.tracer;
     traced.emit(LifecyclePhase::WalkCreated, 100, 7, 0xabc);
     traced.emit(LifecyclePhase::WalkDispatch, 130, 7, 0xabc, 2);
-    traced.emit(LifecyclePhase::WalkFill, 230, 7, 0xabc);
+    traced.fill(230, 7, 0xabc, 30, 100, 2);
 
     std::ostringstream out;
     tracer.writeTraceJson(out);
@@ -224,21 +191,22 @@ TEST(Tracer, WriteTraceJsonBytesAfterBothRingsWrap)
     // Walk 1 is the span the span ring drops.
     traced.emit(LifecyclePhase::WalkCreated, 10, 1, 257);
     traced.emit(LifecyclePhase::WalkDispatch, 20, 1, 257, 1);
-    traced.emit(LifecyclePhase::WalkFill, 30, 1, 257);
-    // Walk 2 fills without a dispatch: all of it is walk phase, tid 0.
+    traced.fill(30, 1, 257, 10, 10, 1);
+    // Walk 2's record names no walker and no queue delay: all of it is
+    // walk phase, tid 0.
     traced.emit(LifecyclePhase::WalkCreated, 40, 2, 258);
-    traced.emit(LifecyclePhase::WalkFill, 70, 2, 258);
+    traced.fill(70, 2, 258, 0, 30);
     traced.emit(LifecyclePhase::WalkCreated, 80, 3, 259);
     traced.emit(LifecyclePhase::WalkDispatch, 85, 3, 259, 7);
     traced.emit(LifecyclePhase::PtRead, 90, 3, 259);
     traced.emit(LifecyclePhase::PtRead, 95, 3, 259);
-    traced.emit(LifecyclePhase::WalkFill, 120, 3, 259);
+    traced.fill(120, 3, 259, 5, 35, 7, 2);
     traced.emit(LifecyclePhase::WalkCreated, 130, 4, 260, kNoWhere, 3);
     traced.emit(LifecyclePhase::WalkDispatch, 131, 4, 260, 0, 3);
-    traced.emit(LifecyclePhase::WalkFill, 140, 4, 260, kNoWhere, 3);
+    traced.fill(140, 4, 260, 1, 9, 0, 0, 3);
     traced.emit(LifecyclePhase::WalkCreated, 150, 5, 261);
     traced.emit(LifecyclePhase::WalkDispatch, 160, 5, 261, kNoWhere - 1);
-    traced.emit(LifecyclePhase::WalkFill, 200, 5, 261);
+    traced.fill(200, 5, 261, 10, 40, kNoWhere - 1);
     traced.emit(LifecyclePhase::L1Miss, 210, 0, 262, 5);
     traced.emit(LifecyclePhase::Wakeup, 220, 0, 262);
 

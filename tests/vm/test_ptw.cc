@@ -88,6 +88,7 @@ TEST_F(PtwTest, SingleWalkCompletesWithCorrectPfn)
     EXPECT_EQ(results[0].pfn, pt.translate(42));
     (void)expected;
     EXPECT_EQ(memReads, 4) << "four radix levels read";
+    EXPECT_EQ(results[0].ptReads, 4u);
     EXPECT_EQ(pool->inFlight(), 0u);
 }
 
@@ -130,6 +131,11 @@ TEST_F(PtwTest, ParallelWalkersOverlap)
     EXPECT_EQ(results.size(), 4u);
     // Four walks of 4 levels at 50cy overlap: well under serial time.
     EXPECT_LT(eq.now(), 4 * 200u);
+    // Walk i took slot i, and each record counts its own reads.
+    for (const WalkResult &result : results) {
+        EXPECT_EQ(result.walker, result.id);
+        EXPECT_EQ(result.ptReads, 4u);
+    }
 }
 
 TEST_F(PtwTest, LimitedWalkersSerialiseAndQueueDelayGrows)
@@ -235,6 +241,37 @@ TEST_F(PtwTest, NhaMergesSameSectorWalks)
     // Riders get their own PFNs.
     for (const auto &result : results)
         EXPECT_EQ(result.pfn, pt.translate(result.key.vpn));
+}
+
+TEST_F(PtwTest, NhaRiderReportsNoReadsAndItsPrimarysSlot)
+{
+    HardwarePtwPool::Params params;
+    params.numWalkers = 2;
+    params.nhaCoalescing = true;
+    params.nhaSectorBytes = 32;   // 4 PTEs per sector
+    auto pool = makePool(params, 30);
+    // Walk 1 holds slot 0 for four reads.  Walk 2, resumed at the leaf,
+    // frees slot 1 first; walk 3 takes it, and walks 4 and 5, which share
+    // its leaf-PTE sector, ride along.
+    pool->submit(makeRequest(0x9000, 1));
+    WalkRequest leaf = makeRequest(0xa000, 2);
+    while (leaf.cursor.level > 1)
+        pt.advance(leaf.cursor);
+    pool->submit(leaf);
+    for (std::uint64_t id = 3; id <= 5; ++id)
+        pool->submit(makeRequest(0x1000 + Vpn(id - 3), id));
+    eq.run();
+    ASSERT_EQ(results.size(), 5u);
+    EXPECT_EQ(pool->stats().nhaMerged, 2u);
+
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> by_id(6);
+    for (const WalkResult &result : results)
+        by_id[result.id] = {result.walker, result.ptReads};
+    EXPECT_EQ(by_id[1], std::pair(0u, 4u));
+    EXPECT_EQ(by_id[2], std::pair(1u, 1u));
+    EXPECT_EQ(by_id[3], std::pair(1u, 4u));
+    EXPECT_EQ(by_id[4], std::pair(1u, 0u));
+    EXPECT_EQ(by_id[5], std::pair(1u, 0u));
 }
 
 TEST_F(PtwTest, NhaDoesNotMergeDistantVpns)
