@@ -190,11 +190,12 @@ PwWarp::finishBatch()
         result.accessLatency = arrive - lane.pickedUp;
         // The SoftPWB slot frees now; the fill is in transit until the
         // FL2T/FFB lands at the L2 TLB and the distributor credit drops.
-        ++fillsInTransit_;
-        eventq.schedule(arrive, [this, result]() {
-            SW_ASSERT(fillsInTransit_ > 0, "FL2T transit underflow");
-            --fillsInTransit_;
-            hooks.complete(result);
+        fills.pushBack(result);
+        eventq.schedule(arrive, [this]() {
+            SW_ASSERT(!fills.empty(), "FL2T transit underflow");
+            WalkResult landed = fills.front();
+            fills.popFront();
+            hooks.complete(landed);
         });
         pwb.release(lane.slot);
         ++stats_.walksCompleted;
@@ -210,7 +211,7 @@ PwWarp::finishBatch()
 void
 PwWarp::saveState(CkptWriter &w) const
 {
-    SW_ASSERT(!running && pendingLoads == 0 && fillsInTransit_ == 0,
+    SW_ASSERT(!running && pendingLoads == 0 && fills.empty(),
               "PW Warp checkpointed mid-batch");
     w.section("pw_warp");
     w.u64(stats_.batches);

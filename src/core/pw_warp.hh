@@ -22,6 +22,7 @@
 #include "core/soft_pwb.hh"
 #include "obs/lifecycle.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring_queue.hh"
 #include "sim/stats.hh"
 #include "vm/address_space.hh"
 #include "vm/page_walk_cache.hh"
@@ -96,7 +97,11 @@ class PwWarp
      * the interconnect back to the L2 TLB.  The Simulation Auditor uses
      * this to balance distributor credits against SoftPWB occupancy.
      */
-    std::uint32_t fillsInTransit() const { return fillsInTransit_; }
+    std::uint32_t
+    fillsInTransit() const
+    {
+        return std::uint32_t(fills.size());
+    }
 
     void resetStats() { stats_ = Stats{}; }
 
@@ -146,7 +151,13 @@ class PwWarp
     std::unique_ptr<Lane[]> lanes;
     std::uint32_t batchLanes = 0;
     std::uint32_t pendingLoads = 0;
-    std::uint32_t fillsInTransit_ = 0;
+    /**
+     * Walk records of the FL2T/FFB fills in transit, oldest first.  The
+     * SM's issue reservations never go back in time and the trip takes a
+     * fixed commLatency, so fills land in the order they were sent, and
+     * each arrival event takes the front record.
+     */
+    RingQueue<WalkResult> fills;
     Cycle batchStart = 0;
 
     Stats stats_;

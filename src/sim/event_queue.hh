@@ -10,12 +10,12 @@
  * Scheduling and running an event are O(1) and allocation-free for the
  * delays the model uses, across three structures:
  *
- *  - the *event slab*: every handler (an EventFn) is built directly in a
- *    slot of a 1024-slot chunk that never moves, runs there and is
- *    destroyed there, so an event costs no closure move.  The whole
- *    capture lives inside the slot: one that does not fit does not
- *    compile.  Freed slots are reused before a new chunk is taken, so
- *    steady state never touches the allocator.
+ *  - the *event slab*: every handler (an EventFn, 32 bytes) is built
+ *    directly in a slot of a 1024-slot chunk that never moves and runs
+ *    there, so an event costs no closure move.  The whole capture lives
+ *    inside the slot and needs no destructor: one that does not fit, or
+ *    that owns anything, does not compile.  Freed slots are reused before
+ *    a new chunk is taken, so steady state never touches the allocator.
  *
  *  - the *timing wheel*: kWheelSpan per-cycle FIFO buckets, linked through
  *    the slab, holding every event due less than kWheelSpan cycles ahead.
@@ -58,36 +58,39 @@
 namespace sw {
 
 /**
- * Capture budget of an event handler.  Sized for a whole walk record plus
- * a pointer (the PW Warp's FL2T fill carries a WalkResult).
+ * Capture budget of an event handler: the owning component's pointer
+ * plus up to two words (a request id, a translation key, or a lane index
+ * and a physical address).  A record larger than that waits in a FIFO of
+ * its component, and the event captures only the component.
  */
-inline constexpr std::size_t kEventInlineBytes = 80;
+inline constexpr std::size_t kEventInlineBytes = 24;
 
 /**
- * The closure rule: an event handler is a void() callable whose capture
- * fits kEventInlineBytes and needs no more than max_align_t alignment.
- * A handler that breaks it does not compile.  Capture indices, request
- * ids or a pointer to the owning component, not the objects themselves.
+ * The closure rule: an event handler is a trivially destructible void()
+ * callable whose capture fits kEventInlineBytes and needs no more than
+ * max_align_t alignment.  A handler that breaks it does not compile.
+ * Capture indices, request ids or a pointer to the owning component, not
+ * the objects themselves, and nothing that owns memory.
  */
 template <typename F>
 concept EventHandler =
     std::is_invocable_r_v<void, std::decay_t<F> &> &&
+    std::is_trivially_destructible_v<std::decay_t<F>> &&
     sizeof(std::decay_t<F>) <= kEventInlineBytes &&
     alignof(std::decay_t<F>) <= alignof(std::max_align_t);
 
 /**
- * A scheduled event's handler.  EventQueue builds it in place in a slab
- * slot straight from the callable handed to schedule(), calls it once
- * there and destroys it there, so it is neither copied nor moved and has
- * no empty state.
+ * A scheduled event's handler: its capture and one invoke pointer.
+ * EventQueue builds it in place in a slab slot straight from the callable
+ * handed to schedule() and calls it once there, so it is neither copied
+ * nor moved and has no empty state.  Nothing is destroyed: the slot is
+ * simply reused.
  */
 class EventFn
 {
   public:
     template <EventHandler F>
-    explicit EventFn(F &&fn)
-        : invoke(&invokeAs<std::decay_t<F>>),
-          destroy(&destroyAs<std::decay_t<F>>)
+    explicit EventFn(F &&fn) : invoke(&invokeAs<std::decay_t<F>>)
     {
         ::new (static_cast<void *>(capture)) std::decay_t<F>(
             std::forward<F>(fn));
@@ -95,8 +98,6 @@ class EventFn
 
     EventFn(const EventFn &) = delete;
     EventFn &operator=(const EventFn &) = delete;
-
-    ~EventFn() { destroy(capture); }
 
     void operator()() { invoke(capture); }
 
@@ -108,17 +109,12 @@ class EventFn
         (*static_cast<Fn *>(fn))();
     }
 
-    template <typename Fn>
-    static void
-    destroyAs(void *fn)
-    {
-        static_cast<Fn *>(fn)->~Fn();
-    }
-
     alignas(std::max_align_t) unsigned char capture[kEventInlineBytes];
     void (*invoke)(void *);
-    void (*destroy)(void *);
 };
+static_assert(sizeof(EventFn) == kEventInlineBytes + sizeof(void *) &&
+                  std::is_trivially_destructible_v<EventFn>,
+              "an EventFn is its capture plus one invoke pointer");
 
 /**
  * Tick-ordered event queue.  Events scheduled for the same cycle execute in
@@ -135,7 +131,6 @@ class EventQueue
     static constexpr Cycle kWheelSpan = 4096;
 
     EventQueue() = default;
-    ~EventQueue() { dropEvents(); }
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -305,12 +300,19 @@ class EventQueue
      * subscriptions must not survive: their captures point into
      * components whose lifetime ended with the run being reset.
      * Subscription ids keep counting, so a handle from before the reset
-     * never names a later subscription.  The slab chunks are kept.
+     * never names a later subscription.  No handler runs or needs
+     * destroying; the slab chunks are kept and reused from slot 0.
      */
     void
     reset()
     {
-        dropEvents();
+        occupied.fill(0);
+        occupiedWords = 0;
+        far.clear();
+        numNear = 0;
+        numPending = 0;
+        freeHead = kNoSlot;
+        highWater = 0;
         curCycle = 0;
         nextSeq = 0;
         numExecuted = 0;
@@ -546,40 +548,13 @@ class EventQueue
         ++numExecuted;
         // The slot stays taken while its handler runs (which may schedule
         // more: chunks never move, so the handler's storage stays put).
-        EventFn &fn = fnAt(slot);
         {
             // Host-time attribution only; compiled out by default and a
             // single relaxed load when compiled in but disabled.
             SW_PROF_SCOPE(::sw::prof::Zone::EventDispatch);
-            fn();
+            fnAt(slot)();
         }
-        fn.~EventFn();
         freeSlot(slot);
-    }
-
-    /** Destroy every pending handler and empty both tiers. */
-    void
-    dropEvents()
-    {
-        for (unsigned word = 0; word < kWheelWords; ++word) {
-            for (std::uint64_t bits = occupied[word]; bits;
-                 bits &= bits - 1) {
-                unsigned b = (word << 6) | unsigned(std::countr_zero(bits));
-                for (std::uint32_t slot = buckets[b].head; slot != kNoSlot;
-                     slot = link(slot)) {
-                    fnAt(slot).~EventFn();
-                }
-            }
-        }
-        for (const FarEntry &entry : far)
-            fnAt(entry.slot).~EventFn();
-        occupied.fill(0);
-        occupiedWords = 0;
-        far.clear();
-        numNear = 0;
-        numPending = 0;
-        freeHead = kNoSlot;
-        highWater = 0;
     }
 
     /** Handler storage; a slot is reused through the free list. */

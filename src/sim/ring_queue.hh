@@ -60,6 +60,27 @@ class RingQueue
         --count;
     }
 
+    /**
+     * Remove every element @p take returns true for, in one front-to-back
+     * pass that keeps the others in their order.  @p take sees each
+     * element once, oldest first, and may move from one it takes.
+     */
+    template <typename Take>
+    void
+    removeIf(Take take)
+    {
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            T &item = slots[(head + i) & mask()];
+            if (take(item))
+                continue;
+            if (kept != i)
+                slots[(head + kept) & mask()] = std::move(item);
+            ++kept;
+        }
+        count = kept;
+    }
+
   private:
     static constexpr std::size_t kInitialSlots = 8;
 

@@ -22,6 +22,12 @@ HardwarePtwPool::HardwarePtwPool(EventQueue &eq, Params params,
     SW_ASSERT(params_.numWalkers > 0, "need at least one walker");
     SW_ASSERT(params_.pwbPorts > 0, "need at least one PWB port");
     active.resize(params_.numWalkers);
+    if (params_.nhaCoalescing && nhaLimit() > 1) {
+        // Riders join a walk while dispatching it: reserve them now so
+        // that walking never allocates.
+        for (ActiveWalk &walk : active)
+            walk.coalesced.reserve(nhaLimit() - 1);
+    }
     idleSlots.reserve(params_.numWalkers);
     for (std::uint32_t i = 0; i < params_.numWalkers; ++i)
         idleSlots.push_back(params_.numWalkers - 1 - i);
@@ -47,9 +53,8 @@ HardwarePtwPool::reservePort()
 std::uint64_t
 HardwarePtwPool::nhaKey(const WalkRequest &req) const
 {
-    std::uint64_t ptes_per_sector = params_.nhaSectorBytes / kPteBytes;
     std::uint64_t sector =
-        req.key.vpn / std::max<std::uint64_t>(1, ptes_per_sector);
+        req.key.vpn / std::max<std::uint64_t>(1, nhaLimit());
     // The sector index needs fewer than 40 bits; the ASID tag above it
     // keeps tenants' sectors disjoint (ASID-0 keys unchanged).
     return (std::uint64_t(req.key.asid) << 40) | sector;
@@ -62,17 +67,16 @@ HardwarePtwPool::submit(WalkRequest req)
     ++inFlightCount;
     stats_.peakInFlight = std::max(stats_.peakInFlight, inFlightCount);
 
-    Cycle enq_done = reservePort();
-    ++enqInTransit;
-    eventq.schedule(enq_done, [this, req = std::move(req)]() mutable {
-        SW_ASSERT(enqInTransit > 0, "PWB enqueue transit underflow");
-        --enqInTransit;
+    enqueuing.pushBack(req);
+    eventq.schedule(reservePort(), [this]() {
+        SW_ASSERT(!enqueuing.empty(), "PWB enqueue transit underflow");
         if (pwb.size() < params_.pwbEntries) {
-            pwb.push_back(std::move(req));
+            pwb.pushBack(enqueuing.front());
         } else {
             ++stats_.pwbOverflows;
-            overflow.push_back(std::move(req));
+            overflow.pushBack(enqueuing.front());
         }
+        enqueuing.popFront();
         dispatch();
     });
 }
@@ -89,22 +93,16 @@ HardwarePtwPool::dispatch()
                  "more active walkers (%u) than the pool has (%u)",
                  activeWalkers, params_.numWalkers);
 
-        WalkRequest req;
-        if (!pwb.empty()) {
-            req = std::move(pwb.front());
-            pwb.pop_front();
-        } else {
-            req = std::move(overflow.front());
-            overflow.pop_front();
-        }
+        ActiveWalk &walk = active[slot];
+        RingQueue<WalkRequest> &source = pwb.empty() ? overflow : pwb;
+        walk.primary = source.front();
+        source.popFront();
         // Backfill the PWB from the overflow spill.
         while (!overflow.empty() && pwb.size() < params_.pwbEntries) {
-            pwb.push_back(std::move(overflow.front()));
-            overflow.pop_front();
+            pwb.pushBack(overflow.front());
+            overflow.popFront();
         }
 
-        ActiveWalk &walk = active[slot];
-        walk.primary = std::move(req);
         walk.coalesced.clear();
         walk.ptReads = 0;
         walk.live = true;
@@ -115,22 +113,17 @@ HardwarePtwPool::dispatch()
         if (params_.nhaCoalescing &&
             spaces.tableFor(walk.primary.key.asid).usesPwc()) {
             std::uint64_t key = nhaKey(walk.primary);
-            std::uint64_t limit = params_.nhaSectorBytes / kPteBytes;
-            auto absorb = [&](std::deque<WalkRequest> &queue) {
-                for (auto it = queue.begin();
-                     it != queue.end() &&
-                     walk.coalesced.size() + 1 < limit;) {
-                    if (nhaKey(*it) == key && it->key != walk.primary.key) {
-                        walk.coalesced.push_back(std::move(*it));
-                        ++stats_.nhaMerged;
-                        it = queue.erase(it);
-                    } else {
-                        ++it;
-                    }
+            auto absorb = [&](WalkRequest &req) {
+                if (walk.coalesced.size() + 1 >= nhaLimit() ||
+                    nhaKey(req) != key || req.key == walk.primary.key) {
+                    return false;
                 }
+                walk.coalesced.push_back(req);
+                ++stats_.nhaMerged;
+                return true;
             };
-            absorb(pwb);
-            absorb(overflow);
+            pwb.removeIf(absorb);
+            overflow.removeIf(absorb);
         }
 
         Cycle deq_done = reservePort();
@@ -248,7 +241,7 @@ HardwarePtwPool::saveState(CkptWriter &w) const
     // (queues, active slots, in-transit counters) must all be empty —
     // anything else means the caller checkpointed mid-flight.
     SW_ASSERT(pwb.empty() && overflow.empty() && activeWalkers == 0 &&
-              inFlightCount == 0 && enqInTransit == 0,
+              inFlightCount == 0 && enqueuing.empty(),
               "hardware PTW pool checkpointed while walks are in flight");
     w.section("hw_ptw");
     w.u64(stats_.submitted);
@@ -364,14 +357,13 @@ HardwarePtwPool::registerAudits(Auditor &auditor)
                 if (walk.live)
                     walking += 1 + walk.coalesced.size();
             std::uint64_t accounted =
-                enqInTransit + pwb.size() + overflow.size() + walking;
+                enqueuing.size() + pwb.size() + overflow.size() + walking;
             if (accounted != inFlightCount) {
                 ctx.fail(strprintf(
-                    "in-flight %llu != enq-transit %llu + PWB %zu + "
+                    "in-flight %llu != enq-transit %zu + PWB %zu + "
                     "overflow %zu + walking %llu",
                     static_cast<unsigned long long>(inFlightCount),
-                    static_cast<unsigned long long>(enqInTransit),
-                    pwb.size(), overflow.size(),
+                    enqueuing.size(), pwb.size(), overflow.size(),
                     static_cast<unsigned long long>(walking)));
             }
         });

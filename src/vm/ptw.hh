@@ -10,12 +10,12 @@
 #define SW_VM_PTW_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "obs/lifecycle.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring_queue.hh"
 #include "sim/stats.hh"
 #include "vm/address_space.hh"
 #include "vm/page_walk_cache.hh"
@@ -104,7 +104,8 @@ class HardwarePtwPool : public WalkBackend
     struct ActiveWalk
     {
         WalkRequest primary;
-        std::vector<WalkRequest> coalesced;   ///< NHA-merged riders
+        /** NHA-merged riders, reserved to the limit at construction. */
+        std::vector<WalkRequest> coalesced;
         WalkCursor cursor;
         Cycle started = 0;
         std::uint16_t ptReads = 0;            ///< the primary's level reads
@@ -120,6 +121,13 @@ class HardwarePtwPool : public WalkBackend
      */
     std::uint64_t nhaKey(const WalkRequest &req) const;
 
+    /** Walks one NHA walk may cover: the primary and its riders. */
+    std::uint64_t
+    nhaLimit() const
+    {
+        return params_.nhaSectorBytes / kPteBytes;
+    }
+
     EventQueue &eventq;
     Params params_;
     const AddressSpaceManager &spaces;
@@ -127,15 +135,20 @@ class HardwarePtwPool : public WalkBackend
     PtReader &ptReader;
     WalkCompleteFn onComplete;
 
-    std::deque<WalkRequest> pwb;        ///< bounded buffer
-    std::deque<WalkRequest> overflow;   ///< spill past PWB capacity
-    std::vector<ActiveWalk> active;     ///< slot per walker
+    /**
+     * Walks accepted but still crossing the PWB enqueue port, oldest
+     * first.  reservePort() takes the earliest-free port, so completion
+     * cycles never decrease, and events due in one cycle run in the order
+     * they were scheduled: each enqueue event takes the front walk.
+     */
+    RingQueue<WalkRequest> enqueuing;
+    RingQueue<WalkRequest> pwb;        ///< bounded buffer
+    RingQueue<WalkRequest> overflow;   ///< spill past PWB capacity
+    std::vector<ActiveWalk> active;    ///< slot per walker
     std::vector<std::uint32_t> idleSlots;
     std::uint32_t activeWalkers = 0;
-    std::vector<Cycle> portFree;        ///< per-port next-free cycle
+    std::vector<Cycle> portFree;       ///< per-port next-free cycle
     std::uint64_t inFlightCount = 0;
-    /** Walks accepted but still crossing the PWB enqueue port. */
-    std::uint64_t enqInTransit = 0;
     const LifecycleStream &lifecycle_;
     Stats stats_;
 };

@@ -291,7 +291,10 @@ TranslationEngine::createWalk(TranslationKey key, Cycle created)
     if (mapOnDemand)
         spaces_.tableFor(key.asid).ensureMapped(key.vpn);
 
-    eventq.scheduleIn(cfg.pwcLatency, [this, key, created]() {
+    pwcHops.pushBack(PwcHop{key, created});
+    eventq.scheduleIn(cfg.pwcLatency, [this]() {
+        const auto [key, created] = pwcHops.front();
+        pwcHops.popFront();
         PageTableBase &pt = spaces_.tableFor(key.asid);
         int level = 0;
         PhysAddr base = 0;

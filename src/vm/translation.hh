@@ -29,6 +29,7 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
+#include "sim/ring_queue.hh"
 #include "sim/stats.hh"
 #include "vm/address_space.hh"
 #include "vm/fault_buffer.hh"
@@ -240,6 +241,13 @@ class TranslationEngine : public PtReader, private RequestSink
         RequestFifo waiters;        ///< L2 requests, one per waiting SM
     };
 
+    /** A walk on its PWC hop: the miss it resolves and when it began. */
+    struct PwcHop
+    {
+        TranslationKey key;
+        Cycle created = 0;
+    };
+
     /** Key of a translation or L2 request record. */
     TranslationKey
     keyOf(RequestId id) const
@@ -300,6 +308,12 @@ class TranslationEngine : public PtReader, private RequestSink
     bool idealMshrs = false;
 
     PageWalkCache pwcCache;
+    /**
+     * Walks consulting the PWC, oldest first.  The hop always takes
+     * cfg.pwcLatency, so hops end in the order they began, and each hop
+     * event takes the front record.
+     */
+    RingQueue<PwcHop> pwcHops;
     FaultBuffer faults_;
     std::unique_ptr<WalkBackend> walkBackend;
     std::uint64_t nextWalkId = 1;

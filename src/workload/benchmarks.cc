@@ -5,6 +5,7 @@
 #include <mutex>
 
 #include "sim/logging.hh"
+#include "vm/address.hh"
 #include "workload/generators.hh"
 
 namespace sw {
@@ -343,9 +344,19 @@ std::unique_ptr<Workload>
 makeWorkload(const BenchmarkInfo &info, double footprint_scale)
 {
     SW_ASSERT(footprint_scale > 0.0, "footprint scale must be positive");
-    auto bytes = static_cast<std::uint64_t>(
-        double(info.footprintMb * MB) * footprint_scale);
-    return info.factory(bytes);
+    // Every address must stay below 2^kVirtAddrBits, where the page table
+    // ends: past it, distinct pages would share one PTE.  Checked on the
+    // double, since the cast is undefined from 2^64 bytes on.
+    constexpr std::uint64_t kMaxBytes =
+        (std::uint64_t(1) << kVirtAddrBits) - SyntheticWorkload::kHeapBase;
+    double bytes = double(info.footprintMb * MB) * footprint_scale;
+    if (!(bytes <= double(kMaxBytes))) {
+        fatal("benchmark '%s': its scaled footprint of %.6g bytes exceeds "
+              "the 2^%u-byte virtual address space (%llu bytes above its "
+              "heap base)", info.abbr.c_str(), bytes, kVirtAddrBits,
+              static_cast<unsigned long long>(kMaxBytes));
+    }
+    return info.factory(static_cast<std::uint64_t>(bytes));
 }
 
 void

@@ -31,6 +31,9 @@ class SyntheticWorkload : public Workload
     /** Warp cursors start on partitions of this many bytes. */
     static constexpr std::uint64_t kCursorBytes = 256;
 
+    /** Base virtual address of the data segment. */
+    static constexpr VirtAddr kHeapBase = 1ull << 34;
+
     SyntheticWorkload(std::string name, std::uint64_t footprint_bytes,
                       bool irregular, std::uint32_t compute_gap);
 
@@ -42,9 +45,6 @@ class SyntheticWorkload : public Workload
     void restoreState(CkptReader &r) override;
 
   protected:
-    /** Base virtual address of the data segment. */
-    static constexpr VirtAddr kHeapBase = 1ull << 34;
-
     /** Uniform random element-aligned address within the footprint. */
     VirtAddr randomAddr(Rng &rng, std::uint64_t align = 8) const;
 

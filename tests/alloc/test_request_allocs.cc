@@ -1,6 +1,6 @@
 /**
  * @file
- * Exact allocation gate for the request path and the software walk path.
+ * Exact allocation gate for the request path and both walk paths.
  *
  * This executable replaces the global operator new with a counting one
  * (it is linked into this test only) and drives two batches of the same
@@ -15,6 +15,8 @@
  *  - Software walks: a SoftWalker GPU whose walks cross the distributor's
  *    interconnect hop into the SoftPWBs, run as PW-Warp batches issuing
  *    LDPTs through the engine, and return to the L2 TLB as FL2T fills.
+ *  - Hardware walks: a 4-PTW GPU whose walks cross the PWB enqueue port,
+ *    fill the PWB and spill past it, with and without NHA coalescing.
  *  - Observers: the translation tracer and the cycle ledger fed the same
  *    batch of lifecycle events twice, and the tracer alone, which must
  *    not allocate even in the first batch.  The event log stays outside
@@ -26,6 +28,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "check/audit_tester.hh"
@@ -35,6 +38,7 @@
 #include "obs/lifecycle.hh"
 #include "obs/trace.hh"
 #include "test_util.hh"
+#include "vm/ptw.hh"
 #include "vm/translation.hh"
 #include "workload/generators.hh"
 
@@ -100,9 +104,8 @@ struct CountingSink : RequestSink
 
 /**
  * A walk backend with a fixed walker array: every level of every walk is
- * one PTE read through the engine.  (The hardware pool's std::deque PWB
- * would allocate as it cycles; that is the walk path, not the request
- * path this gate covers.)
+ * one PTE read through the engine, so this gate covers the request path
+ * alone (HardwareWalkAllocs below covers the hardware pool).
  */
 class ReadingBackend : public WalkBackend
 {
@@ -357,6 +360,97 @@ TEST_F(SoftWalkAllocs, SecondBatchAllocatesNothing)
     EXPECT_LT(pw.batches, pw.walksCompleted);
     EXPECT_GT(pw.ldptIssued, pw.walksCompleted);
     EXPECT_EQ(pw.fl2tIssued, 2 * kPages);
+}
+
+/**
+ * Hardware walks on an idle 4-PTW GPU: as many walks at once as the L2
+ * TLB has MSHRs (16), more than the 4 walkers and the 8-entry PWB hold,
+ * so some spill into its overflow queue.  Four consecutive pages share a
+ * PTE sector, which NHA coalescing merges.
+ */
+class HardwareWalkAllocs : public ::testing::Test
+{
+  protected:
+    static constexpr Vpn kPages = 16;
+
+    static Vpn vpnOf(Vpn page) { return 0x20000 + page; }
+
+    void
+    build(bool nha)
+    {
+        GpuConfig cfg = test::smallConfig();
+        cfg.nhaCoalescing = nha;
+        gpu = std::make_unique<Gpu>(
+            cfg, std::make_unique<RandomAccessWorkload>("idle", 64ull << 20,
+                                                        5));
+        sink = std::make_unique<CountingSink>(gpu->memory().requests());
+    }
+
+    void
+    flushAll()
+    {
+        for (SmId sm = 0; sm < gpu->config().numSms; ++sm)
+            AuditTester::l1d(gpu->memory(), sm).flush();
+        AuditTester::l2d(gpu->memory()).flush();
+        gpu->engine().flushAsid(0);
+    }
+
+    /** One batch; @return the allocations it made. */
+    std::uint64_t
+    runBatch()
+    {
+        std::uint64_t before = g_allocs;
+        RequestPool &pool = gpu->memory().requests();
+        for (Vpn page = 0; page < kPages; ++page) {
+            gpu->engine().translate(pool.alloc(
+                {.addr = vpnOf(page),
+                 .unit = SmId(page % gpu->config().numSms),
+                 .done = Done::Translation}));
+        }
+        gpu->eventQueue().run();
+        return g_allocs - before;
+    }
+
+    /** Two batches; checks the second allocated nothing. */
+    const HardwarePtwPool::Stats &
+    runTwoBatches()
+    {
+        std::uint64_t first = runBatch();
+        flushAll();
+        std::uint64_t second = runBatch();
+        EXPECT_GT(first, 0u) << "the first batch sizes the rings";
+        EXPECT_EQ(second, 0u);
+
+        // Both batches finished everything they issued.
+        EXPECT_EQ(sink->done, 2 * kPages);
+        EXPECT_EQ(gpu->memory().requests().live(), 0u);
+        EXPECT_EQ(gpu->engine().outstandingWalks(), 0u);
+        const auto &pool =
+            *static_cast<const HardwarePtwPool *>(gpu->engine().backend());
+        EXPECT_EQ(pool.inFlight(), 0u);
+        EXPECT_EQ(pool.stats().completed, 2 * kPages);
+        EXPECT_GT(pool.stats().pwbOverflows, 0u);
+        return pool.stats();
+    }
+
+    std::unique_ptr<Gpu> gpu;
+    std::unique_ptr<CountingSink> sink;
+};
+
+TEST_F(HardwareWalkAllocs, SecondBatchAllocatesNothing)
+{
+    build(false);
+    const HardwarePtwPool::Stats &stats = runTwoBatches();
+    EXPECT_EQ(stats.nhaMerged, 0u);
+    EXPECT_EQ(stats.memReads, 2 * 4 * kPages) << "every walk read 4 levels";
+}
+
+TEST_F(HardwareWalkAllocs, SecondBatchWithNhaAllocatesNothing)
+{
+    build(true);
+    const HardwarePtwPool::Stats &stats = runTwoBatches();
+    EXPECT_GT(stats.nhaMerged, 0u);
+    EXPECT_LT(stats.memReads, 2 * 4 * kPages) << "riders read nothing";
 }
 
 /**

@@ -141,4 +141,24 @@ TEST(CliNumbers, FootprintTooSmallForTheBenchmarkIsFatal)
         << out;
 }
 
+TEST(CliNumbers, FootprintBeyondTheAddressSpaceIsFatal)
+{
+    // A finite, positive --scale passes the flag check, but a footprint
+    // past the 2^49-byte virtual address space (or past 2^64 bytes) would
+    // alias pages; the fatal names the benchmark, its size and the limit.
+    for (const char *scale : {"1e6", "1e12"}) {
+        auto [status, out] = runCli(std::string("--bench bfs --scale ") +
+                                    scale + " --quota 10");
+        EXPECT_EQ(status, 1) << scale << ": " << out;
+        EXPECT_NE(out.find("fatal: benchmark 'bfs': its scaled footprint "
+                           "of 1.46381e+"),
+                  std::string::npos)
+            << out;
+        EXPECT_NE(out.find("bytes exceeds the 2^49-byte virtual address "
+                           "space"),
+                  std::string::npos)
+            << out;
+    }
+}
+
 } // namespace

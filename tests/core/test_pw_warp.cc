@@ -62,6 +62,7 @@ class PwWarpTest : public ::testing::Test
         };
         hooks.complete = [this](const WalkResult &result) {
             results.push_back(result);
+            landedAt.push_back(eq.now());
         };
         auto warp = std::make_unique<PwWarp>(eq, spaces, pwb,
                                              std::move(hooks), timing, lanes,
@@ -97,6 +98,7 @@ class PwWarpTest : public ::testing::Test
     int memReads = 0;
     std::vector<int> pwcFills;
     std::vector<WalkResult> results;
+    std::vector<Cycle> landedAt;   ///< cycle each result reached complete
     std::vector<std::unique_ptr<test::FixedLatencyReader>> readers;
 };
 
@@ -231,6 +233,38 @@ TEST_F(PwWarpTest, RequestsArrivingMidBatchJoinNextBatch)
     eq.run();
     EXPECT_EQ(results.size(), 2u);
     EXPECT_EQ(warp->stats().batches, 2u);
+}
+
+/**
+ * Two back-to-back batches whose fills are all in transit at once (the
+ * interconnect trip outlasts the second batch): they land in batch order
+ * and, within a batch, in lane order, each at the cycle its record says.
+ */
+TEST_F(PwWarpTest, BackToBackBatchesFillInBatchAndLaneOrder)
+{
+    auto warp = makeWarp(/*lanes=*/4, /*comm=*/1000, /*mem_latency=*/10);
+    for (std::uint64_t id = 1; id <= 8; ++id)
+        pwb.insert(makeRequest(0x1000 * id, id), eq.now());
+    warp->notifyWork();
+    eq.run(/*cycle_limit=*/500);
+    EXPECT_EQ(warp->stats().batches, 2u);
+    EXPECT_EQ(warp->fillsInTransit(), 8u);
+    EXPECT_TRUE(results.empty());
+
+    eq.run();
+    EXPECT_EQ(warp->fillsInTransit(), 0u);
+    ASSERT_EQ(results.size(), 8u);
+    for (std::uint64_t i = 0; i < 8; ++i) {
+        EXPECT_EQ(results[i].id, i + 1) << "fill " << i;
+        // Every request was created at cycle 0.
+        EXPECT_EQ(landedAt[i],
+                  results[i].queueDelay + results[i].accessLatency)
+            << "fill " << i;
+    }
+    EXPECT_EQ(landedAt[0], landedAt[3]);
+    EXPECT_LT(landedAt[3], landedAt[4]);
+    EXPECT_GT(results[4].queueDelay, results[3].queueDelay)
+        << "the second batch started later";
 }
 
 TEST_F(PwWarpTest, QueueDelayMeasuredToPickup)

@@ -66,6 +66,17 @@ TEST_P(TranslationFuzz, AllTranslationsCorrectAndComplete)
     int completed = 0;
     std::map<Vpn, Pfn> observed;
 
+    auto issue = [&](SmId sm, Vpn vpn) {
+        engine.translate(client.translation(
+            sm, TranslationKey{0, vpn}, [&, vpn](Pfn pfn) {
+                ++completed;
+                auto [it, inserted] = observed.try_emplace(vpn, pfn);
+                // A VPN must always resolve to the same frame.
+                EXPECT_EQ(it->second, pfn);
+                (void)inserted;
+            }));
+    };
+
     // Burst schedule: clusters of same-vpn requests (merge pressure),
     // wide scans (capacity pressure), random singles.
     Cycle when = 1;
@@ -81,16 +92,7 @@ TEST_P(TranslationFuzz, AllTranslationsCorrectAndComplete)
         }
         SmId sm = SmId(rng.range(cfg.numSms));
         when += rng.range(20);
-        eq.schedule(when, [&, sm, vpn]() {
-            engine.translate(client.translation(
-                sm, TranslationKey{0, vpn}, [&, vpn](Pfn pfn) {
-                    ++completed;
-                    auto [it, inserted] = observed.try_emplace(vpn, pfn);
-                    // A VPN must always resolve to the same frame.
-                    EXPECT_EQ(it->second, pfn);
-                    (void)inserted;
-                }));
-        });
+        eq.schedule(when, [&issue, sm, vpn]() { issue(sm, vpn); });
     }
     eq.run();
 

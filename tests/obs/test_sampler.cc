@@ -68,9 +68,9 @@ TEST(Sampler, InstalledSamplerRidesSweepHook)
     std::function<void()> chain = [&]() {
         ++fired;
         if (eq.now() < 500)
-            eq.scheduleIn(50, chain);
+            eq.scheduleIn(50, [&chain]() { chain(); });
     };
-    eq.scheduleIn(50, chain);
+    eq.scheduleIn(50, [&chain]() { chain(); });
     eq.run();
 
     EXPECT_GE(sampler.numRows(), 4u);
@@ -89,9 +89,9 @@ TEST(Sampler, InstallDoesNotChangeEventCountOrTimeline)
             sampler->install(eq, 100);
         std::function<void()> chain = [&]() {
             if (eq.now() < 1000)
-                eq.scheduleIn(30, chain);
+                eq.scheduleIn(30, [&chain]() { chain(); });
         };
-        eq.scheduleIn(30, chain);
+        eq.scheduleIn(30, [&chain]() { chain(); });
         eq.run();
         auto result = std::make_pair(eq.now(), eq.eventsExecuted());
         if (sampler)
@@ -155,15 +155,15 @@ TEST(Sampler, UninstallStopsSampling)
 
     std::function<void()> chain = [&]() {
         if (eq.now() < 100)
-            eq.scheduleIn(10, chain);
+            eq.scheduleIn(10, [&chain]() { chain(); });
     };
-    eq.scheduleIn(10, chain);
+    eq.scheduleIn(10, [&chain]() { chain(); });
     eq.run();
     std::size_t rows_before = sampler.numRows();
     EXPECT_GT(rows_before, 0u);
 
     sampler.uninstall();
-    eq.scheduleIn(10, chain);
+    eq.scheduleIn(10, [&chain]() { chain(); });
     eq.run();
     EXPECT_EQ(sampler.numRows(), rows_before);
     // Idempotent.

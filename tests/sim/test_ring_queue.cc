@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <deque>
+#include <vector>
 
 #include "sim/ring_queue.hh"
 #include "sim/rng.hh"
@@ -82,6 +83,34 @@ TEST(RingQueue, MatchesDequeUnderRandomTraffic)
     }
     // It grew only when full: to the first power of two holding the peak.
     EXPECT_EQ(queue.capacity(), std::max<std::size_t>(8, std::bit_ceil(peak)));
+}
+
+TEST(RingQueue, RemoveIfKeepsTheRestInOrderAcrossTheWrap)
+{
+    RingQueue<int> queue;
+    for (int i = 0; i < 8; ++i)
+        queue.pushBack(i);
+    for (int i = 8; i < 13; ++i) {
+        queue.popFront();
+        queue.pushBack(i);   // wrapped: 5..12 over the array's end
+    }
+    std::vector<int> seen;
+    queue.removeIf([&seen](int value) {
+        seen.push_back(value);
+        return value % 3 == 0;
+    });
+    EXPECT_EQ(seen, (std::vector<int>{5, 6, 7, 8, 9, 10, 11, 12}));
+    EXPECT_EQ(queue.size(), 5u);
+    EXPECT_EQ(queue.capacity(), 8u);
+    for (int expect : {5, 7, 8, 10, 11}) {
+        EXPECT_EQ(queue.front(), expect);
+        queue.popFront();
+    }
+    EXPECT_TRUE(queue.empty());
+
+    queue.pushBack(1);
+    queue.removeIf([](int) { return true; });
+    EXPECT_TRUE(queue.empty());
 }
 
 TEST(RingQueueDeathTest, PopFromEmptyPanics)

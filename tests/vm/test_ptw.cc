@@ -157,10 +157,58 @@ TEST_F(PtwTest, QueueDelayMeasuredFromCreation)
     auto pool = makePool({});
     WalkRequest req = makeRequest(5, 1);
     req.created = 0;
-    eq.schedule(100, [&, req]() mutable { pool->submit(std::move(req)); });
+    eq.schedule(100, [&pool, &req]() { pool->submit(req); });
     eq.run();
     ASSERT_EQ(results.size(), 1u);
     EXPECT_GE(results[0].queueDelay, 100u);
+}
+
+/**
+ * A same-cycle burst through four PWB ports: the first four enqueues
+ * finish in one cycle and every later cycle finishes four more.  One
+ * walker takes the walks in PWB order, so their completion order is the
+ * order they reached the PWB: the order they were submitted, through
+ * the PWB and its overflow spill alike.
+ */
+TEST_F(PtwTest, SameCycleBurstReachesThePwbInSubmissionOrder)
+{
+    HardwarePtwPool::Params params;
+    params.numWalkers = 1;
+    params.pwbEntries = 16;
+    params.pwbPorts = 4;
+    auto pool = makePool(params);
+    constexpr std::uint64_t kWalks = 40;
+    for (std::uint64_t id = 1; id <= kWalks; ++id)
+        pool->submit(makeRequest(0x1000 * id, id));
+    eq.run();
+    ASSERT_EQ(results.size(), kWalks);
+    for (std::uint64_t i = 0; i < kWalks; ++i)
+        EXPECT_EQ(results[i].id, i + 1) << "walk " << i;
+    EXPECT_GT(pool->stats().pwbOverflows, 0u);
+}
+
+/**
+ * One port and a burst long enough that the last enqueues finish more
+ * than a wheel span ahead, in the event queue's far heap: they still
+ * reach the PWB in submission order.
+ */
+TEST_F(PtwTest, FarHeapEnqueuesReachThePwbInSubmissionOrder)
+{
+    HardwarePtwPool::Params params;
+    params.numWalkers = 1;
+    params.pwbPorts = 1;
+    auto pool = makePool(params, /*mem_latency=*/1);
+    const std::uint64_t walks = EventQueue::kWheelSpan + 500;
+    for (std::uint64_t id = 1; id <= walks; ++id)
+        pool->submit(makeRequest(id, id));
+    EXPECT_EQ(eq.pending(), walks);
+    eq.run();
+    ASSERT_EQ(results.size(), walks);
+    for (std::uint64_t i = 0; i < walks; ++i)
+        ASSERT_EQ(results[i].id, i + 1) << "walk " << i;
+    // Each enqueue held the one port for a cycle: the last finished
+    // past the wheel's span.
+    EXPECT_GT(results.back().queueDelay, EventQueue::kWheelSpan);
 }
 
 TEST_F(PtwTest, WalksFillThePwc)

@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "sim/rng.hh"
+#include "vm/address.hh"
 #include "workload/benchmarks.hh"
+#include "workload/generators.hh"
 
 using namespace sw;
 
@@ -157,6 +159,44 @@ TEST(BenchmarksDeath, FootprintBelowOneCursorPartitionIsFatal)
         },
         "benchmark '2dc': its scaled footprint of 117 bytes is below the "
         "256 bytes it needs");
+}
+
+// A footprint past the 2^49-byte virtual address space would alias pages
+// onto one PTE, and one past 2^64 bytes would not even convert: both end
+// in a fatal that names the benchmark, its scaled size and the limit.
+
+TEST(BenchmarksDeath, FootprintBeyondTheVirtualAddressSpaceIsFatal)
+{
+    EXPECT_DEATH(makeWorkload(findBenchmark("bfs"), 1e6),
+                 "benchmark 'bfs': its scaled footprint of 1.46381e\\+15 "
+                 "bytes exceeds the 2\\^49-byte virtual address space "
+                 "\\(562932773552128 bytes above its heap base\\)");
+    EXPECT_DEATH(makeWorkload(findBenchmark("bfs"), 1e12),
+                 "benchmark 'bfs': its scaled footprint of 1.46381e\\+21 "
+                 "bytes exceeds the 2\\^49-byte virtual address space");
+    EXPECT_DEATH(makeWorkload(findBenchmark("gups"), 1e300),
+                 "benchmark 'gups': its scaled footprint of .* bytes "
+                 "exceeds the 2\\^49-byte virtual address space");
+}
+
+TEST(Benchmarks, FootprintFillingTheVirtualAddressSpaceRuns)
+{
+    // A footprint just inside the limit builds, and its addresses stay
+    // below 2^kVirtAddrBits.
+    const VirtAddr top = VirtAddr(1) << kVirtAddrBits;
+    const std::uint64_t limit = top - SyntheticWorkload::kHeapBase;
+    const BenchmarkInfo &info = findBenchmark("gups");
+    const double scale = 0.999999 * double(limit) /
+                         double(info.footprintMb * 1024 * 1024);
+    auto wl = makeWorkload(info, scale);
+    EXPECT_LE(wl->footprintBytes(), limit);
+    EXPECT_GT(wl->footprintBytes(), limit / 2);
+    Rng rng(1);
+    for (int i = 0; i < 64; ++i) {
+        WarpInstr instr = wl->next(SmId(i % 4), WarpId(i), rng);
+        for (std::uint32_t lane = 0; lane < instr.activeLanes; ++lane)
+            EXPECT_LT(instr.addrs[lane], top);
+    }
 }
 
 TEST(WorkloadRegistry, FindBenchmarkOrNull)
