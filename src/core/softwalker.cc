@@ -139,24 +139,14 @@ SoftWalkerBackend::sendToSm(SmId target, WalkRequest req)
     SW_LIFECYCLE(gpu.lifecycle(), LifecyclePhase::PwHosted,
                  gpu.eventQueue().now(), req.id, req.key, target, true);
     // L2 TLB -> SM interconnect hop (modeled as the L2 TLB latency, §6.1).
-    // The ring is sized on the first hop, so building a machine that
-    // never walks in software costs nothing.
-    if (transit.empty())
-        transit.resize(std::size_t(cfg.numSms) * cfg.softPwbEntries);
-    SW_ASSERT(commInTransit < transit.size(),
-              "interconnect ring overflow: %llu requests in transit",
-              static_cast<unsigned long long>(commInTransit));
-    std::size_t tail = transitHead + commInTransit;
-    if (tail >= transit.size())
-        tail -= transit.size();
-    transit[tail] = Hop{std::move(req), target};
-    ++commInTransit;
+    SW_ASSERT(transit.size() <
+                  std::size_t(cfg.numSms) * cfg.softPwbEntries,
+              "interconnect ring overflow: %zu requests in transit",
+              transit.size());
+    transit.pushBack(Hop{std::move(req), target});
     gpu.eventQueue().scheduleIn(cfg.effectiveCommLatency(), [this]() {
-        SW_ASSERT(commInTransit > 0, "interconnect transit underflow");
-        Hop &hop = transit[transitHead];
-        if (++transitHead == transit.size())
-            transitHead = 0;
-        --commInTransit;
+        Hop hop = std::move(transit.front());
+        transit.popFront();
         controllers[hop.target]->accept(std::move(hop.req));
     });
 }
@@ -178,7 +168,7 @@ SoftWalkerBackend::dispatchSoftware(WalkRequest req)
         // Every eligible PW Warp is at SoftPWB capacity: the request
         // queues at the distributor (this wait is part of the measured
         // queueing delay).
-        waiting[req.key.asid].push_back({std::move(req), nextQueueSeq++});
+        waiting[req.key.asid].pushBack({std::move(req), nextQueueSeq++});
         ++stats_.queuedNoCapacity;
         stats_.peakQueued =
             std::max<std::uint64_t>(stats_.peakQueued, queuedRequests());
@@ -206,7 +196,7 @@ SoftWalkerBackend::drainQueue()
         // tenant's slice is still full, everything behind it waits
         // (cross-tenant head-of-line blocking — the interference signal).
         while (true) {
-            std::deque<QueuedWalk> *head = nullptr;
+            RingQueue<QueuedWalk> *head = nullptr;
             for (auto &queue : waiting) {
                 if (queue.empty())
                     continue;
@@ -219,7 +209,7 @@ SoftWalkerBackend::drainQueue()
             if (target == kInvalidSm)
                 return;
             WalkRequest req = std::move(head->front().req);
-            head->pop_front();
+            head->popFront();
             sendToSm(target, std::move(req));
         }
     }
@@ -241,7 +231,7 @@ SoftWalkerBackend::drainQueue()
             continue;
         }
         WalkRequest req = std::move(waiting[tenant].front().req);
-        waiting[tenant].pop_front();
+        waiting[tenant].popFront();
         sendToSm(target, std::move(req));
         barren = 0;
     }
@@ -302,12 +292,12 @@ SoftWalkerBackend::registerAudits(Auditor &auditor)
                 on_sms += controller->pwWarp().fillsInTransit();
             }
             std::uint64_t credits = distributor_->totalCredits();
-            if (credits != commInTransit + on_sms) {
+            if (credits != transit.size() + on_sms) {
                 ctx.fail(strprintf(
                     "distributor credits %llu != interconnect transit %llu "
                     "+ on-SM requests %llu",
                     static_cast<unsigned long long>(credits),
-                    static_cast<unsigned long long>(commInTransit),
+                    static_cast<unsigned long long>(transit.size()),
                     static_cast<unsigned long long>(on_sms)));
             }
             for (SmId sm = 0; sm < SmId(controllers.size()); ++sm) {
@@ -370,7 +360,7 @@ void
 SoftWalkerBackend::saveState(CkptWriter &w) const
 {
     SW_ASSERT(queuedRequests() == 0 && inFlightCount == 0 &&
-              commInTransit == 0,
+              transit.empty(),
               "SoftWalker backend checkpointed with walks in flight");
     w.section("softwalker");
     w.u64(stats_.submitted);

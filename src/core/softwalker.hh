@@ -12,7 +12,6 @@
 #define SW_CORE_SOFTWALKER_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "core/distributor.hh"
 #include "gpu/gpu.hh"
 #include "sim/config.hh"
+#include "sim/ring_queue.hh"
 #include "vm/ptw.hh"
 #include "vm/walk.hh"
 
@@ -121,7 +121,7 @@ class SoftWalkerBackend : public WalkBackend
         WalkRequest req;
         std::uint64_t seq = 0;
     };
-    std::vector<std::deque<QueuedWalk>> waiting;
+    std::vector<RingQueue<QueuedWalk>> waiting;
     std::uint64_t nextQueueSeq = 0;
     /** Next tenant the round-robin arbiter offers capacity to. */
     std::uint32_t drainRrTenant = 0;
@@ -134,15 +134,12 @@ class SoftWalkerBackend : public WalkBackend
         SmId target = 0;
     };
     /**
-     * Requests crossing the interconnect, oldest first, in a ring sized
-     * by the distributor's credits (numSms x softPwbEntries): every hop
-     * takes the same latency, so hops arrive in the order they were sent
-     * and the one arriving is always the oldest.
+     * Requests crossing the interconnect, oldest first.  Every hop takes
+     * the same latency, so hops arrive in the order they were sent and
+     * the one arriving is always the oldest.  The distributor's credits
+     * bound the ring at numSms x softPwbEntries.
      */
-    std::vector<Hop> transit;
-    std::size_t transitHead = 0;
-    /** Requests in the ring (from transitHead on). */
-    std::uint64_t commInTransit = 0;
+    RingQueue<Hop> transit;
 
     Stats stats_;
 };

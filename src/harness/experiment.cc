@@ -1,7 +1,9 @@
 #include "harness/experiment.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <utility>
 
 #include "ckpt/checkpoint.hh"
@@ -14,22 +16,26 @@
 
 namespace sw {
 
-namespace {
-
 std::uint64_t
-envUint(const char *name, std::uint64_t fallback)
+envCount(const char *name, std::uint64_t fallback, std::uint64_t lowest,
+         std::uint64_t highest)
 {
     const char *value = std::getenv(name);
     if (!value || !*value)
         return fallback;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end == value)
-        fatal("environment variable %s='%s' is not a number", name, value);
+    const char *end = value + std::strlen(value);
+    std::uint64_t parsed = 0;
+    // from_chars takes digits only: no sign, space, exponent or suffix.
+    auto [stop, error] = std::from_chars(value, end, parsed);
+    if (error != std::errc() || stop != end || parsed < lowest ||
+        parsed > highest) {
+        fatal("environment variable %s='%s' is not a whole number in "
+              "[%llu, %llu]",
+              name, value, static_cast<unsigned long long>(lowest),
+              static_cast<unsigned long long>(highest));
+    }
     return parsed;
 }
-
-} // namespace
 
 Gpu::RunLimits
 defaultLimits()
@@ -38,9 +44,9 @@ defaultLimits()
     // Post-warmup measurement region sized so the full figure sweep runs
     // in tens of minutes on one core; raise via the environment for
     // higher-fidelity runs (e.g. SW_QUOTA=24000 SW_WARMUP=8000).
-    limits.warpInstrQuota = envUint("SW_QUOTA", 12000);
-    limits.warmupInstrs = envUint("SW_WARMUP", 5000);
-    limits.maxCycles = envUint("SW_MAXCYCLES", 4000000);
+    limits.warpInstrQuota = envCount("SW_QUOTA", 12000);
+    limits.warmupInstrs = envCount("SW_WARMUP", 5000, 0);
+    limits.maxCycles = envCount("SW_MAXCYCLES", 4000000);
     return limits;
 }
 
@@ -286,8 +292,8 @@ limitsFor(const BenchmarkInfo &info)
         // Regular workloads run at high IPC, so the kernel-start TLB-fill
         // storm (one cold walk per warp) spans many instructions; warm
         // past it, then measure a comparable steady-state region.
-        limits.warpInstrQuota = envUint("SW_QUOTA_REG", 40000);
-        limits.warmupInstrs = envUint("SW_WARMUP_REG", 80000);
+        limits.warpInstrQuota = envCount("SW_QUOTA_REG", 40000);
+        limits.warmupInstrs = envCount("SW_WARMUP_REG", 80000, 0);
     }
     return limits;
 }

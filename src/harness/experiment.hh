@@ -8,6 +8,7 @@
 #ifndef SW_HARNESS_EXPERIMENT_HH
 #define SW_HARNESS_EXPERIMENT_HH
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -80,13 +81,27 @@ struct RunResult
     }
 };
 
-/** Stopping conditions with environment overrides (SW_QUOTA, SW_MAXCYCLES). */
+/**
+ * A whole-number environment override: @p fallback when @p name is unset
+ * or empty, else its value, which must be all decimal digits and lie in
+ * [@p lowest, @p highest].  Any other value ends in a fatal naming
+ * @p name.
+ */
+std::uint64_t envCount(const char *name, std::uint64_t fallback,
+                       std::uint64_t lowest = 1,
+                       std::uint64_t highest = UINT64_MAX);
+
+/**
+ * Stopping conditions with environment overrides: SW_QUOTA and
+ * SW_MAXCYCLES (positive) and SW_WARMUP (may be 0).
+ */
 Gpu::RunLimits defaultLimits();
 
 /**
  * Per-benchmark limits: regular workloads run fast but suffer a long
- * kernel-start TLB-fill storm, so they get a larger warmup and quota;
- * irregular workloads reach their (contended) steady state quickly.
+ * kernel-start TLB-fill storm, so they get a larger warmup and quota
+ * (SW_QUOTA_REG, SW_WARMUP_REG); irregular workloads reach their
+ * (contended) steady state quickly.
  */
 Gpu::RunLimits limitsFor(const BenchmarkInfo &info);
 

@@ -3,8 +3,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -46,15 +46,10 @@ etaSuffix(double elapsed_ms, std::size_t done, std::size_t total)
 unsigned
 SweepRunner::defaultJobs()
 {
-    if (const char *env = std::getenv("SW_JOBS"); env && *env) {
-        char *end = nullptr;
-        unsigned long parsed = std::strtoul(env, &end, 10);
-        if (end == env || *end != '\0' || parsed == 0)
-            fatal("SW_JOBS='%s' is not a positive integer", env);
-        return static_cast<unsigned>(parsed);
-    }
     unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    return static_cast<unsigned>(
+        envCount("SW_JOBS", hw ? hw : 1, 1,
+                 std::numeric_limits<unsigned>::max()));
 }
 
 SweepRunner::SweepRunner(unsigned jobs)

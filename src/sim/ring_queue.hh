@@ -43,6 +43,14 @@ class RingQueue
         return slots[(head + count - 1) & mask()];
     }
 
+    /** The @p i-th element, oldest first (0 is front()). */
+    const T &
+    operator[](std::size_t i) const
+    {
+        SW_ASSERT(i < count, "RingQueue index %zu past size %zu", i, count);
+        return slots[(head + i) & mask()];
+    }
+
     void
     pushBack(const T &value)
     {
@@ -58,6 +66,14 @@ class RingQueue
         SW_ASSERT(count > 0, "RingQueue pop from an empty queue");
         head = (head + 1) & mask();
         --count;
+    }
+
+    /** Drop every element; the array is kept for reuse. */
+    void
+    clear()
+    {
+        head = 0;
+        count = 0;
     }
 
     /**

@@ -11,10 +11,10 @@
 #define SW_VM_FAULT_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 
 #include "ckpt/ckpt_io.hh"
 #include "obs/stat_registry.hh"
+#include "sim/ring_queue.hh"
 #include "sim/types.hh"
 #include "vm/address.hh"
 
@@ -48,7 +48,7 @@ class FaultBuffer
             ++stats_.overflows;
             return false;
         }
-        records.push_back({key, level, when});
+        records.pushBack({key, level, when});
         ++stats_.recorded;
         return true;
     }
@@ -62,7 +62,7 @@ class FaultBuffer
     pop()
     {
         Record record = records.front();
-        records.pop_front();
+        records.popFront();
         ++stats_.drained;
         return record;
     }
@@ -86,7 +86,8 @@ class FaultBuffer
         w.section("fault_buffer");
         w.u64(capacity_);
         w.u64(records.size());
-        for (const Record &record : records) {
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            const Record &record = records[i];
             w.u32(record.key.asid);
             w.u64(record.key.vpn);
             w.u32(std::uint32_t(record.level));
@@ -117,7 +118,7 @@ class FaultBuffer
             record.key.vpn = r.u64();
             record.level = int(r.u32());
             record.when = r.u64();
-            records.push_back(record);
+            records.pushBack(record);
         }
         stats_.recorded = r.u64();
         stats_.drained = r.u64();
@@ -126,7 +127,7 @@ class FaultBuffer
 
   private:
     std::size_t capacity_;
-    std::deque<Record> records;
+    RingQueue<Record> records;
     Stats stats_;
 };
 

@@ -88,12 +88,6 @@ struct AuditTester
         return backend.controllers.at(sm)->pwb;
     }
 
-    static std::uint64_t &
-    commInTransit(SoftWalkerBackend &backend)
-    {
-        return backend.commInTransit;
-    }
-
     // ---- obs --------------------------------------------------------
     /** Drift one closed per-SM ledger account away from elapsed time. */
     static Cycle &

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "harness/experiment.hh"
 #include "test_util.hh"
@@ -117,6 +118,43 @@ TEST(Experiment, DefaultLimitsReadEnvironment)
     EXPECT_EQ(limits.warmupInstrs, 111u);
     unsetenv("SW_QUOTA");
     unsetenv("SW_WARMUP");
+}
+
+TEST(Experiment, WarmupsMayBeZero)
+{
+    setenv("SW_WARMUP", "0", 1);
+    setenv("SW_WARMUP_REG", "0", 1);
+    EXPECT_EQ(defaultLimits().warmupInstrs, 0u);
+    EXPECT_EQ(limitsFor(findBenchmark("2dc")).warmupInstrs, 0u);
+    unsetenv("SW_WARMUP");
+    unsetenv("SW_WARMUP_REG");
+}
+
+TEST(ExperimentDeath, RejectsMalformedLimitsEnvironment)
+{
+    // Each value used to run silently: 1e4 as a quota of 1, -1 as 2^64-1,
+    // a zero quota as a table of zeros, a zero cycle cap as a panic.
+    const struct
+    {
+        const char *name;
+        const char *value;
+    } bad[] = {{"SW_QUOTA", "1e4"},
+               {"SW_QUOTA", "-1"},
+               {"SW_QUOTA", "0"},
+               {"SW_QUOTA", " 12"},
+               {"SW_QUOTA", "18446744073709551616"},
+               {"SW_WARMUP", "5k"},
+               {"SW_MAXCYCLES", "0"},
+               {"SW_QUOTA_REG", "0"},
+               {"SW_WARMUP_REG", "+3"}};
+    for (const auto &entry : bad) {
+        SCOPED_TRACE(std::string(entry.name) + "=" + entry.value);
+        setenv(entry.name, entry.value, 1);
+        EXPECT_DEATH(limitsFor(findBenchmark("2dc")),
+                     std::string("environment variable ") + entry.name +
+                         "='");
+        unsetenv(entry.name);
+    }
 }
 
 TEST(Experiment, LimitsForRegularAreLarger)

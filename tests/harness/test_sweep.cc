@@ -145,6 +145,10 @@ TEST(SweepRunnerDeath, RejectsMalformedSwJobs)
     EXPECT_DEATH(SweepRunner::defaultJobs(), "SW_JOBS");
     ::setenv("SW_JOBS", "lots", 1);
     EXPECT_DEATH(SweepRunner::defaultJobs(), "SW_JOBS");
+    ::setenv("SW_JOBS", "-1", 1);   // strtoul used to wrap this
+    EXPECT_DEATH(SweepRunner::defaultJobs(), "SW_JOBS");
+    ::setenv("SW_JOBS", "4294967297", 1);
+    EXPECT_DEATH(SweepRunner::defaultJobs(), "SW_JOBS");
     ::unsetenv("SW_JOBS");
 }
 

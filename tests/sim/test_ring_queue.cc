@@ -113,10 +113,37 @@ TEST(RingQueue, RemoveIfKeepsTheRestInOrderAcrossTheWrap)
     EXPECT_TRUE(queue.empty());
 }
 
+TEST(RingQueue, IndexReadsOldestFirstAndClearKeepsTheArray)
+{
+    RingQueue<int> queue;
+    for (int i = 0; i < 8; ++i)
+        queue.pushBack(i);
+    for (int i = 8; i < 13; ++i) {
+        queue.popFront();
+        queue.pushBack(i);   // wrapped: 5..12 over the array's end
+    }
+    for (std::size_t i = 0; i < queue.size(); ++i)
+        EXPECT_EQ(queue[i], int(5 + i));
+
+    queue.clear();
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(queue.capacity(), 8u);
+    queue.pushBack(42);
+    EXPECT_EQ(queue[0], 42);
+    EXPECT_EQ(queue.front(), 42);
+}
+
 TEST(RingQueueDeathTest, PopFromEmptyPanics)
 {
     RingQueue<int> queue;
     EXPECT_DEATH(queue.popFront(), "pop from an empty queue");
+}
+
+TEST(RingQueueDeathTest, IndexPastSizePanics)
+{
+    RingQueue<int> queue;
+    queue.pushBack(1);
+    EXPECT_DEATH((void)queue[1], "index 1 past size 1");
 }
 
 } // namespace
