@@ -14,10 +14,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(ablation_pw_warp)
 {
-    setVerbose(false);
     banner("Ablation", "PW-Warp lanes x SoftPWB entries per SM");
 
     // A representative irregular trio keeps the sweep affordable.

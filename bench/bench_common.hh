@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared plumbing for the figure/table reproduction harnesses: the standard
- * configurations compared throughout the paper, suite runners with progress
- * output, and consistent headers.
+ * Shared plumbing for the figure/table reproduction harnesses: the
+ * registry the `paper` driver renders them from, the standard
+ * configurations compared throughout the paper, a suite runner that
+ * simulates each distinct run once per process, and consistent headers.
  *
  * Every harness honours SW_QUOTA / SW_WARMUP / SW_QUOTA_REG / SW_WARMUP_REG
  * (see harness/experiment.cc) so sweeps can be shortened or lengthened
@@ -15,17 +16,41 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
+#include "trace/trace_format.hh"
 
 namespace swbench {
 
 using namespace sw;
+
+/** A harness: prints one table or figure; @return its exit status. */
+using FigureFn = int (*)();
+
+/** Every harness linked into this program, by name. */
+inline std::map<std::string, FigureFn> &
+figures()
+{
+    static std::map<std::string, FigureFn> registry;
+    return registry;
+}
+
+/**
+ * Define the harness @p name and register it in figures() under that
+ * name: `SW_FIGURE(fig16_overall_speedup) { ...; return 0; }`.
+ */
+#define SW_FIGURE(name)                                                      \
+    static int name();                                                       \
+    [[maybe_unused]] static const bool name##Registered =                    \
+        ::swbench::figures().emplace(#name, name).second;                    \
+    static int name()
 
 /** Baseline: Table 3, 32 hardware PTWs. */
 inline GpuConfig
@@ -97,69 +122,77 @@ banner(const char *figure, const char *description)
 
 /**
  * One configuration swept across the suite: the unit every figure is built
- * from.  Either a fixed footprint scale or a per-benchmark scale function
- * (the Fig 6b / Fig 25 pattern); scaleOf wins when set.
+ * from.  scaleOf, when set, gives each benchmark's footprint scale (the
+ * Fig 6b / Fig 25 pattern); otherwise footprints are unscaled.
  */
 struct SuiteRun
 {
-    SuiteRun(GpuConfig cfg_, std::string label_, double scale_ = 1.0,
-             std::function<double(const BenchmarkInfo &)> scale_of = {})
-        : cfg(std::move(cfg_)), label(std::move(label_)), scale(scale_),
-          scaleOf(std::move(scale_of))
-    {
-    }
-
     GpuConfig cfg;
     std::string label;
-    double scale;
-    std::function<double(const BenchmarkInfo &)> scaleOf;
+    std::function<double(const BenchmarkInfo &)> scaleOf = {};
 };
 
 /**
- * Run several configurations across one suite on the SweepRunner: all
- * (config, benchmark) pairs become one job pool drained by SW_JOBS
- * workers, and results come back grouped per configuration, each group in
- * suite order.  Submission order is config-major, so SW_JOBS=1 reproduces
- * the historical back-to-back runSuite() loop exactly — same simulations,
- * same order, same progress lines.
+ * What a suite run's result depends on, by the determinism contract in
+ * harness/sweep.hh: configDigest(cfg), the benchmark, every run limit and
+ * the footprint scale.
+ */
+using RunKey = std::tuple<std::uint64_t, const BenchmarkInfo *,
+                          std::uint64_t, std::uint64_t, Cycle,
+                          std::uint64_t, Cycle, double>;
+
+static_assert(sizeof(Gpu::RunLimits) == 5 * sizeof(std::uint64_t),
+              "a new Gpu::RunLimits field must join RunKey");
+
+/** Every suite run this process has simulated, by key. */
+inline std::map<RunKey, RunResult> simulatedRuns;
+/** Suite runs asked of runSuites() in this process. */
+inline std::size_t requestedRuns = 0;
+
+/**
+ * Run several configurations across one suite: results come back grouped
+ * per configuration, each group in suite order.  Each run whose key this
+ * process has not simulated yet becomes one SweepRunner job, submitted
+ * config-major and drained by SW_JOBS workers; every other run is read
+ * from simulatedRuns, so it prints no progress line.  By the determinism
+ * contract a stored result equals the one a new simulation would give.
  */
 inline std::vector<std::vector<RunResult>>
 runSuites(const std::vector<const BenchmarkInfo *> &suite,
           const std::vector<SuiteRun> &runs)
 {
     SweepRunner runner;
+    std::vector<const RunResult *> slots;   // config-major, as returned
+    std::vector<RunResult *> fresh;         // submission order
     for (const SuiteRun &run : runs) {
         for (const BenchmarkInfo *info : suite) {
-            SweepJob job;
-            job.cfg = run.cfg;
-            job.info = info;
-            job.limits = limitsFor(*info);
-            job.footprintScale =
-                run.scaleOf ? run.scaleOf(*info) : run.scale;
-            job.label = run.label;
-            runner.submit(std::move(job));
+            SweepJob job{.cfg = run.cfg,
+                         .info = info,
+                         .limits = limitsFor(*info),
+                         .footprintScale =
+                             run.scaleOf ? run.scaleOf(*info) : 1.0,
+                         .label = run.label};
+            const Gpu::RunLimits &l = job.limits;
+            auto [it, inserted] = simulatedRuns.try_emplace(
+                {configDigest(job.cfg), info, l.warpInstrQuota,
+                 l.warmupInstrs, l.maxCycles, l.maxActiveWarps,
+                 l.restartSkewCycles, job.footprintScale});
+            slots.push_back(&it->second);
+            if (inserted) {
+                fresh.push_back(&it->second);
+                runner.submit(std::move(job));
+            }
         }
     }
-    std::vector<RunResult> flat = runner.run();
-    std::vector<std::vector<RunResult>> out;
-    out.reserve(runs.size());
-    auto it = flat.begin();
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-        out.emplace_back(std::make_move_iterator(it),
-                         std::make_move_iterator(it +
-                             static_cast<std::ptrdiff_t>(suite.size())));
-        it += static_cast<std::ptrdiff_t>(suite.size());
-    }
-    return out;
-}
+    requestedRuns += slots.size();
+    std::vector<RunResult> done = runner.run();
+    for (std::size_t i = 0; i < done.size(); ++i)
+        *fresh[i] = std::move(done[i]);
 
-/** Run one configuration across a suite, with progress on stderr. */
-inline std::vector<RunResult>
-runSuite(const GpuConfig &cfg, const std::vector<const BenchmarkInfo *> &suite,
-         const char *label, double footprint_scale = 1.0)
-{
-    return std::move(
-        runSuites(suite, {{cfg, label, footprint_scale, {}}}).front());
+    std::vector<std::vector<RunResult>> out(runs.size());
+    for (std::size_t i = 0; i < slots.size(); ++i)
+        out[i / suite.size()].push_back(*slots[i]);
+    return out;
 }
 
 /** Pointers to every Table 4 entry, paper order. */
@@ -182,17 +215,6 @@ largePageScale(const BenchmarkInfo &info, double min_bytes = 5.0 * (1ull << 30))
 {
     double footprint = double(info.footprintMb) * 1024.0 * 1024.0;
     return std::max(8.0, min_bytes / footprint);
-}
-
-/** Run one configuration across a suite with per-benchmark scaling. */
-inline std::vector<RunResult>
-runSuiteScaled(const GpuConfig &cfg,
-               const std::vector<const BenchmarkInfo *> &suite,
-               const char *label,
-               const std::function<double(const BenchmarkInfo &)> &scale_of)
-{
-    return std::move(
-        runSuites(suite, {{cfg, label, 1.0, scale_of}}).front());
 }
 
 /** Geomean helper over paired results. */

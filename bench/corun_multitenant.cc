@@ -69,10 +69,8 @@ regime(const char *title, bool mig)
 
 } // namespace
 
-int
-main()
+SW_FIGURE(corun_multitenant)
 {
-    setVerbose(false);
     banner("Co-run", "multi-tenant irregular x regular pairs");
 
     regime("(a) shared translation path", false);

@@ -80,10 +80,8 @@ trace(const char *abbr)
 
 } // namespace
 
-int
-main()
+SW_FIGURE(fig03_access_patterns)
 {
-    setVerbose(false);
     banner("Figure 3", "page-granularity access-pattern traces");
     trace("nw");
     trace("bfs");

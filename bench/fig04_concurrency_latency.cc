@@ -13,10 +13,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(fig04_concurrency_latency)
 {
-    setVerbose(false);
     banner("Figure 4", "memory latency vs concurrent page walks");
 
     const std::vector<std::uint64_t> concurrency = {1, 8, 32, 64, 128, 256};

@@ -14,10 +14,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(fig05_ptw_scaling)
 {
-    setVerbose(false);
     banner("Figure 5", "speedup vs number of hardware PTWs");
 
     const std::vector<std::uint32_t> ptws = {32, 64, 128, 256, 512, 1024};

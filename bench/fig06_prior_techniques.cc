@@ -30,7 +30,7 @@ sweep(const char *title, const GpuConfig &base, double footprint_scale)
     for (std::uint32_t n : ptws) {
         GpuConfig cfg = base;
         scalePtwSubsystem(cfg, n);
-        specs.push_back({cfg, strprintf("%u-ptw", n), 1.0, scale_of});
+        specs.push_back({cfg, strprintf("%u-ptw", n), scale_of});
     }
     auto runs = runSuites(suite, specs);
 
@@ -51,10 +51,8 @@ sweep(const char *title, const GpuConfig &base, double footprint_scale)
 
 } // namespace
 
-int
-main()
+SW_FIGURE(fig06_prior_techniques)
 {
-    setVerbose(false);
     banner("Figure 6", "PTW scaling under NHA coalescing and 2MB pages");
 
     sweep("(a) page-walk coalescing (NHA)", nhaCfg(), 4.0);

@@ -84,10 +84,8 @@ phasesFromLog(const EventLog &events)
 
 } // namespace
 
-int
-main()
+SW_FIGURE(fig07_latency_breakdown)
 {
-    setVerbose(false);
     banner("Figure 7", "walk-latency breakdown vs number of PTWs");
 
     const std::vector<std::uint32_t> ptws = {32, 128, 512};

@@ -12,14 +12,12 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(fig08_scheduler_breakdown)
 {
-    setVerbose(false);
     banner("Figure 8", "warp-scheduler cycle breakdown (baseline)");
 
     auto suite = wholeSuite();
-    auto runs = runSuite(baselineCfg(), suite, "baseline");
+    auto runs = runSuites(suite, {{baselineCfg(), "baseline"}}).front();
     GpuConfig cfg = baselineCfg();
 
     TextTable table({"bench", "type", "issued%", "mem stall%", "other%"});

@@ -40,11 +40,11 @@ sweep(std::uint64_t page_bytes, double footprint_scale)
     GpuConfig ideal = idealCfg();
     ideal.pageBytes = page_bytes;
 
-    auto groups = runSuites(suite, {{base, "base", 1.0, scale_of},
-                                    {ptws_only, "ptws", 1.0, scale_of},
-                                    {mshrs_only, "mshrs", 1.0, scale_of},
-                                    {both, "both", 1.0, scale_of},
-                                    {ideal, "ideal", 1.0, scale_of}});
+    auto groups = runSuites(suite, {{base, "base", scale_of},
+                                    {ptws_only, "ptws", scale_of},
+                                    {mshrs_only, "mshrs", scale_of},
+                                    {both, "both", scale_of},
+                                    {ideal, "ideal", scale_of}});
     auto &base_r = groups[0];
     auto &ptw_r = groups[1];
     auto &mshr_r = groups[2];
@@ -72,10 +72,8 @@ sweep(std::uint64_t page_bytes, double footprint_scale)
 
 } // namespace
 
-int
-main()
+SW_FIGURE(fig12_ptw_mshr_scaling)
 {
-    setVerbose(false);
     banner("Figure 12", "scaling PTWs vs L2 TLB MSHRs vs both");
     sweep(64 * 1024, 1.0);
     // 2 MB pages: grow the footprints past the large-page L2 TLB coverage

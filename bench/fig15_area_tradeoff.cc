@@ -14,10 +14,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(fig15_area_tradeoff)
 {
-    setVerbose(false);
     banner("Figure 15", "speedup vs area overhead of PTW scaling");
 
     auto suite = irregularSuite();

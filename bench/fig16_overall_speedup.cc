@@ -14,10 +14,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(fig16_overall_speedup)
 {
-    setVerbose(false);
     banner("Figure 16", "overall speedup over the 32-PTW baseline");
 
     auto suite = wholeSuite();

@@ -11,10 +11,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(fig17_mshr_failures)
 {
-    setVerbose(false);
     banner("Figure 17", "L2 TLB MSHR-failure reduction from In-TLB MSHR");
 
     auto suite = irregularSuite();

@@ -10,10 +10,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(fig18_walk_latency)
 {
-    setVerbose(false);
     banner("Figure 18", "normalised page-walk latency w/ queueing split");
 
     auto suite = wholeSuite();

@@ -58,10 +58,8 @@ breakdownOf(const CycleLedger &ledger)
 
 } // namespace
 
-int
-main()
+SW_FIGURE(fig19_stall_reduction)
 {
-    setVerbose(false);
     banner("Figure 19", "stall-cycle reduction vs baseline (cycle ledger)");
 
     auto suite = wholeSuite();

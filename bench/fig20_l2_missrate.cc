@@ -11,10 +11,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(fig20_l2_missrate)
 {
-    setVerbose(false);
     banner("Figure 20", "L2 data-cache miss rate");
 
     auto suite = wholeSuite();

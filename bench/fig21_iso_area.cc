@@ -13,10 +13,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(fig21_iso_area)
 {
-    setVerbose(false);
     banner("Figure 21", "iso-area comparison: SoftWalker vs 128 PTWs");
 
     auto suite = irregularSuite();

@@ -11,10 +11,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(fig22_tlb_latency)
 {
-    setVerbose(false);
     banner("Figure 22", "L2 TLB access-latency sensitivity");
 
     const std::vector<Cycle> latencies = {40, 80, 120, 160, 200};

@@ -12,10 +12,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(fig23_pt_latency)
 {
-    setVerbose(false);
     banner("Figure 23", "per-level page-table latency sensitivity");
 
     const std::vector<Cycle> latencies = {50, 100, 200, 300, 400};

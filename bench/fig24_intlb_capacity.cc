@@ -11,10 +11,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(fig24_intlb_capacity)
 {
-    setVerbose(false);
     banner("Figure 24", "In-TLB MSHR capacity sweep");
 
     const std::vector<std::uint32_t> capacities = {0, 128, 256, 512, 1024};

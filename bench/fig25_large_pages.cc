@@ -10,10 +10,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(fig25_large_pages)
 {
-    setVerbose(false);
     banner("Figure 25", "SoftWalker speedup with 2MB pages");
 
     auto suite = scalableSuite();
@@ -27,8 +25,8 @@ main()
     auto scale_of = [](const BenchmarkInfo &info) {
         return largePageScale(info);
     };
-    auto groups = runSuites(suite, {{base, "base-2mb", 1.0, scale_of},
-                                    {soft, "sw-2mb", 1.0, scale_of}});
+    auto groups = runSuites(suite, {{base, "base-2mb", scale_of},
+                                    {soft, "sw-2mb", scale_of}});
     auto &base_r = groups[0];
     auto &soft_r = groups[1];
 

@@ -11,10 +11,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(fig26_distributor)
 {
-    setVerbose(false);
     banner("Figure 26", "Request Distributor policies");
 
     auto suite = irregularSuite();

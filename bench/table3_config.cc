@@ -8,10 +8,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(table3_config)
 {
-    setVerbose(false);
     banner("Table 3", "experimental setup (simulated machine)");
 
     GpuConfig cfg = makeDefaultConfig();

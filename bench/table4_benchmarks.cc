@@ -9,14 +9,12 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(table4_benchmarks)
 {
-    setVerbose(false);
     banner("Table 4", "benchmark suite characterisation");
 
     auto suite = wholeSuite();
-    auto runs = runSuite(baselineCfg(), suite, "baseline");
+    auto runs = runSuites(suite, {{baselineCfg(), "baseline"}}).front();
 
     TextTable table({"bench", "type", "footprint(MB)", "measured MPKI",
                      "paper MPKI", "paper req#PTW"});

@@ -11,10 +11,8 @@
 
 using namespace swbench;
 
-int
-main()
+SW_FIGURE(table_hw_overhead)
 {
-    setVerbose(false);
     banner("Section 5.2", "SoftWalker hardware overhead");
 
     GpuConfig cfg = makeDefaultConfig();
