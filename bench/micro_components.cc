@@ -62,6 +62,42 @@ BM_TlbFillEvict(benchmark::State &state)
 }
 BENCHMARK(BM_TlbFillEvict);
 
+/** gups' L1 TLB path: a 32-entry fully associative array, a lookup miss,
+ *  then an LRU fill that evicts. */
+static void
+BM_TlbL1MissFill(benchmark::State &state)
+{
+    TlbArray tlb("l1", 32, 32);
+    Rng rng(11);
+    Pfn pfn = 0;
+    for (auto _ : state) {
+        Vpn vpn = rng.range(1ull << 33);
+        if (!tlb.lookup({0, vpn}, pfn))
+            tlb.fill({0, vpn}, vpn + 1);
+    }
+    benchmark::DoNotOptimize(tlb.stats().evictions);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TlbL1MissFill);
+
+/** An In-TLB MSHR's life on the Table 3 L2 TLB (1024 entries, 16-way):
+ *  allocPending, then clearPending at walk completion. */
+static void
+BM_TlbL2PendingCycle(benchmark::State &state)
+{
+    TlbArray tlb("l2", 1024, 16);
+    for (Vpn vpn = 0; vpn < 1024; ++vpn)
+        tlb.fill({0, vpn}, vpn + 1);
+    Rng rng(13);
+    for (auto _ : state) {
+        Vpn vpn = rng.range(1ull << 33);
+        benchmark::DoNotOptimize(tlb.allocPending({0, vpn}));
+        tlb.clearPending({0, vpn});
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TlbL2PendingCycle);
+
 static void
 BM_RadixWalkFunctional(benchmark::State &state)
 {

@@ -17,6 +17,9 @@ Sm::Sm(EventQueue &eq, Params params, Workload &wl, RequestPool &requests,
       rng(params.rngSeed * 0x100000001b3ULL + params.id)
 {
     SW_ASSERT(params_.numWarps > 0, "SM needs warps");
+    SW_ASSERT(params_.numWarps <= kMaxWarps,
+              "SM %u: %u warps; a translation record names at most %u",
+              params_.id, params_.numWarps, kMaxWarps);
     warps.resize(params_.numWarps);
 }
 
@@ -98,18 +101,19 @@ Sm::execMemInstr(WarpId warp)
     if (traceHook)
         traceHook(params_.id, warp, ws.issuedAt, instr);
 
-    // Coalesce the warp's lanes: one translation record per unique page,
-    // and one sector record per unique sector within it, chained off the
-    // page's record in first-touch order.
+    // Coalesce the warp's lanes into unique pages, and each page's unique
+    // sectors in first-touch lane order.  A lane compares its sector only
+    // against its own page's list (next[] threads the lists through the
+    // first-touch order).
     std::uint32_t lanes = std::min<std::uint32_t>(instr.activeLanes,
                                                   params_.warpSize);
-    constexpr std::size_t kMaxLanes =
-        std::tuple_size_v<decltype(WarpInstr::addrs)>;
     Vpn vpns[kMaxLanes];
-    RequestId pages[kMaxLanes];
-    RequestId last_sector[kMaxLanes];
+    std::uint8_t first[kMaxLanes];     // page -> its first sector
+    std::uint8_t last[kMaxLanes];      // page -> its last sector
+    std::uint64_t offsets[kMaxLanes];  // sector -> offset in its page
+    std::uint8_t next[kMaxLanes];      // sector -> its page's next sector
     std::uint32_t num_pages = 0;
-    std::uint32_t total_sectors = 0;
+    std::uint32_t num_sectors = 0;
     for (std::uint32_t lane = 0; lane < lanes; ++lane) {
         VirtAddr va = instr.addrs[lane];
         Vpn vpn = geometry.vpnOf(va);
@@ -120,46 +124,48 @@ Sm::execMemInstr(WarpId warp)
             ++page;
         if (page == num_pages) {
             vpns[page] = vpn;
-            pages[page] = pool.alloc({.addr = vpn,
-                                      .unit = params_.id,
-                                      .slot = kNoRequest,
-                                      .asid = std::uint16_t(params_.asid),
-                                      .done = Done::Translation});
-            last_sector[page] = kNoRequest;
+            first[page] = std::uint8_t(num_sectors);
             ++num_pages;
+        } else {
+            std::uint32_t s = first[page];
+            while (s != kNoSector && offsets[s] != sector_off)
+                s = next[s];
+            if (s != kNoSector)
+                continue;
+            next[last[page]] = std::uint8_t(num_sectors);
         }
-        bool seen = false;
-        for (RequestId s = pool[pages[page]].slot; s != kNoRequest;
-             s = pool[s].next) {
-            if (pool[s].addr == sector_off) {
-                seen = true;
-                break;
-            }
-        }
-        if (seen)
-            continue;
-        RequestId sector = pool.alloc({.addr = sector_off,
-                                       .unit = params_.id,
-                                       .slot = warp,
-                                       .done = Done::SmAccess,
-                                       .write = instr.write});
-        if (last_sector[page] == kNoRequest)
-            pool[pages[page]].slot = sector;
-        else
-            pool[last_sector[page]].next = sector;
-        last_sector[page] = sector;
-        ++total_sectors;
+        last[page] = std::uint8_t(num_sectors);
+        offsets[num_sectors] = sector_off;
+        next[num_sectors] = kNoSector;
+        ++num_sectors;
     }
 
-    if (total_sectors == 0) {
+    if (num_sectors == 0) {
         // Degenerate instruction: nothing to do, move on next cycle.
         eventq.scheduleIn(1, [this, warp]() { fetchAndSchedule(warp); });
         return;
     }
 
-    ws.outstanding = total_sectors;
+    // The lane addresses are dead after issue: they now hold each page's
+    // sector offsets as one run, and the page's translation record names
+    // its run.  translated() makes the run's sector records.
+    ws.outstanding = num_sectors;
     enterBlocked(warp);
     stats_.translationsRequested += num_pages;
+    RequestId pages[kMaxLanes];
+    std::uint32_t run_start = 0;
+    for (std::uint32_t page = 0; page < num_pages; ++page) {
+        std::uint32_t at = run_start;
+        for (std::uint32_t s = first[page]; s != kNoSector; s = next[s])
+            ws.pending.addrs[at++] = offsets[s];
+        pages[page] = pool.alloc({.addr = vpns[page],
+                                  .unit = params_.id,
+                                  .slot = runSlot(warp, run_start,
+                                                  at - run_start),
+                                  .asid = std::uint16_t(params_.asid),
+                                  .done = Done::Translation});
+        run_start = at;
+    }
     for (std::uint32_t page = 0; page < num_pages; ++page)
         port.translate(pages[page]);
 }
@@ -168,15 +174,21 @@ void
 Sm::translated(RequestId id)
 {
     Pfn pfn = pool[id].addr;
-    RequestId sector = pool[id].slot;
+    std::uint32_t slot = pool[id].slot;
     pool.free(id);
-    while (sector != kNoRequest) {
-        Request &req = pool[sector];
-        RequestId next = req.next;
-        req.addr = geometry.composePa(pfn, req.addr);
+    WarpId warp = slot >> (2 * kRunBits);
+    std::uint32_t start = (slot >> kRunBits) & (kMaxLanes - 1);
+    std::uint32_t count = (slot & (kMaxLanes - 1)) + 1;
+    const WarpInstr &instr = warps[warp].pending;
+    for (std::uint32_t i = start; i < start + count; ++i) {
+        RequestId sector = pool.alloc(
+            {.addr = geometry.composePa(pfn, instr.addrs[i]),
+             .unit = params_.id,
+             .slot = warp,
+             .done = Done::SmAccess,
+             .write = instr.write});
         ++stats_.dataAccesses;
         port.access(sector);
-        sector = next;
     }
 }
 

@@ -5,9 +5,10 @@
  * Each SM hosts up to 48 warps that alternate compute gaps and global
  * memory instructions drawn from the workload.  Memory instructions are
  * coalesced to unique pages (translation requests) and unique 32 B sectors
- * (data accesses); the warp blocks until every access completes
- * (scoreboard semantics).  The single issue port serialises instruction
- * issue, and is shared — with priority — by the PW Warp (§4.2).
+ * (data accesses); a page's sector records are made when its translation
+ * completes.  The warp blocks until every access completes (scoreboard
+ * semantics).  The single issue port serialises instruction issue, and is
+ * shared — with priority — by the PW Warp (§4.2).
  *
  * Scheduler-cycle accounting distinguishes issued/compute cycles from
  * cycles where *every* resident warp is blocked on memory, which is the
@@ -19,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <tuple>
 #include <vector>
 
 #include "mem/request.hh"
@@ -121,8 +123,9 @@ class Sm
     Cycle reservePwIssue(std::uint32_t slots, Asid walkAsid);
 
     /**
-     * Translation @p id resolved (its addr now holds the PFN): compose the
-     * physical sector addresses of its page and issue them.
+     * Translation @p id resolved (its addr now holds the PFN): make a
+     * record for each sector of its page's run, compose the sector's
+     * physical address and issue it, in first-touch lane order.
      */
     void translated(RequestId id);
 
@@ -187,10 +190,33 @@ class Sm
     {
         bool live = false;
         bool blocked = false;        ///< waiting on memory
-        WarpInstr pending;           ///< next instruction to issue
+        /**
+         * Next instruction to issue.  Once it issues, addrs holds the
+         * sector offsets of each of its pages as one run per page.
+         */
+        WarpInstr pending;
         std::uint32_t outstanding = 0;
         Cycle issuedAt = 0;
     };
+
+    static constexpr std::uint32_t kMaxLanes =
+        std::tuple_size_v<decltype(WarpInstr::addrs)>;
+    static constexpr std::uint32_t kRunBits = 5;   ///< log2(kMaxLanes)
+    static_assert(kMaxLanes == 1u << kRunBits);
+    /** Warps a translation record's slot can name. */
+    static constexpr std::uint32_t kMaxWarps = 1u << (32 - 2 * kRunBits);
+    /** End of a page's sector list while an instruction coalesces. */
+    static constexpr std::uint8_t kNoSector = 0xff;
+
+    /**
+     * A translation record's slot: the warp, and its page's run of
+     * @p count sector offsets at addrs[@p start].
+     */
+    static std::uint32_t
+    runSlot(WarpId warp, std::uint32_t start, std::uint32_t count)
+    {
+        return warp << (2 * kRunBits) | start << kRunBits | (count - 1);
+    }
 
     void fetchAndSchedule(WarpId warp);
     void tryIssue(WarpId warp);

@@ -262,6 +262,16 @@ run(RunSpec spec)
     }
     SW_PROF_SCOPE(prof::Zone::Report);
     RunResult result = collectResult(*gpu, name);
+    if (!gpu->eventQueue().empty()) {
+        // maxCycles is a safety net for configs that may not finish, so a
+        // capped run still reports; but its numbers cover part of a run.
+        warn("%s (%s) stopped at the cycle cap of %llu cycles with %llu "
+             "of its %llu-instruction quota issued; its results are partial",
+             name.c_str(), toString(spec.cfg.mode),
+             static_cast<unsigned long long>(limits.maxCycles),
+             static_cast<unsigned long long>(result.warpInstrs),
+             static_cast<unsigned long long>(limits.warpInstrQuota));
+    }
     if (recorder) {
         TraceLimits recorded;
         recorded.warpInstrQuota = limits.warpInstrQuota;
@@ -301,7 +311,11 @@ limitsFor(const BenchmarkInfo &info)
 double
 speedup(const RunResult &base, const RunResult &opt)
 {
-    SW_ASSERT(base.perf > 0.0, "baseline made no progress");
+    if (!(base.perf > 0.0)) {
+        fatal("speedup: the baseline run of %s made no progress; was it "
+              "stopped by the cycle cap (SW_MAXCYCLES) before it issued a "
+              "measured instruction?", base.benchmark.c_str());
+    }
     return opt.perf / base.perf;
 }
 

@@ -63,6 +63,8 @@ namespace {
 class JsonFieldWriter : public RunResultFieldVisitor
 {
   public:
+    JsonFieldWriter() { out << '{'; }
+
     void
     str(const char *name, const std::string &value) override
     {
@@ -85,7 +87,12 @@ class JsonFieldWriter : public RunResultFieldVisitor
         out << '"' << name << "\":" << strprintf("%.6g", value);
     }
 
-    std::string take() { return "{" + out.str() + "}"; }
+    std::string
+    take()
+    {
+        out << '}';
+        return std::move(out).str();
+    }
 
   private:
     void

@@ -29,7 +29,7 @@ namespace sw {
 /** Index of a Request in its RequestPool. */
 using RequestId = std::uint32_t;
 
-/** "No request": the end of a FIFO or sector list. */
+/** "No request": the end of a FIFO. */
 inline constexpr RequestId kNoRequest = ~RequestId(0);
 
 /** What finishing a request means: selects the sink it completes to. */
@@ -39,8 +39,10 @@ enum class Done : std::uint8_t
     L1dFill,      ///< L1D miss served by the L2D: unit = SM
     PtRead,       ///< page-table read: unit = walker, slot = lane
     /**
-     * TLB translation: unit = SM, slot = first sector.  The engine's own
-     * L2 TLB requests carry this tag too but never leave the engine.
+     * TLB translation: unit = SM, slot = the warp and its page's run of
+     * sector offsets (Sm::runSlot), which the engine never reads.  The
+     * engine's own L2 TLB requests carry this tag too but never leave the
+     * engine.
      */
     Translation,
 };
@@ -50,16 +52,16 @@ inline constexpr std::size_t kNumDone = 4;
 /**
  * One in-flight request.  Field meaning depends on the Done tag; a
  * translation's addr holds its VPN while it is looked up and its PFN once
- * it completes, and a data sector's addr holds its offset in the page until
- * the translation composes the physical address.
+ * it completes.  A warp's data-sector records are made when their page's
+ * translation completes, with the composed physical address.
  */
 struct Request
 {
     std::uint64_t addr = 0;       ///< sector address, or VPN/PFN
     Cycle start = 0;              ///< issue / arrival cycle (latency stats)
-    RequestId next = kNoRequest;  ///< FIFO or sector-list link
+    RequestId next = kNoRequest;  ///< FIFO or free-list link
     std::uint32_t unit = 0;       ///< SM, or walker for a PtRead
-    std::uint32_t slot = 0;       ///< warp, PtRead lane, or first sector
+    std::uint32_t slot = 0;       ///< warp, PtRead lane, or warp + run
     std::uint16_t asid = 0;       ///< translation key's ASID
     Done done = Done::SmAccess;
     bool write = false;

@@ -65,6 +65,10 @@ GpuConfig::validate() const
         fatal("GpuConfig: core organisation must be non-zero");
     if (warpSize > 32)
         fatal("GpuConfig: warpSize > 32 unsupported");
+    // A translation record names its warp in 22 bits (Sm::runSlot).
+    if (maxWarpsPerSm > (1u << 22))
+        fatal("GpuConfig: maxWarpsPerSm (%u) exceeds 4194304",
+              maxWarpsPerSm);
     if (l1TlbEntries == 0)
         fatal("GpuConfig: l1TlbEntries must be non-zero");
     if (l2TlbEntries == 0 || l2TlbWays == 0)

@@ -1,5 +1,7 @@
 #include "vm/tlb.hh"
 
+#include <algorithm>
+
 #include "check/audit.hh"
 #include "ckpt/ckpt_io.hh"
 #include "obs/stat_registry.hh"
@@ -17,7 +19,11 @@ TlbArray::TlbArray(std::string name, std::uint32_t num_entries,
               "TLB entries (%u) not divisible by ways (%u)",
               num_entries, num_ways);
     sets = num_entries / num_ways;
-    entries.resize(num_entries);
+    tagStore.assign(3 * std::size_t(num_entries), 0);
+    std::span<std::uint64_t> store(tagStore);
+    tags = store.first(num_entries);
+    pfns = store.subspan(num_entries, num_entries);
+    lruTicks = store.last(num_entries);
 }
 
 void
@@ -40,131 +46,111 @@ TlbArray::victimWays(Asid asid) const
     return {0, ways};
 }
 
-TlbArray::Entry *
-TlbArray::findValid(TranslationKey key)
+std::uint64_t
+TlbArray::packed(EntryState state, TranslationKey key) const
 {
-    std::uint64_t set = setOf(key.vpn);
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        Entry &entry = entries[set * ways + w];
-        if (entry.state == EntryState::Valid && entry.vpn == key.vpn &&
-            entry.asid == key.asid)
-            return &entry;
-    }
-    return nullptr;
+    SW_ASSERT(fits(key.asid, key.vpn),
+              "%s: key {asid %u, vpn %llu} does not fit a tag word",
+              name_.c_str(), key.asid,
+              static_cast<unsigned long long>(key.vpn));
+    return tagOf(state, key);
 }
 
-const TlbArray::Entry *
-TlbArray::findValidConst(TranslationKey key) const
+std::uint32_t
+TlbArray::findWay(std::size_t base, std::uint64_t tag) const
 {
-    std::uint64_t set = setOf(key.vpn);
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        const Entry &entry = entries[set * ways + w];
-        if (entry.state == EntryState::Valid && entry.vpn == key.vpn &&
-            entry.asid == key.asid)
-            return &entry;
+    const std::uint64_t *set = &tags[base];
+    std::uint32_t w = 0;
+    while (w < ways && set[w] != tag)
+        ++w;
+    return w;
+}
+
+std::uint32_t
+TlbArray::victimWay(std::size_t base, Asid asid) const
+{
+    auto [way0, waycount] = victimWays(asid);
+    const std::uint64_t *set = &tags[base];
+    const std::uint64_t *ticks = &lruTicks[base];
+    std::uint32_t victim = ways;
+    for (std::uint32_t w = way0; w < way0 + waycount; ++w) {
+        EntryState state = stateOf(set[w]);
+        if (state == EntryState::Invalid)
+            return w;
+        if (state == EntryState::Valid &&
+            (victim == ways || ticks[w] < ticks[victim]))
+            victim = w;
     }
-    return nullptr;
+    return victim;
 }
 
 bool
 TlbArray::lookup(TranslationKey key, Pfn &pfn)
 {
     ++stats_.lookups;
-    if (Entry *entry = findValid(key)) {
-        ++stats_.hits;
-        entry->lruTick = ++lruCounter;
-        pfn = entry->pfn;
-        return true;
-    }
-    return false;
+    std::size_t base = setBase(key.vpn);
+    std::uint32_t w = findWay(base, packed(EntryState::Valid, key));
+    if (w == ways)
+        return false;
+    ++stats_.hits;
+    lruTicks[base + w] = ++lruCounter;
+    pfn = pfns[base + w];
+    return true;
 }
 
 bool
 TlbArray::probe(TranslationKey key) const
 {
-    return findValidConst(key) != nullptr;
+    return findWay(setBase(key.vpn), packed(EntryState::Valid, key)) < ways;
 }
 
 bool
 TlbArray::fill(TranslationKey key, Pfn pfn)
 {
     ++stats_.fills;
-    std::uint64_t set = setOf(key.vpn);
+    std::size_t base = setBase(key.vpn);
+    std::uint64_t tag = packed(EntryState::Valid, key);
 
     // Refresh an existing valid entry in place.
-    if (Entry *entry = findValid(key)) {
-        entry->pfn = pfn;
-        entry->lruTick = ++lruCounter;
-        return true;
-    }
-
-    auto [way0, waycount] = victimWays(key.asid);
-    Entry *victim = nullptr;
-    for (std::uint32_t w = way0; w < way0 + waycount; ++w) {
-        Entry &entry = entries[set * ways + w];
-        if (entry.state == EntryState::Pending)
-            continue;
-        if (entry.state == EntryState::Invalid) {
-            victim = &entry;
-            break;
+    std::uint32_t w = findWay(base, tag);
+    if (w == ways) {
+        w = victimWay(base, key.asid);
+        if (w == ways) {
+            ++stats_.fillsSkipped;
+            return false;
         }
-        if (!victim || entry.lruTick < victim->lruTick)
-            victim = &entry;
+        SW_AUDIT(stateOf(tags[base + w]) != EntryState::Pending,
+                 "fill displaced an In-TLB MSHR slot in %s", name_.c_str());
+        if (stateOf(tags[base + w]) == EntryState::Valid)
+            ++stats_.evictions;
+        tags[base + w] = tag;
     }
-    if (!victim) {
-        ++stats_.fillsSkipped;
-        return false;
-    }
-    SW_AUDIT(victim->state != EntryState::Pending,
-             "fill displaced an In-TLB MSHR slot in %s", name_.c_str());
-    if (victim->state == EntryState::Valid)
-        ++stats_.evictions;
-    victim->state = EntryState::Valid;
-    victim->asid = key.asid;
-    victim->vpn = key.vpn;
-    victim->pfn = pfn;
-    victim->lruTick = ++lruCounter;
+    pfns[base + w] = pfn;
+    lruTicks[base + w] = ++lruCounter;
     return true;
 }
 
 bool
 TlbArray::allocPending(TranslationKey key)
 {
-    std::uint64_t set = setOf(key.vpn);
+    std::size_t base = setBase(key.vpn);
+    std::uint64_t tag = packed(EntryState::Pending, key);
 
     // Same-tag pending reservation: merge onto the existing slot (§4.5
     // "we allow the In-TLB MSHR to reserve the same tag in a set index").
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        Entry &entry = entries[set * ways + w];
-        if (entry.state == EntryState::Pending && entry.vpn == key.vpn &&
-            entry.asid == key.asid)
-            return true;
-    }
+    if (findWay(base, tag) < ways)
+        return true;
 
-    auto [way0, waycount] = victimWays(key.asid);
-    Entry *victim = nullptr;
-    for (std::uint32_t w = way0; w < way0 + waycount; ++w) {
-        Entry &entry = entries[set * ways + w];
-        if (entry.state == EntryState::Pending)
-            continue;
-        if (entry.state == EntryState::Invalid) {
-            victim = &entry;
-            break;
-        }
-        if (!victim || entry.lruTick < victim->lruTick)
-            victim = &entry;
-    }
-    if (!victim) {
+    std::uint32_t w = victimWay(base, key.asid);
+    if (w == ways) {
         ++stats_.pendingAllocFailures;
         return false;
     }
-    if (victim->state == EntryState::Valid)
+    if (stateOf(tags[base + w]) == EntryState::Valid)
         ++stats_.pendingEvictedValid;
-    victim->state = EntryState::Pending;
-    victim->asid = key.asid;
-    victim->vpn = key.vpn;
-    victim->pfn = 0;
-    victim->lruTick = ++lruCounter;
+    tags[base + w] = tag;
+    pfns[base + w] = 0;
+    lruTicks[base + w] = ++lruCounter;
     ++numPending;
     ++stats_.pendingAllocs;
     return true;
@@ -173,35 +159,26 @@ TlbArray::allocPending(TranslationKey key)
 std::uint32_t
 TlbArray::countPendingScan() const
 {
-    std::uint32_t count = 0;
-    for (const auto &entry : entries)
-        if (entry.state == EntryState::Pending)
-            ++count;
-    return count;
+    return std::uint32_t(std::ranges::count_if(tags, [](std::uint64_t tag) {
+        return stateOf(tag) == EntryState::Pending;
+    }));
 }
 
 bool
 TlbArray::hasPending(TranslationKey key) const
 {
-    std::uint64_t set = setOf(key.vpn);
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        const Entry &entry = entries[set * ways + w];
-        if (entry.state == EntryState::Pending && entry.vpn == key.vpn &&
-            entry.asid == key.asid)
-            return true;
-    }
-    return false;
+    return findWay(setBase(key.vpn), packed(EntryState::Pending, key)) <
+           ways;
 }
 
 void
 TlbArray::clearPending(TranslationKey key)
 {
-    std::uint64_t set = setOf(key.vpn);
+    std::size_t base = setBase(key.vpn);
+    std::uint64_t tag = packed(EntryState::Pending, key);
     for (std::uint32_t w = 0; w < ways; ++w) {
-        Entry &entry = entries[set * ways + w];
-        if (entry.state == EntryState::Pending && entry.vpn == key.vpn &&
-            entry.asid == key.asid) {
-            entry.state = EntryState::Invalid;
+        if (tags[base + w] == tag) {
+            tags[base + w] = tag & kKeyMask;   // invalid, key kept
             SW_ASSERT(numPending > 0, "pending underflow");
             --numPending;
         }
@@ -214,24 +191,27 @@ TlbArray::clearPending(TranslationKey key)
 void
 TlbArray::invalidate(TranslationKey key)
 {
-    if (Entry *entry = findValid(key))
-        entry->state = EntryState::Invalid;
+    std::size_t base = setBase(key.vpn);
+    std::uint32_t w = findWay(base, packed(EntryState::Valid, key));
+    if (w < ways)
+        tags[base + w] &= kKeyMask;
 }
 
 void
 TlbArray::flushAsid(Asid asid)
 {
-    for (auto &entry : entries) {
-        if (entry.state == EntryState::Valid && entry.asid == asid)
-            entry.state = EntryState::Invalid;
+    // Valid ways of @p asid: the state and ASID fields above the VPN.
+    std::uint64_t want = packed(EntryState::Valid, {asid, 0}) >> kVpnBits;
+    for (std::uint64_t &tag : tags) {
+        if (tag >> kVpnBits == want)
+            tag &= kKeyMask;
     }
 }
 
 void
 TlbArray::flush()
 {
-    for (auto &entry : entries)
-        entry = Entry{};
+    std::ranges::fill(tagStore, 0);
     numPending = 0;
 }
 
@@ -257,13 +237,14 @@ TlbArray::saveState(CkptWriter &w) const
 {
     w.section("tlb");
     w.str(name_);
-    w.u32(std::uint32_t(entries.size()));
-    for (const Entry &entry : entries) {
-        w.u8(std::uint8_t(entry.state));
-        w.u32(entry.asid);
-        w.u64(entry.vpn);
-        w.u64(entry.pfn);
-        w.u64(entry.lruTick);
+    w.u32(std::uint32_t(tags.size()));
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+        TranslationKey key = keyOf(tags[i]);
+        w.u8(std::uint8_t(stateOf(tags[i])));
+        w.u32(key.asid);
+        w.u64(key.vpn);
+        w.u64(pfns[i]);
+        w.u64(lruTicks[i]);
     }
     w.u64(lruCounter);
     w.u32(numPending);
@@ -287,19 +268,26 @@ TlbArray::restoreState(CkptReader &r)
               saved_name.c_str(), name_.c_str());
     }
     std::uint32_t n = r.u32();
-    if (n != entries.size()) {
+    if (n != tags.size()) {
         fatal("checkpoint TLB \"%s\" has %u entries, this config has %zu",
-              name_.c_str(), n, entries.size());
+              name_.c_str(), n, tags.size());
     }
-    for (Entry &entry : entries) {
+    for (std::size_t i = 0; i < tags.size(); ++i) {
         std::uint8_t state = r.u8();
         if (state > std::uint8_t(EntryState::Pending))
             fatal("checkpoint TLB entry state %u out of range", state);
-        entry.state = EntryState(state);
-        entry.asid = r.u32();
-        entry.vpn = r.u64();
-        entry.pfn = r.u64();
-        entry.lruTick = r.u64();
+        Asid asid = r.u32();
+        Vpn vpn = r.u64();
+        if (!fits(asid, vpn)) {
+            fatal("checkpoint TLB \"%s\" entry %zu has ASID %u and VPN "
+                  "%llu; a TLB tag holds %u-bit ASIDs and %u-bit VPNs",
+                  name_.c_str(), i, asid,
+                  static_cast<unsigned long long>(vpn), kAsidBits,
+                  kVpnBits);
+        }
+        tags[i] = tagOf(EntryState(state), {asid, vpn});
+        pfns[i] = r.u64();
+        lruTicks[i] = r.u64();
     }
     lruCounter = r.u64();
     numPending = r.u32();

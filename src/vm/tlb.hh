@@ -15,12 +15,16 @@
  * partitioning each tenant's victim selection is confined to its own way
  * slice (setWayPartition); lookups still scan every way, which is safe
  * because tags are ASID-qualified.
+ *
+ * Each way's state, ASID and VPN share one 64-bit tag word, so a probe
+ * for a valid or a pending key is one compare per way (see tagOf()).
  */
 
 #ifndef SW_VM_TLB_HH
 #define SW_VM_TLB_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,6 +63,12 @@ class TlbArray
     };
 
     TlbArray(std::string name, std::uint32_t entries, std::uint32_t ways);
+
+    // The tag-store spans view this array's own allocation: a copy would
+    // view the original's, while a move takes the allocation with it.
+    TlbArray(const TlbArray &) = delete;
+    TlbArray &operator=(const TlbArray &) = delete;
+    TlbArray(TlbArray &&) = default;
 
     /**
      * Confine victim selection for each ASID to [first way, way count)
@@ -125,13 +135,13 @@ class TlbArray
     void
     forEachValid(Fn &&fn) const
     {
-        for (const Entry &entry : entries) {
-            if (entry.state == EntryState::Valid)
-                fn(TranslationKey{entry.asid, entry.vpn}, entry.pfn);
+        for (std::size_t i = 0; i < tags.size(); ++i) {
+            if (stateOf(tags[i]) == EntryState::Valid)
+                fn(keyOf(tags[i]), pfns[i]);
         }
     }
 
-    std::uint32_t numEntries() const { return std::uint32_t(entries.size()); }
+    std::uint32_t numEntries() const { return std::uint32_t(tags.size()); }
     std::uint32_t numWays() const { return ways; }
     std::uint32_t numSets() const { return sets; }
     std::uint64_t setOf(Vpn vpn) const { return vpn % sets; }
@@ -155,24 +165,76 @@ class TlbArray
   private:
     friend struct AuditTester;   ///< negative-path audit tests only
 
-    struct Entry
-    {
-        EntryState state = EntryState::Invalid;
-        Asid asid = 0;
-        Vpn vpn = 0;
-        Pfn pfn = 0;
-        std::uint64_t lruTick = 0;
-    };
+    /**
+     * Tag word layout: state << 62 | asid << 40 | vpn.  validate() allows
+     * 64 KB and 2 MB pages of a 49-bit address space (VPNs of at most 33
+     * bits) and 16-bit ASIDs, so every key the machine makes fits; an
+     * invalid way keeps the stale ASID and VPN its checkpoint bytes record.
+     */
+    static constexpr unsigned kVpnBits = 40;
+    static constexpr unsigned kAsidBits = 22;
+    static constexpr unsigned kStateShift = kVpnBits + kAsidBits;
+    static constexpr std::uint64_t kVpnMask =
+        (std::uint64_t(1) << kVpnBits) - 1;
+    static constexpr std::uint64_t kKeyMask =
+        (std::uint64_t(1) << kStateShift) - 1;
 
-    Entry *findValid(TranslationKey key);
-    const Entry *findValidConst(TranslationKey key) const;
+    static bool
+    fits(Asid asid, Vpn vpn)
+    {
+        return (vpn >> kVpnBits) == 0 && (asid >> kAsidBits) == 0;
+    }
+
+    static std::uint64_t
+    tagOf(EntryState state, TranslationKey key)
+    {
+        return std::uint64_t(state) << kStateShift |
+               std::uint64_t(key.asid) << kVpnBits | key.vpn;
+    }
+
+    static EntryState
+    stateOf(std::uint64_t tag)
+    {
+        return EntryState(tag >> kStateShift);
+    }
+
+    static TranslationKey
+    keyOf(std::uint64_t tag)
+    {
+        return {Asid((tag & kKeyMask) >> kVpnBits), tag & kVpnMask};
+    }
+
+    /** @p key's tag word in @p state; panics on a key that does not fit. */
+    std::uint64_t packed(EntryState state, TranslationKey key) const;
+    /** Index of way 0 of @p vpn's set in the tag-store arrays. */
+    std::size_t
+    setBase(Vpn vpn) const
+    {
+        return std::size_t(setOf(vpn)) * ways;
+    }
+    /** Way of @p base's set whose tag word is @p tag, or ways if none. */
+    std::uint32_t findWay(std::size_t base, std::uint64_t tag) const;
+    /**
+     * Victim way of @p base's set for @p asid: the lowest-index invalid
+     * way of its slice, else the least recent valid one; ways if every
+     * way of the slice is pending.
+     */
+    std::uint32_t victimWay(std::size_t base, Asid asid) const;
     /** Way range victim selection may touch for @p asid. */
     std::pair<std::uint32_t, std::uint32_t> victimWays(Asid asid) const;
 
     std::string name_;
     std::uint32_t ways;
     std::uint32_t sets;
-    std::vector<Entry> entries;
+    /**
+     * The tag store: one allocation holding three arrays of sets * ways
+     * words, set-major.  A probe scans its set's tag words; PFNs and LRU
+     * ticks are read on a hit or a victim choice only.
+     */
+    std::vector<std::uint64_t> tagStore;
+    std::span<std::uint64_t> tags;      ///< packed state, ASID and VPN
+    std::span<std::uint64_t> pfns;      ///< PFN of a valid way
+    std::span<std::uint64_t> lruTicks;  ///< lruCounter at last touch
     /** Per-ASID (first way, way count); empty = no partitioning. */
     std::vector<std::pair<std::uint32_t, std::uint32_t>> waySlices;
     std::uint64_t lruCounter = 0;

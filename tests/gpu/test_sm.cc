@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -143,6 +145,48 @@ TEST_F(SmTest, DivergentLanesGetPerPageTranslations)
     eq.run();
     EXPECT_EQ(translations.size(), 8u);
     EXPECT_EQ(dataAccesses.size(), 8u);
+    EXPECT_EQ(pool.live(), 0u) << "every request record was freed";
+}
+
+/**
+ * Lanes touch pages A, B, A, ... with A's sectors in scrambled lane order
+ * and repeats: issue makes one record per page, and A's translation makes
+ * A's sector records, issued in first-touch lane order.
+ */
+TEST_F(SmTest, SectorRecordsAreMadeWhenTheirTranslationLands)
+{
+    constexpr VirtAddr kPageA = 0x30000;   // VPN 3
+    constexpr VirtAddr kPageB = 0x70000;   // VPN 7
+    ScriptedWorkload wl;
+    const VirtAddr lanes[] = {kPageA + 0x60, kPageB + 0x24, kPageA + 0x08,
+                              kPageA + 0x7c, kPageA + 0x40, kPageB + 0x20,
+                              kPageA + 0x20, kPageA + 0x00};
+    wl.instr.activeLanes = std::size(lanes);
+    std::copy(std::begin(lanes), std::end(lanes), wl.instr.addrs.begin());
+    std::uint64_t quota = 1;
+    Sm *sm = makeSm(wl, /*translate=*/20, /*data=*/30);
+    sm->start(&quota, 1);
+
+    eq.run(10);   // issued, no translation back yet
+    EXPECT_EQ(translations, (std::vector<Vpn>{3, 7}));
+    EXPECT_EQ(pool.live(), 2u) << "one record per unique page";
+    EXPECT_TRUE(dataAccesses.empty());
+
+    eq.run(25);   // both translations landed at cycle 20
+    auto pa = [](Vpn vpn, std::uint64_t offset) {
+        return PhysAddr((vpn + 1000) << 16 | offset);
+    };
+    std::vector<PhysAddr> issued;
+    for (const auto &[addr, write] : dataAccesses)
+        issued.push_back(addr);
+    EXPECT_EQ(issued, (std::vector<PhysAddr>{pa(3, 0x60), pa(3, 0x00),
+                                             pa(3, 0x40), pa(3, 0x20),
+                                             pa(7, 0x20)}));
+    EXPECT_EQ(pool.live(), 5u) << "the translations made five sectors";
+
+    eq.run();
+    EXPECT_EQ(sm->stats().dataAccesses, 5u);
+    EXPECT_EQ(sm->stats().translationsRequested, 2u);
     EXPECT_EQ(pool.live(), 0u) << "every request record was freed";
 }
 

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "harness/experiment.hh"
+#include "sim/logging.hh"
 #include "test_util.hh"
 #include "workload/generators.hh"
 
@@ -177,6 +178,44 @@ TEST(ExperimentDeath, SpeedupWithZeroBaselinePanics)
     RunResult base, opt;
     opt.perf = 1.0;
     EXPECT_DEATH(speedup(base, opt), "no progress");
+}
+
+/** A baseline the cycle cap stopped during warmup names itself. */
+TEST(ExperimentDeath, StalledBaselineNamesItsBenchmarkAndTheCycleCap)
+{
+    RunResult base, opt;
+    base.benchmark = "gups";
+    opt.perf = 1.0;
+    EXPECT_DEATH(speedup(base, opt),
+                 "fatal: speedup: the baseline run of gups made no "
+                 "progress.*cycle cap \\(SW_MAXCYCLES\\)");
+}
+
+/** run() warns when the cycle cap, not the quota, ended the run. */
+TEST(Experiment, CappedRunWarnsThatItsResultsArePartial)
+{
+    LogLevel level = logLevel();
+    setLogLevel(LogLevel::Warn);
+    Gpu::RunLimits capped = tinyLimits();
+    capped.maxCycles = 2000;
+    ::testing::internal::CaptureStderr();
+    RunResult partial = runTiny(test::smallConfig(), tinyWorkload(), capped);
+    std::string capped_err = ::testing::internal::GetCapturedStderr();
+    ::testing::internal::CaptureStderr();
+    RunResult whole = runTiny(test::smallConfig(), tinyWorkload(),
+                              tinyLimits());
+    std::string whole_err = ::testing::internal::GetCapturedStderr();
+    setLogLevel(level);
+
+    EXPECT_LT(partial.warpInstrs, 300u);
+    EXPECT_NE(capped_err.find(
+                  "warn: tiny (hw-ptw) stopped at the cycle cap of 2000 "
+                  "cycles with " + std::to_string(partial.warpInstrs) +
+                  " of its 300-instruction quota issued"),
+              std::string::npos)
+        << capped_err;
+    EXPECT_EQ(whole.warpInstrs, 300u);
+    EXPECT_EQ(whole_err.find("cycle cap"), std::string::npos) << whole_err;
 }
 
 } // namespace

@@ -106,6 +106,15 @@ TEST(ConfigDeath, RejectsZeroSms)
     EXPECT_DEATH(cfg.validate(), "non-zero");
 }
 
+TEST(ConfigDeath, RejectsMoreWarpsThanATranslationRecordNames)
+{
+    GpuConfig cfg = makeDefaultConfig();
+    cfg.maxWarpsPerSm = (1u << 22) + 1;
+    EXPECT_DEATH(cfg.validate(), "maxWarpsPerSm \\(4194305\\) exceeds");
+    cfg.maxWarpsPerSm = 1u << 22;
+    cfg.validate();
+}
+
 TEST(ConfigDeath, RejectsOversizedInTlbMshr)
 {
     GpuConfig cfg = makeDefaultConfig();
