@@ -30,23 +30,23 @@ class SoftWalkerController
 
     SoftWalkerController(EventQueue &eq, SmId sm,
                          std::uint32_t pwb_entries,
-                         const AddressSpaceManager &spaces,
+                         const AddressSpaceManager &spaces, WalkPool &walks,
                          PwWarp::Hooks hooks, PwWarpCodeTiming timing,
                          std::uint32_t lanes, Cycle comm_latency,
                          const LifecycleStream &lifecycle)
         : eventq(eq), smId(sm), pwb(pwb_entries),
-          warp(std::make_unique<PwWarp>(eq, spaces, pwb, std::move(hooks),
-                                        timing, lanes, comm_latency,
-                                        lifecycle))
+          warp(std::make_unique<PwWarp>(eq, spaces, pwb, walks,
+                                        std::move(hooks), timing, lanes,
+                                        comm_latency, lifecycle))
     {
     }
 
-    /** A request arrived from the distributor (after the comm latency). */
+    /** A walk arrived from the distributor (after the comm latency). */
     void
-    accept(WalkRequest req)
+    accept(WalkId walk)
     {
         ++stats_.accepted;
-        pwb.insert(std::move(req), eventq.now());
+        pwb.insert(walk, eventq.now());
         warp->notifyWork();
     }
 

@@ -23,12 +23,12 @@ toString(PwOpcode op)
 }
 
 PwWarp::PwWarp(EventQueue &eq, const AddressSpaceManager &aspaces,
-               SoftPwb &buffer, Hooks hooks_in, PwWarpCodeTiming timing_in,
-               std::uint32_t num_lanes, Cycle comm_latency,
-               const LifecycleStream &lifecycle)
-    : eventq(eq), spaces(aspaces), pwb(buffer), hooks(std::move(hooks_in)),
-      timing(timing_in), numLanes(num_lanes), commLatency(comm_latency),
-      lifecycle_(lifecycle)
+               SoftPwb &buffer, WalkPool &walk_pool, Hooks hooks_in,
+               PwWarpCodeTiming timing_in, std::uint32_t num_lanes,
+               Cycle comm_latency, const LifecycleStream &lifecycle)
+    : eventq(eq), spaces(aspaces), pwb(buffer), walks(walk_pool),
+      hooks(std::move(hooks_in)), timing(timing_in), numLanes(num_lanes),
+      commLatency(comm_latency), lifecycle_(lifecycle)
 {
     SW_ASSERT(numLanes > 0 && numLanes <= kMaxLanes,
               "PW Warp lanes out of range");
@@ -58,17 +58,13 @@ PwWarp::startBatch()
     SW_ASSERT(batchLanes > 0, "batch started with no valid entries");
 
     for (std::uint32_t i = 0; i < batchLanes; ++i) {
-        const SoftPwb::Slot &slot = pwb.slot(picked[i]);
-        Lane &lane = lanes[i];
-        lane.slot = picked[i];
-        lane.cursor = slot.req.cursor;
-        lane.pickedUp = eventq.now();
-        lane.created = slot.req.created;
-        lane.id = slot.req.id;
-        lane.key = slot.req.key;
-        lane.ptReads = 0;
+        lanes[i] = {picked[i], pwb.slot(picked[i]).walk};
+        Walk &walk = walks[lanes[i].walk];
+        walk.pickedUp = eventq.now();
+        walk.walker = hooks.walker;
+        walk.software = true;
         SW_LIFECYCLE(lifecycle_, LifecyclePhase::WalkDispatch, eventq.now(),
-                     lane.id, lane.key, hooks.walker, true);
+                     walk.id, walk.key, hooks.walker, true);
     }
 
     ++stats_.batches;
@@ -76,8 +72,7 @@ PwWarp::startBatch()
 
     // Fig 14 lines 1-6: load the requests from SoftPWB and decode them.
     stats_.instructionsIssued += timing.setupInstrs;
-    Cycle setup_done =
-        hooks.reserveIssue(timing.setupInstrs, lanes[0].key.asid);
+    Cycle setup_done = hooks.reserveIssue(timing.setupInstrs, batchAsid());
     eventq.schedule(setup_done, [this]() { levelIteration(); });
 }
 
@@ -90,7 +85,7 @@ PwWarp::levelIteration()
     std::array<std::uint32_t, kMaxLanes> active;
     std::uint32_t num_active = 0;
     for (std::uint32_t i = 0; i < batchLanes; ++i)
-        if (!lanes[i].cursor.done)
+        if (!walks[lanes[i].walk].cursor.done)
             active[num_active++] = i;
 
     if (num_active == 0) {
@@ -102,18 +97,18 @@ PwWarp::levelIteration()
     stats_.instructionsIssued += timing.perLevelInstrs;
     stats_.ldptIssued += num_active;
     Cycle issue_done =
-        hooks.reserveIssue(timing.perLevelInstrs, lanes[0].key.asid);
+        hooks.reserveIssue(timing.perLevelInstrs, batchAsid());
 
     pendingLoads = num_active;
     for (std::uint32_t lane_idx : std::span(active).first(num_active)) {
-        const PageTableBase &pt =
-            spaces.tableFor(lanes[lane_idx].key.asid);
-        PhysAddr addr = pt.pteAddr(lanes[lane_idx].cursor);
+        const Walk &walk = walks[lanes[lane_idx].walk];
+        PhysAddr addr =
+            spaces.tableFor(walk.key.asid).pteAddr(walk.cursor);
         eventq.schedule(issue_done, [this, lane_idx, addr]() {
-            ++lanes[lane_idx].ptReads;
+            Walk &reading = walks[lanes[lane_idx].walk];
+            ++reading.ptReads;
             SW_LIFECYCLE(lifecycle_, LifecyclePhase::PtRead, eventq.now(),
-                         lanes[lane_idx].id, lanes[lane_idx].key,
-                         hooks.walker, true);
+                         reading.id, reading.key, hooks.walker, true);
             hooks.ptReader->ptRead(addr, hooks.walker, lane_idx);
         });
     }
@@ -123,14 +118,14 @@ void
 PwWarp::ptReadDone(std::uint32_t lane_idx)
 {
     SW_ASSERT(lane_idx < batchLanes, "LDPT completion for a lost lane");
-    Lane &lane = lanes[lane_idx];
-    const PageTableBase &table = spaces.tableFor(lane.key.asid);
-    int level_read = lane.cursor.level;
-    table.advance(lane.cursor);
-    if (!lane.cursor.done && level_read > 1) {
+    Walk &walk = walks[lanes[lane_idx].walk];
+    const PageTableBase &table = spaces.tableFor(walk.key.asid);
+    int level_read = walk.cursor.level;
+    table.advance(walk.cursor);
+    if (!walk.cursor.done && level_read > 1) {
         // FPWC: publish the just-learned table base.
         ++stats_.fpwcIssued;
-        hooks.pwcFill(lane.cursor.level, lane.key, lane.cursor.tableBase);
+        hooks.pwcFill(walk.cursor.level, walk.key, walk.cursor.tableBase);
     }
     SW_ASSERT(pendingLoads > 0, "LDPT completion underflow");
     if (--pendingLoads == 0)
@@ -161,7 +156,7 @@ PwWarp::finishBatch()
     std::span<const Lane> batch(lanes.get(), batchLanes);
     std::uint32_t fault_lanes = 0;
     for (const Lane &lane : batch)
-        if (lane.cursor.fault)
+        if (walks[lane.walk].cursor.fault)
             ++fault_lanes;
 
     std::uint32_t instrs =
@@ -170,7 +165,7 @@ PwWarp::finishBatch()
     stats_.fl2tIssued += batchLanes - fault_lanes;
     stats_.ffbIssued += fault_lanes;
 
-    Cycle issue_done = hooks.reserveIssue(instrs, lanes[0].key.asid);
+    Cycle issue_done = hooks.reserveIssue(instrs, batchAsid());
     Cycle arrive = issue_done + commLatency;
 
     SW_AUDIT(batchLanes <= numLanes,
@@ -178,24 +173,13 @@ PwWarp::finishBatch()
              batchLanes, numLanes);
 
     for (const Lane &lane : batch) {
-        WalkResult result;
-        result.id = lane.id;
-        result.key = lane.key;
-        result.pfn = lane.cursor.pfn;
-        result.fault = lane.cursor.fault;
-        result.software = true;
-        result.ptReads = lane.ptReads;
-        result.walker = hooks.walker;
-        result.queueDelay = lane.pickedUp - lane.created;
-        result.accessLatency = arrive - lane.pickedUp;
         // The SoftPWB slot frees now; the fill is in transit until the
-        // FL2T/FFB lands at the L2 TLB and the distributor credit drops.
-        fills.pushBack(result);
-        eventq.schedule(arrive, [this]() {
-            SW_ASSERT(!fills.empty(), "FL2T transit underflow");
-            WalkResult landed = fills.front();
-            fills.popFront();
-            hooks.complete(landed);
+        // FL2T/FFB lands at the L2 TLB, completes the walk and drops the
+        // distributor credit.
+        ++fillsCrossing;
+        eventq.schedule(arrive, [this, walk = lane.walk]() {
+            --fillsCrossing;
+            hooks.complete(walk);
         });
         pwb.release(lane.slot);
         ++stats_.walksCompleted;
@@ -211,7 +195,7 @@ PwWarp::finishBatch()
 void
 PwWarp::saveState(CkptWriter &w) const
 {
-    SW_ASSERT(!running && pendingLoads == 0 && fills.empty(),
+    SW_ASSERT(!running && pendingLoads == 0 && fillsCrossing == 0,
               "PW Warp checkpointed mid-batch");
     w.section("pw_warp");
     w.u64(stats_.batches);

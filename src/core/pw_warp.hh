@@ -22,7 +22,6 @@
 #include "core/soft_pwb.hh"
 #include "obs/lifecycle.hh"
 #include "sim/event_queue.hh"
-#include "sim/ring_queue.hh"
 #include "sim/stats.hh"
 #include "vm/address_space.hh"
 #include "vm/page_walk_cache.hh"
@@ -76,10 +75,14 @@ class PwWarp
         LatencyStat batchLatency;
     };
 
-    /** Batch pickups and LDPTs are emitted into @p lifecycle. */
+    /**
+     * The warp walks the records of @p walks that @p pwb names; batch
+     * pickups and LDPTs are emitted into @p lifecycle.
+     */
     PwWarp(EventQueue &eq, const AddressSpaceManager &spaces, SoftPwb &pwb,
-           Hooks hooks, PwWarpCodeTiming timing, std::uint32_t lanes,
-           Cycle comm_latency, const LifecycleStream &lifecycle);
+           WalkPool &walks, Hooks hooks, PwWarpCodeTiming timing,
+           std::uint32_t lanes, Cycle comm_latency,
+           const LifecycleStream &lifecycle);
 
     PwWarp(const PwWarp &) = delete;
     PwWarp &operator=(const PwWarp &) = delete;
@@ -97,11 +100,7 @@ class PwWarp
      * the interconnect back to the L2 TLB.  The Simulation Auditor uses
      * this to balance distributor credits against SoftPWB occupancy.
      */
-    std::uint32_t
-    fillsInTransit() const
-    {
-        return std::uint32_t(fills.size());
-    }
+    std::uint32_t fillsInTransit() const { return fillsCrossing; }
 
     void resetStats() { stats_ = Stats{}; }
 
@@ -119,24 +118,24 @@ class PwWarp
   private:
     friend struct AuditTester;   ///< negative-path audit tests only
 
+    /** A lane of the running batch: its SoftPWB slot and walk. */
     struct Lane
     {
         std::uint32_t slot = 0;
-        WalkCursor cursor;
-        Cycle pickedUp = 0;
-        Cycle created = 0;
-        std::uint64_t id = 0;
-        TranslationKey key;
-        std::uint16_t ptReads = 0;   ///< LDPTs issued for this walk
+        WalkId walk = kNoWalk;
     };
 
     void startBatch();
     void levelIteration();
     void finishBatch();
 
+    /** Tenant a batch's issue slots are charged to: its first lane's. */
+    Asid batchAsid() const { return walks[lanes[0].walk].key.asid; }
+
     EventQueue &eventq;
     const AddressSpaceManager &spaces;
     SoftPwb &pwb;
+    WalkPool &walks;
     Hooks hooks;
     PwWarpCodeTiming timing;
     std::uint32_t numLanes;
@@ -151,13 +150,7 @@ class PwWarp
     std::unique_ptr<Lane[]> lanes;
     std::uint32_t batchLanes = 0;
     std::uint32_t pendingLoads = 0;
-    /**
-     * Walk records of the FL2T/FFB fills in transit, oldest first.  The
-     * SM's issue reservations never go back in time and the trip takes a
-     * fixed commLatency, so fills land in the order they were sent, and
-     * each arrival event takes the front record.
-     */
-    RingQueue<WalkResult> fills;
+    std::uint32_t fillsCrossing = 0;
     Cycle batchStart = 0;
 
     Stats stats_;

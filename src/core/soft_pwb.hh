@@ -5,7 +5,8 @@
  * SoftWalker Controller uses to track per-slot state (§4.4).
  *
  * Each slot mirrors one 96-bit shared-memory record (33-bit VPN, 31-bit
- * table-base PFN, 2-bit level) and is invalid / valid / processing.
+ * table-base PFN, 2-bit level) and is invalid / valid / processing; the
+ * simulator's slot names the walk's record in the engine's WalkPool.
  */
 
 #ifndef SW_CORE_SOFT_PWB_HH
@@ -31,7 +32,7 @@ class SoftPwb
     struct Slot
     {
         SlotState state = SlotState::Invalid;
-        WalkRequest req;
+        WalkId walk = kNoWalk;
         Cycle arrived = 0;
     };
 
@@ -83,14 +84,14 @@ class SoftPwb
         return std::uint32_t(slots.size()) - freeSlots();
     }
 
-    /** Fill an invalid slot with a request (controller step 4-5). */
+    /** Fill an invalid slot with a walk (controller step 4-5). */
     std::uint32_t
-    insert(WalkRequest req, Cycle now)
+    insert(WalkId walk, Cycle now)
     {
         for (std::uint32_t i = 0; i < slots.size(); ++i) {
             if (slots[i].state == SlotState::Invalid) {
                 slots[i].state = SlotState::Valid;
-                slots[i].req = std::move(req);
+                slots[i].walk = walk;
                 slots[i].arrived = now;
                 ++stats_.inserts;
                 std::uint64_t occ = slots.size() - freeSlots();

@@ -11,6 +11,7 @@ namespace sw {
 SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
     : gpu(gpu_ref), cfg(config),
       hybrid(config.mode == TranslationMode::Hybrid),
+      walks(gpu_ref.engine().walks()),
       engineComplete(gpu_ref.engine().completionFn())
 {
     SW_ASSERT(cfg.mode == TranslationMode::SoftWalker ||
@@ -46,12 +47,13 @@ SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
             engine.pwc().fill(engine.pageTableFor(key.asid), level, key,
                               base);
         };
-        hooks.complete = [this, sm](const WalkResult &result) {
-            onSoftwareComplete(sm, result);
+        hooks.complete = [this, sm](WalkId walk) {
+            onSoftwareComplete(sm, walk);
         };
         controllers.push_back(std::make_unique<SoftWalkerController>(
-            eq, sm, cfg.softPwbEntries, engine.spaces(), std::move(hooks),
-            timing, cfg.pwWarpThreads, comm, gpu.lifecycle()));
+            eq, sm, cfg.softPwbEntries, engine.spaces(), walks,
+            std::move(hooks), timing, cfg.pwWarpThreads, comm,
+            gpu.lifecycle()));
     }
 
     if (hybrid) {
@@ -62,11 +64,11 @@ SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
         pool.nhaCoalescing = cfg.nhaCoalescing;
         pool.nhaSectorBytes = cfg.sectorBytes;
         hwPool = std::make_unique<HardwarePtwPool>(
-            eq, pool, engine.spaces(), engine.pwc(), engine,
-            [this](const WalkResult &result) {
+            eq, pool, engine.spaces(), engine.pwc(), walks, engine,
+            [this](WalkId walk) {
                 SW_ASSERT(inFlightCount > 0, "hybrid in-flight underflow");
                 --inFlightCount;
-                engineComplete(result);
+                engineComplete(walk);
             },
             gpu.lifecycle());
     }
@@ -90,7 +92,7 @@ SoftWalkerBackend::resetStats()
 }
 
 void
-SoftWalkerBackend::submit(WalkRequest req)
+SoftWalkerBackend::submit(WalkId walk)
 {
     ++stats_.submitted;
     ++inFlightCount;
@@ -102,11 +104,11 @@ SoftWalkerBackend::submit(WalkRequest req)
             hwPool->busyWalkers() + hwPool->pwbOccupancy() < cfg.numPtws;
         if (hw_free) {
             ++stats_.toHardware;
-            hwPool->submit(std::move(req));
+            hwPool->submit(walk);
             return;
         }
     }
-    dispatchSoftware(std::move(req));
+    dispatchSoftware(walk);
 }
 
 void
@@ -133,21 +135,18 @@ SoftWalkerBackend::selectTarget(Asid asid)
 }
 
 void
-SoftWalkerBackend::sendToSm(SmId target, WalkRequest req)
+SoftWalkerBackend::sendToSm(SmId target, WalkId walk)
 {
     ++stats_.toSoftware;
     SW_LIFECYCLE(gpu.lifecycle(), LifecyclePhase::PwHosted,
-                 gpu.eventQueue().now(), req.id, req.key, target, true);
+                 gpu.eventQueue().now(), walks[walk].id, walks[walk].key,
+                 target, true);
     // L2 TLB -> SM interconnect hop (modeled as the L2 TLB latency, §6.1).
-    SW_ASSERT(transit.size() <
-                  std::size_t(cfg.numSms) * cfg.softPwbEntries,
-              "interconnect ring overflow: %zu requests in transit",
-              transit.size());
-    transit.pushBack(Hop{std::move(req), target});
-    gpu.eventQueue().scheduleIn(cfg.effectiveCommLatency(), [this]() {
-        Hop hop = std::move(transit.front());
-        transit.popFront();
-        controllers[hop.target]->accept(std::move(hop.req));
+    ++crossingInterconnect;
+    gpu.eventQueue().scheduleIn(cfg.effectiveCommLatency(),
+                                [this, target, walk]() {
+        --crossingInterconnect;
+        controllers[target]->accept(walk);
     });
 }
 
@@ -161,29 +160,30 @@ SoftWalkerBackend::queuedRequests() const
 }
 
 void
-SoftWalkerBackend::dispatchSoftware(WalkRequest req)
+SoftWalkerBackend::dispatchSoftware(WalkId walk)
 {
-    SmId target = selectTarget(req.key.asid);
+    Asid asid = walks[walk].key.asid;
+    SmId target = selectTarget(asid);
     if (target == kInvalidSm) {
         // Every eligible PW Warp is at SoftPWB capacity: the request
         // queues at the distributor (this wait is part of the measured
         // queueing delay).
-        waiting[req.key.asid].pushBack({std::move(req), nextQueueSeq++});
+        waiting[asid].pushBack({walk, nextQueueSeq++});
         ++stats_.queuedNoCapacity;
         stats_.peakQueued =
             std::max<std::uint64_t>(stats_.peakQueued, queuedRequests());
         return;
     }
-    sendToSm(target, std::move(req));
+    sendToSm(target, walk);
 }
 
 void
-SoftWalkerBackend::onSoftwareComplete(SmId sm, const WalkResult &result)
+SoftWalkerBackend::onSoftwareComplete(SmId sm, WalkId walk)
 {
     distributor_->release(sm);
     SW_ASSERT(inFlightCount > 0, "software in-flight underflow");
     --inFlightCount;
-    engineComplete(result);
+    engineComplete(walk);
     drainQueue();
 }
 
@@ -205,12 +205,12 @@ SoftWalkerBackend::drainQueue()
             }
             if (!head)
                 return;
-            SmId target = selectTarget(head->front().req.key.asid);
+            WalkId walk = head->front().walk;
+            SmId target = selectTarget(walks[walk].key.asid);
             if (target == kInvalidSm)
                 return;
-            WalkRequest req = std::move(head->front().req);
             head->popFront();
-            sendToSm(target, std::move(req));
+            sendToSm(target, walk);
         }
     }
 
@@ -225,14 +225,14 @@ SoftWalkerBackend::drainQueue()
             ++barren;
             continue;
         }
-        SmId target = selectTarget(waiting[tenant].front().req.key.asid);
+        WalkId walk = waiting[tenant].front().walk;
+        SmId target = selectTarget(walks[walk].key.asid);
         if (target == kInvalidSm) {
             ++barren;
             continue;
         }
-        WalkRequest req = std::move(waiting[tenant].front().req);
         waiting[tenant].popFront();
-        sendToSm(target, std::move(req));
+        sendToSm(target, walk);
         barren = 0;
     }
 }
@@ -292,12 +292,12 @@ SoftWalkerBackend::registerAudits(Auditor &auditor)
                 on_sms += controller->pwWarp().fillsInTransit();
             }
             std::uint64_t credits = distributor_->totalCredits();
-            if (credits != transit.size() + on_sms) {
+            if (credits != crossingInterconnect + on_sms) {
                 ctx.fail(strprintf(
                     "distributor credits %llu != interconnect transit %llu "
                     "+ on-SM requests %llu",
                     static_cast<unsigned long long>(credits),
-                    static_cast<unsigned long long>(transit.size()),
+                    static_cast<unsigned long long>(crossingInterconnect),
                     static_cast<unsigned long long>(on_sms)));
             }
             for (SmId sm = 0; sm < SmId(controllers.size()); ++sm) {
@@ -360,7 +360,7 @@ void
 SoftWalkerBackend::saveState(CkptWriter &w) const
 {
     SW_ASSERT(queuedRequests() == 0 && inFlightCount == 0 &&
-              transit.empty(),
+              crossingInterconnect == 0,
               "SoftWalker backend checkpointed with walks in flight");
     w.section("softwalker");
     w.u64(stats_.submitted);

@@ -44,7 +44,7 @@ class SoftWalkerBackend : public WalkBackend
      */
     SoftWalkerBackend(Gpu &gpu, const GpuConfig &cfg);
 
-    void submit(WalkRequest req) override;
+    void submit(WalkId walk) override;
     std::uint64_t inFlight() const override { return inFlightCount; }
     /** Route a page-table read back to its PW Warp (or hybrid hw pool). */
     void ptReadDone(std::uint32_t walker, std::uint32_t lane) override;
@@ -89,20 +89,21 @@ class SoftWalkerBackend : public WalkBackend
   private:
     friend struct AuditTester;   ///< negative-path audit tests only
 
-    void dispatchSoftware(WalkRequest req);
-    void onSoftwareComplete(SmId sm, const WalkResult &result);
+    void dispatchSoftware(WalkId walk);
+    void onSoftwareComplete(SmId sm, WalkId walk);
     void drainQueue();
     /**
      * Distributor pick for @p asid's walk: the full SM range normally,
      * the tenant's own SM slice under MIG partitioning.
      */
     SmId selectTarget(Asid asid);
-    /** Ship a dispatched request across the L2 TLB -> SM interconnect. */
-    void sendToSm(SmId target, WalkRequest req);
+    /** Ship a dispatched walk across the L2 TLB -> SM interconnect. */
+    void sendToSm(SmId target, WalkId walk);
 
     Gpu &gpu;
     GpuConfig cfg;
     bool hybrid;
+    WalkPool &walks;
     WalkCompleteFn engineComplete;
 
     std::unique_ptr<RequestDistributor> distributor_;
@@ -118,7 +119,7 @@ class SoftWalkerBackend : public WalkBackend
      */
     struct QueuedWalk
     {
-        WalkRequest req;
+        WalkId walk = kNoWalk;
         std::uint64_t seq = 0;
     };
     std::vector<RingQueue<QueuedWalk>> waiting;
@@ -126,20 +127,8 @@ class SoftWalkerBackend : public WalkBackend
     /** Next tenant the round-robin arbiter offers capacity to. */
     std::uint32_t drainRrTenant = 0;
     std::uint64_t inFlightCount = 0;
-
-    /** A dispatched request crossing the L2 TLB -> SM interconnect. */
-    struct Hop
-    {
-        WalkRequest req;
-        SmId target = 0;
-    };
-    /**
-     * Requests crossing the interconnect, oldest first.  Every hop takes
-     * the same latency, so hops arrive in the order they were sent and
-     * the one arriving is always the oldest.  The distributor's credits
-     * bound the ring at numSms x softPwbEntries.
-     */
-    RingQueue<Hop> transit;
+    /** Walks crossing the L2 TLB -> SM interconnect. */
+    std::uint64_t crossingInterconnect = 0;
 
     Stats stats_;
 };

@@ -72,8 +72,8 @@ Gpu::Gpu(GpuConfig config, std::vector<std::unique_ptr<Workload>> wls)
             pool.nhaSectorBytes = cfg.sectorBytes;
         }
         engine_->setBackend(std::make_unique<HardwarePtwPool>(
-            eventq, pool, *spaces_, engine_->pwc(), *engine_,
-            engine_->completionFn(), lifecycle_));
+            eventq, pool, *spaces_, engine_->pwc(), engine_->walks(),
+            *engine_, engine_->completionFn(), lifecycle_));
     }
 
     registerGpuAudits();
@@ -270,13 +270,16 @@ void
 Gpu::saveState(CkptWriter &w) const
 {
     // Quiesce contract: only a drained machine serialises.  Pending events
-    // are closures and cannot be written to disk, and the request records
-    // they move are not saved either; the segmented-run design guarantees
-    // a barrier tick where neither exists.
+    // are closures and cannot be written to disk, and the request and walk
+    // records they move are not saved either; the segmented-run design
+    // guarantees a barrier tick where none exists.
     SW_ASSERT(eventq.empty(), "checkpoint with events still pending");
     SW_ASSERT(requests_.live() == 0,
               "checkpoint with %zu request records in flight",
               requests_.live());
+    SW_ASSERT(engine_->walks().live() == 0,
+              "checkpoint with %zu walk records in flight",
+              engine_->walks().live());
     SW_ASSERT(quotaRemaining == 0 && warpsAlive == 0,
               "checkpoint before the segment's quota drained");
     w.section("gpu");

@@ -271,6 +271,17 @@ run(RunSpec spec)
              static_cast<unsigned long long>(limits.maxCycles),
              static_cast<unsigned long long>(result.warpInstrs),
              static_cast<unsigned long long>(limits.warpInstrQuota));
+    } else if (limits.warmupInstrs > 0 && limits.warpInstrQuota > 0 &&
+               result.warpInstrs == 0) {
+        // The warmup ends at a 200-cycle poll (Gpu::scheduleWarmupCheck).
+        // A quota and warmup that the warps fetch at once all issue before
+        // the first poll, so the measured region holds nothing.
+        warn("%s (%s) measured no warp instruction: its %llu-instruction "
+             "quota and %llu-instruction warmup all issued before the "
+             "warmup ended; its performance reads 0",
+             name.c_str(), toString(spec.cfg.mode),
+             static_cast<unsigned long long>(limits.warpInstrQuota),
+             static_cast<unsigned long long>(limits.warmupInstrs));
     }
     if (recorder) {
         TraceLimits recorded;

@@ -8,7 +8,9 @@
  * RequestId.  Waiter lists and parked requests are intrusive FIFOs threaded
  * through Request::next, so merging, parking and waking allocate nothing.
  * A request finishes by RequestPool::complete(), which hands it to the
- * sink registered for its Done tag (see docs/ARCHITECTURE.md).
+ * sink registered for its Done tag (see docs/ARCHITECTURE.md).  The
+ * chunked storage is the Slab template, which page-table walks
+ * (vm/walk.hh) use too.
  */
 
 #ifndef SW_MEM_REQUEST_HH
@@ -80,43 +82,46 @@ class RequestSink
 };
 
 /**
- * Slab of Request records in fixed chunks that never move, recycled
- * through a free list threaded through Request::next: after warmup,
- * allocating and freeing a record touches no allocator.
+ * Slab of @p Record in fixed chunks that never move, recycled through a
+ * free list threaded through Record::next: after warmup, allocating and
+ * freeing a record touches no allocator, and a reference to a live record
+ * stays valid while later allocations take new chunks.  The first chunk
+ * is taken by the first alloc(), so an unused slab costs nothing.
  */
-class RequestPool
+template <typename Record>
+class Slab
 {
   public:
-    RequestPool() = default;
-    RequestPool(const RequestPool &) = delete;
-    RequestPool &operator=(const RequestPool &) = delete;
+    Slab() = default;
+    Slab(const Slab &) = delete;
+    Slab &operator=(const Slab &) = delete;
 
-    Request &
-    operator[](RequestId id)
+    Record &
+    operator[](std::uint32_t id)
     {
         return chunks[id >> kChunkShift][id & kChunkMask];
     }
 
-    const Request &
-    operator[](RequestId id) const
+    const Record &
+    operator[](std::uint32_t id) const
     {
         return chunks[id >> kChunkShift][id & kChunkMask];
     }
 
     /** Take a record and initialise it to @p init. */
-    RequestId
-    alloc(const Request &init)
+    std::uint32_t
+    alloc(const Record &init)
     {
-        RequestId id = freeHead;
-        if (id != kNoRequest) {
+        std::uint32_t id = freeHead;
+        if (id != kNone) {
             freeHead = (*this)[id].next;
         } else {
             if (highWater == chunks.size() << kChunkShift) {
                 SW_ASSERT(chunks.size() + 1 <
                               (std::size_t(1) << (32 - kChunkShift)),
-                          "request pool exhausted");
+                          "slab exhausted");
                 chunks.push_back(
-                    std::make_unique_for_overwrite<Request[]>(kChunk));
+                    std::make_unique_for_overwrite<Record[]>(kChunk));
             }
             id = highWater++;
         }
@@ -126,14 +131,33 @@ class RequestPool
     }
 
     void
-    free(RequestId id)
+    free(std::uint32_t id)
     {
-        SW_ASSERT(live_ > 0, "request pool free underflow");
+        SW_ASSERT(live_ > 0, "slab free underflow");
         --live_;
         (*this)[id].next = freeHead;
         freeHead = id;
     }
 
+    /** Records currently allocated. */
+    std::size_t live() const { return live_; }
+
+  private:
+    static constexpr std::uint32_t kNone = ~std::uint32_t(0);  ///< list end
+    static constexpr unsigned kChunkShift = 10;   ///< 1024 records a chunk
+    static constexpr std::size_t kChunk = std::size_t(1) << kChunkShift;
+    static constexpr std::uint32_t kChunkMask = kChunk - 1;
+
+    std::vector<std::unique_ptr<Record[]>> chunks;
+    std::uint32_t freeHead = kNone;
+    std::uint32_t highWater = 0;
+    std::size_t live_ = 0;
+};
+
+/** The request slab, with one completion sink per Done tag. */
+class RequestPool : public Slab<Request>
+{
+  public:
     /**
      * Route every request tagged @p done to @p sink.  A tag has one owner
      * per pool: a second owner would silently take the first one's
@@ -177,18 +201,7 @@ class RequestPool
         sink->requestDone(id);
     }
 
-    /** Records currently allocated. */
-    std::size_t live() const { return live_; }
-
   private:
-    static constexpr unsigned kChunkShift = 10;   ///< 1024 records, 32 KiB
-    static constexpr std::size_t kChunk = std::size_t(1) << kChunkShift;
-    static constexpr std::uint32_t kChunkMask = kChunk - 1;
-
-    std::vector<std::unique_ptr<Request[]>> chunks;
-    RequestId freeHead = kNoRequest;
-    std::uint32_t highWater = 0;
-    std::size_t live_ = 0;
     std::array<RequestSink *, kNumDone> sinks{};
 };
 

@@ -80,7 +80,7 @@ const char *toString(LifecyclePhase phase);
  * - PwReserve: the reserved issue-slot window [a, b);
  * - SmSched: a = any live warps, b = every live warp blocked;
  * - FaultReplay: a = the walk holds an In-TLB MSHR slot.
- * A WalkFill also carries the rest of the backend's walk record (WalkResult):
+ * A WalkFill also carries the rest of the walk's record (Walk, vm/walk.hh):
  * the walker that picked the walk up and the page-table reads it issued.
  */
 struct LifecycleEvent

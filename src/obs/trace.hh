@@ -9,7 +9,7 @@
  * never schedules events and never advances the clock, so an installed
  * tracer leaves the simulated timeline bit-identical.
  *
- * Each walk_fill carries the backend's walk record (WalkResult), so a
+ * Each walk_fill carries the walk's record (Walk, vm/walk.hh), so a
  * walk's span needs no per-walk state here: the walk was picked up its
  * access latency before the fill and created its queue delay before that.
  *

@@ -59,9 +59,9 @@ namespace sw {
 
 /**
  * Capture budget of an event handler: the owning component's pointer
- * plus up to two words (a request id, a translation key, or a lane index
- * and a physical address).  A record larger than that waits in a FIFO of
- * its component, and the event captures only the component.
+ * plus up to two words (a request or walk id, a translation key, or a
+ * lane index and a physical address).  A record larger than that lives
+ * in a slab (mem/request.hh) and the event captures its id.
  */
 inline constexpr std::size_t kEventInlineBytes = 24;
 

@@ -12,11 +12,11 @@ namespace sw {
 
 HardwarePtwPool::HardwarePtwPool(EventQueue &eq, Params params,
                                  const AddressSpaceManager &aspaces,
-                                 PageWalkCache &cache, PtReader &reader,
-                                 WalkCompleteFn on_complete,
+                                 PageWalkCache &cache, WalkPool &walk_pool,
+                                 PtReader &reader, WalkCompleteFn on_complete,
                                  const LifecycleStream &lifecycle)
     : eventq(eq), params_(params), spaces(aspaces), pwc(cache),
-      ptReader(reader), onComplete(std::move(on_complete)),
+      walks(walk_pool), ptReader(reader), onComplete(std::move(on_complete)),
       lifecycle_(lifecycle)
 {
     SW_ASSERT(params_.numWalkers > 0, "need at least one walker");
@@ -51,32 +51,30 @@ HardwarePtwPool::reservePort()
 }
 
 std::uint64_t
-HardwarePtwPool::nhaKey(const WalkRequest &req) const
+HardwarePtwPool::nhaKey(TranslationKey key) const
 {
-    std::uint64_t sector =
-        req.key.vpn / std::max<std::uint64_t>(1, nhaLimit());
+    std::uint64_t sector = key.vpn / std::max<std::uint64_t>(1, nhaLimit());
     // The sector index needs fewer than 40 bits; the ASID tag above it
     // keeps tenants' sectors disjoint (ASID-0 keys unchanged).
-    return (std::uint64_t(req.key.asid) << 40) | sector;
+    return (std::uint64_t(key.asid) << 40) | sector;
 }
 
 void
-HardwarePtwPool::submit(WalkRequest req)
+HardwarePtwPool::submit(WalkId walk)
 {
     ++stats_.submitted;
     ++inFlightCount;
     stats_.peakInFlight = std::max(stats_.peakInFlight, inFlightCount);
 
-    enqueuing.pushBack(req);
-    eventq.schedule(reservePort(), [this]() {
-        SW_ASSERT(!enqueuing.empty(), "PWB enqueue transit underflow");
+    ++crossingPort;
+    eventq.schedule(reservePort(), [this, walk]() {
+        --crossingPort;
         if (pwb.size() < params_.pwbEntries) {
-            pwb.pushBack(enqueuing.front());
+            pwb.pushBack(walk);
         } else {
             ++stats_.pwbOverflows;
-            overflow.pushBack(enqueuing.front());
+            overflow.pushBack(walk);
         }
-        enqueuing.popFront();
         dispatch();
     });
 }
@@ -94,7 +92,7 @@ HardwarePtwPool::dispatch()
                  activeWalkers, params_.numWalkers);
 
         ActiveWalk &walk = active[slot];
-        RingQueue<WalkRequest> &source = pwb.empty() ? overflow : pwb;
+        RingQueue<WalkId> &source = pwb.empty() ? overflow : pwb;
         walk.primary = source.front();
         source.popFront();
         // Backfill the PWB from the overflow spill.
@@ -104,21 +102,22 @@ HardwarePtwPool::dispatch()
         }
 
         walk.coalesced.clear();
-        walk.ptReads = 0;
         walk.live = true;
 
         // NHA: absorb queued walks whose leaf PTEs share this walk's
         // sector of the page table (Shin et al., MICRO'18).  The ASID-
         // qualified key restricts merging to one tenant's page table.
+        const TranslationKey primary_key = walks[walk.primary].key;
         if (params_.nhaCoalescing &&
-            spaces.tableFor(walk.primary.key.asid).usesPwc()) {
-            std::uint64_t key = nhaKey(walk.primary);
-            auto absorb = [&](WalkRequest &req) {
+            spaces.tableFor(primary_key.asid).usesPwc()) {
+            std::uint64_t key = nhaKey(primary_key);
+            auto absorb = [&](WalkId queued) {
+                const TranslationKey queued_key = walks[queued].key;
                 if (walk.coalesced.size() + 1 >= nhaLimit() ||
-                    nhaKey(req) != key || req.key == walk.primary.key) {
+                    nhaKey(queued_key) != key || queued_key == primary_key) {
                     return false;
                 }
-                walk.coalesced.push_back(req);
+                walk.coalesced.push_back(queued);
                 ++stats_.nhaMerged;
                 return true;
             };
@@ -128,18 +127,20 @@ HardwarePtwPool::dispatch()
 
         Cycle deq_done = reservePort();
         eventq.schedule(deq_done, [this, slot]() {
-            ActiveWalk &w = active[slot];
-            w.started = eventq.now();
-            w.cursor = w.primary.cursor;
-            stats_.queueDelay.add(w.started - w.primary.created);
-            SW_LIFECYCLE(lifecycle_, LifecyclePhase::WalkDispatch, w.started,
-                         w.primary.id, w.primary.key, std::uint32_t(slot));
-            for (const auto &rider : w.coalesced) {
-                stats_.queueDelay.add(w.started - rider.created);
-                SW_LIFECYCLE(lifecycle_, LifecyclePhase::WalkDispatch,
-                             w.started, rider.id, rider.key,
-                             std::uint32_t(slot));
-            }
+            // An NHA rider takes its primary's pickup cycle and slot.
+            const ActiveWalk &w = active[slot];
+            Cycle now = eventq.now();
+            auto pick_up = [&](WalkId id) {
+                Walk &picked = walks[id];
+                picked.pickedUp = now;
+                picked.walker = slot;
+                stats_.queueDelay.add(now - picked.created);
+                SW_LIFECYCLE(lifecycle_, LifecyclePhase::WalkDispatch, now,
+                             picked.id, picked.key, slot);
+            };
+            pick_up(w.primary);
+            for (WalkId rider : w.coalesced)
+                pick_up(rider);
             walkStep(slot);
         });
     }
@@ -151,17 +152,18 @@ HardwarePtwPool::walkStep(std::uint64_t slot)
     SW_PROF_SCOPE(prof::Zone::PtwWalk);
     ActiveWalk &walk = active[slot];
     SW_ASSERT(walk.live, "walk step on an idle walker");
-    if (walk.cursor.done) {
+    Walk &primary = walks[walk.primary];
+    if (primary.cursor.done) {
         finishWalk(walk);
         return;
     }
 
-    const PageTableBase &pt = spaces.tableFor(walk.primary.key.asid);
-    PhysAddr addr = pt.pteAddr(walk.cursor);
+    const PageTableBase &pt = spaces.tableFor(primary.key.asid);
+    PhysAddr addr = pt.pteAddr(primary.cursor);
     ++stats_.memReads;
-    ++walk.ptReads;
+    ++primary.ptReads;
     SW_LIFECYCLE(lifecycle_, LifecyclePhase::PtRead, eventq.now(),
-                 walk.primary.id, walk.primary.key, std::uint32_t(slot));
+                 primary.id, primary.key, std::uint32_t(slot));
     ptReader.ptRead(addr, kHardwareWalker, std::uint32_t(slot));
 }
 
@@ -170,19 +172,17 @@ HardwarePtwPool::ptReadDone(std::uint32_t walker, std::uint32_t slot)
 {
     SW_ASSERT(walker == kHardwareWalker && slot < active.size(),
               "page-table read routed to the wrong walker");
-    ActiveWalk &w = active[slot];
-    const PageTableBase &table = spaces.tableFor(w.primary.key.asid);
-    int level_read = w.cursor.level;
-    table.advance(w.cursor);
-    if (!w.cursor.done && level_read > 1) {
+    Walk &walk = walks[active[slot].primary];
+    const PageTableBase &table = spaces.tableFor(walk.key.asid);
+    int level_read = walk.cursor.level;
+    table.advance(walk.cursor);
+    if (!walk.cursor.done && level_read > 1) {
         // The read returned the base of the next-lower table: cache it so
         // later walks can skip the levels above it.
-        pwc.fill(table, w.cursor.level,
-                 TranslationKey{w.primary.key.asid, w.cursor.vpn},
-                 w.cursor.tableBase);
+        pwc.fill(table, walk.cursor.level, walk.key, walk.cursor.tableBase);
     }
-    if (w.cursor.done) {
-        finishWalk(w);
+    if (walk.cursor.done) {
+        finishWalk(active[slot]);
     } else {
         walkStep(slot);
     }
@@ -192,38 +192,30 @@ void
 HardwarePtwPool::finishWalk(ActiveWalk &walk)
 {
     SW_PROF_SCOPE(prof::Zone::PtwWalk);
-    Cycle now = eventq.now();
-    Cycle access = now - walk.started;
+    // Completing the primary frees its record, so read it first.
+    Cycle access = eventq.now() - walks[walk.primary].pickedUp;
     std::uint32_t slot = std::uint32_t(&walk - active.data());
 
-    // An NHA rider was walked by the primary's slot and read nothing.
-    auto complete_one = [&](const WalkRequest &req, Pfn pfn, bool fault,
-                            std::uint16_t reads) {
-        WalkResult result;
-        result.id = req.id;
-        result.key = req.key;
-        result.pfn = pfn;
-        result.fault = fault;
-        result.ptReads = reads;
-        result.walker = slot;
-        result.queueDelay = walk.started - req.created;
-        result.accessLatency = access;
+    auto complete = [&](WalkId id) {
         ++stats_.completed;
         stats_.accessLatency.add(access);
         SW_ASSERT(inFlightCount > 0, "in-flight underflow");
         --inFlightCount;
-        onComplete(result);
+        onComplete(id);
     };
 
-    complete_one(walk.primary, walk.cursor.pfn, walk.cursor.fault,
-                 walk.ptReads);
-    for (const auto &rider : walk.coalesced) {
-        // Riders resolve through their own address space (the NHA key is
-        // ASID-qualified, so in practice it is the primary's).
+    complete(walk.primary);
+    for (WalkId id : walk.coalesced) {
+        // An NHA rider read nothing: it resolves through its own address
+        // space (the NHA key is ASID-qualified, so in practice it is the
+        // primary's).
+        Walk &rider = walks[id];
         const PageTableBase &pt = spaces.tableFor(rider.key.asid);
         bool mapped = pt.isMapped(rider.key.vpn);
-        complete_one(rider, mapped ? pt.translate(rider.key.vpn) : 0,
-                     !mapped, 0);
+        rider.cursor.done = true;
+        rider.cursor.fault = !mapped;
+        rider.cursor.pfn = mapped ? pt.translate(rider.key.vpn) : 0;
+        complete(id);
     }
 
     walk.live = false;
@@ -241,7 +233,7 @@ HardwarePtwPool::saveState(CkptWriter &w) const
     // (queues, active slots, in-transit counters) must all be empty —
     // anything else means the caller checkpointed mid-flight.
     SW_ASSERT(pwb.empty() && overflow.empty() && activeWalkers == 0 &&
-              inFlightCount == 0 && enqueuing.empty(),
+              inFlightCount == 0 && crossingPort == 0,
               "hardware PTW pool checkpointed while walks are in flight");
     w.section("hw_ptw");
     w.u64(stats_.submitted);
@@ -357,13 +349,14 @@ HardwarePtwPool::registerAudits(Auditor &auditor)
                 if (walk.live)
                     walking += 1 + walk.coalesced.size();
             std::uint64_t accounted =
-                enqueuing.size() + pwb.size() + overflow.size() + walking;
+                crossingPort + pwb.size() + overflow.size() + walking;
             if (accounted != inFlightCount) {
                 ctx.fail(strprintf(
-                    "in-flight %llu != enq-transit %zu + PWB %zu + "
+                    "in-flight %llu != enq-transit %llu + PWB %zu + "
                     "overflow %zu + walking %llu",
                     static_cast<unsigned long long>(inFlightCount),
-                    enqueuing.size(), pwb.size(), overflow.size(),
+                    static_cast<unsigned long long>(crossingPort),
+                    pwb.size(), overflow.size(),
                     static_cast<unsigned long long>(walking)));
             }
         });

@@ -34,7 +34,6 @@ class HardwarePtwPool : public WalkBackend
         std::uint32_t pwbPorts = 1;
         bool nhaCoalescing = false;
         std::uint32_t nhaSectorBytes = 32;   ///< coalescing window
-        Cycle fixedPtAccessLatency = 0;      ///< 0: use the memory model
     };
 
     struct Stats
@@ -55,6 +54,7 @@ class HardwarePtwPool : public WalkBackend
      * @param spaces per-ASID page tables; each walk descends the table of
      *        its request's ASID
      * @param pwc shared page walk cache (filled as walks descend)
+     * @param walks the records of the walks it is handed
      * @param reader page-table memory reads (as kHardwareWalker, lane =
      *        walker slot)
      * @param on_complete walk-completion sink (the translation engine)
@@ -62,10 +62,11 @@ class HardwarePtwPool : public WalkBackend
      */
     HardwarePtwPool(EventQueue &eq, Params params,
                     const AddressSpaceManager &spaces, PageWalkCache &pwc,
-                    PtReader &reader, WalkCompleteFn on_complete,
+                    WalkPool &walks, PtReader &reader,
+                    WalkCompleteFn on_complete,
                     const LifecycleStream &lifecycle);
 
-    void submit(WalkRequest req) override;
+    void submit(WalkId walk) override;
     std::uint64_t inFlight() const override { return inFlightCount; }
     /** A level read of walker slot @p lane returned. */
     void ptReadDone(std::uint32_t walker, std::uint32_t lane) override;
@@ -101,14 +102,12 @@ class HardwarePtwPool : public WalkBackend
     /** Run one level step of an active walk. */
     void walkStep(std::uint64_t active_idx);
 
+    /** A walker slot: the walk it descends and the NHA riders it carries. */
     struct ActiveWalk
     {
-        WalkRequest primary;
+        WalkId primary = kNoWalk;
         /** NHA-merged riders, reserved to the limit at construction. */
-        std::vector<WalkRequest> coalesced;
-        WalkCursor cursor;
-        Cycle started = 0;
-        std::uint16_t ptReads = 0;            ///< the primary's level reads
+        std::vector<WalkId> coalesced;
         bool live = false;
     };
 
@@ -119,7 +118,7 @@ class HardwarePtwPool : public WalkBackend
      * is ASID-qualified — different tenants' PTEs live in different page
      * tables, so their walks never share a sector.
      */
-    std::uint64_t nhaKey(const WalkRequest &req) const;
+    std::uint64_t nhaKey(TranslationKey key) const;
 
     /** Walks one NHA walk may cover: the primary and its riders. */
     std::uint64_t
@@ -132,18 +131,14 @@ class HardwarePtwPool : public WalkBackend
     Params params_;
     const AddressSpaceManager &spaces;
     PageWalkCache &pwc;
+    WalkPool &walks;
     PtReader &ptReader;
     WalkCompleteFn onComplete;
 
-    /**
-     * Walks accepted but still crossing the PWB enqueue port, oldest
-     * first.  reservePort() takes the earliest-free port, so completion
-     * cycles never decrease, and events due in one cycle run in the order
-     * they were scheduled: each enqueue event takes the front walk.
-     */
-    RingQueue<WalkRequest> enqueuing;
-    RingQueue<WalkRequest> pwb;        ///< bounded buffer
-    RingQueue<WalkRequest> overflow;   ///< spill past PWB capacity
+    /** Walks accepted but still crossing the PWB enqueue port. */
+    std::uint64_t crossingPort = 0;
+    RingQueue<WalkId> pwb;             ///< bounded buffer
+    RingQueue<WalkId> overflow;        ///< spill past PWB capacity
     std::vector<ActiveWalk> active;    ///< slot per walker
     std::vector<std::uint32_t> idleSlots;
     std::uint32_t activeWalkers = 0;

@@ -249,7 +249,6 @@ TranslationEngine::tryHandleL2Miss(RequestId id)
 
     L2Track &track = outstanding.insert(key);
     track.inTlbSlot = in_tlb_slot;
-    track.created = arrival;
     track.waiters.push(pool, id);
     SW_LIFECYCLE(lifecycle_,
                  in_tlb_slot ? LifecyclePhase::InTlbAlloc
@@ -291,43 +290,43 @@ TranslationEngine::createWalk(TranslationKey key, Cycle created)
     if (mapOnDemand)
         spaces_.tableFor(key.asid).ensureMapped(key.vpn);
 
-    pwcHops.pushBack(PwcHop{key, created});
-    eventq.scheduleIn(cfg.pwcLatency, [this]() {
-        const auto [key, created] = pwcHops.front();
-        pwcHops.popFront();
-        PageTableBase &pt = spaces_.tableFor(key.asid);
+    WalkId walk = walks_.alloc({.key = key, .created = created});
+    eventq.scheduleIn(cfg.pwcLatency, [this, walk]() {
+        Walk &w = walks_[walk];
+        PageTableBase &pt = spaces_.tableFor(w.key.asid);
         int level = 0;
         PhysAddr base = 0;
-        WalkRequest req;
-        req.id = nextWalkId++;
-        req.key = key;
-        req.created = created;
-        if (pwcCache.lookup(pt, key, level, base)) {
-            req.cursor = pt.resumeWalk(key.vpn, level, base);
+        w.id = nextWalkId++;
+        if (pwcCache.lookup(pt, w.key, level, base)) {
+            w.cursor = pt.resumeWalk(w.key.vpn, level, base);
         } else {
-            req.cursor = pt.startWalk(key.vpn);
+            w.cursor = pt.startWalk(w.key.vpn);
         }
-        SW_LIFECYCLE(lifecycle_, LifecyclePhase::WalkCreated, created, req.id,
-                     key);
+        SW_LIFECYCLE(lifecycle_, LifecyclePhase::WalkCreated, w.created, w.id,
+                     w.key);
         SW_LIFECYCLE(lifecycle_, LifecyclePhase::BackendSubmit, eventq.now(),
-                     req.id, key);
-        walkBackend->submit(std::move(req));
+                     w.id, w.key);
+        walkBackend->submit(walk);
     });
 }
 
 void
-TranslationEngine::onWalkComplete(const WalkResult &result)
+TranslationEngine::onWalkComplete(WalkId walk)
 {
     SW_PROF_SCOPE(prof::Zone::TlbLookup);
-    if (result.fault) {
+    // Read the record, then free it: the drain below may create a walk
+    // in its place.
+    const Walk &w = walks_[walk];
+    const TranslationKey key = w.key;
+    if (w.cursor.fault) {
         ++stats_.faults;
-        SW_LIFECYCLE(lifecycle_, LifecyclePhase::Fault, eventq.now(),
-                     result.id, result.key, LifecycleEvent::kNoWhere,
-                     result.software);
-        faults_.record(result.key, 0, eventq.now());
+        SW_LIFECYCLE(lifecycle_, LifecyclePhase::Fault, eventq.now(), w.id,
+                     key, LifecycleEvent::kNoWhere, w.software);
+        walks_.free(walk);
+        faults_.record(key, 0, eventq.now());
         // UVM-style handling: the driver maps the page, then the walk is
         // replayed from scratch (§5.5).
-        eventq.scheduleIn(kOsFaultLatency, [this, key = result.key]() {
+        eventq.scheduleIn(kOsFaultLatency, [this, key]() {
             spaces_.tableFor(key.asid).ensureMapped(key.vpn);
             const L2Track *track = outstanding.find(key);
             SW_ASSERT(track != nullptr,
@@ -341,38 +340,41 @@ TranslationEngine::onWalkComplete(const WalkResult &result)
         return;
     }
 
-    const L2Track *found = outstanding.find(result.key);
+    const L2Track *found = outstanding.find(key);
     SW_ASSERT(found != nullptr, "walk completion without tracker");
     L2Track track = *found;
-    outstanding.erase(result.key);
+    outstanding.erase(key);
 
     if (track.inTlbSlot) {
-        l2Array.clearPending(result.key);
-        SW_AUDIT(!l2Array.hasPending(result.key),
+        l2Array.clearPending(key);
+        SW_AUDIT(!l2Array.hasPending(key),
                  "In-TLB MSHR slot survived walk completion for vpn %llu",
-                 static_cast<unsigned long long>(result.key.vpn));
+                 static_cast<unsigned long long>(key.vpn));
     } else {
         SW_ASSERT(regularMshrInUse > 0, "regular MSHR underflow");
         --regularMshrInUse;
     }
-    l2Fill(result.key, result.pfn);
-    SW_LIFECYCLE(lifecycle_, LifecyclePhase::WalkFill, eventq.now(),
-                 result.id, result.key, LifecycleEvent::kNoWhere,
-                 result.software, result.queueDelay, result.accessLatency,
-                 result.walker, result.ptReads);
+    const Pfn pfn = w.cursor.pfn;
+    const Cycle queue_delay = w.pickedUp - w.created;
+    const Cycle access_latency = eventq.now() - w.pickedUp;
+    l2Fill(key, pfn);
+    SW_LIFECYCLE(lifecycle_, LifecyclePhase::WalkFill, eventq.now(), w.id,
+                 key, LifecycleEvent::kNoWhere, w.software, queue_delay,
+                 access_latency, w.walker, w.ptReads);
+    walks_.free(walk);
 
     ++stats_.walksCompleted;
-    stats_.walkQueueDelay.add(result.queueDelay);
-    stats_.walkAccessLatency.add(result.accessLatency);
-    TenantStats &ts = tenantStats_[result.key.asid];
+    stats_.walkQueueDelay.add(queue_delay);
+    stats_.walkAccessLatency.add(access_latency);
+    TenantStats &ts = tenantStats_[key.asid];
     ++ts.walksCompleted;
-    ts.walkQueueDelay.add(result.queueDelay);
+    ts.walkQueueDelay.add(queue_delay);
 
     while (!track.waiters.empty()) {
         RequestId id = track.waiters.pop(pool);
         SmId sm = pool[id].unit;
         pool.free(id);
-        resolveL1(sm, result.key, result.pfn);
+        resolveL1(sm, key, pfn);
     }
 
     drainL2WaitQueue();
@@ -790,6 +792,17 @@ TranslationEngine::registerAudits(Auditor &auditor)
                     walkBackend->name().c_str(),
                     static_cast<unsigned long long>(
                         walkBackend->inFlight())));
+            }
+        });
+
+    // Once the machine drains, every walk record has completed and been
+    // freed: a leaked one would only grow the slab, silently.
+    auditor.registerAudit(
+        "vm.walks.no-leaked-record", AuditScope::Quiescent,
+        [this](AuditContext &ctx) {
+            if (walks_.live() != 0) {
+                ctx.fail(strprintf("%zu walk records never freed",
+                                   walks_.live()));
             }
         });
 }

@@ -5,7 +5,7 @@
  * Per-SM L1 TLBs with MSHRs feed the shared L2 TLB; L2 misses allocate a
  * regular MSHR — or, when those are exhausted and In-TLB MSHR is enabled,
  * repurpose an L2 TLB entry (§4.5) — consult the page walk cache, and hand a
- * WalkRequest to the configured backend (hardware PTW pool, SoftWalker, or
+ * Walk to the configured backend (hardware PTW pool, SoftWalker, or
  * hybrid).  Completions fill the TLBs, wake all merged waiters, and record
  * the queueing-delay / access-latency split the paper's Figs 7 and 18 plot.
  *
@@ -29,7 +29,6 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
-#include "sim/ring_queue.hh"
 #include "sim/stats.hh"
 #include "vm/address_space.hh"
 #include "vm/fault_buffer.hh"
@@ -136,8 +135,15 @@ class TranslationEngine : public PtReader, private RequestSink
     WalkCompleteFn
     completionFn()
     {
-        return [this](const WalkResult &result) { onWalkComplete(result); };
+        return [this](WalkId walk) { onWalkComplete(walk); };
     }
+
+    /**
+     * Every walk in flight, from createWalk() until its completion frees
+     * it; backends read and advance the records they are handed.
+     */
+    WalkPool &walks() { return walks_; }
+    const WalkPool &walks() const { return walks_; }
 
     /**
      * When false, walks on unmapped pages fault into the Fault Buffer and
@@ -237,15 +243,7 @@ class TranslationEngine : public PtReader, private RequestSink
     {
         bool inTlbSlot = false;     ///< held in an In-TLB MSHR
         std::uint32_t merges = 0;
-        Cycle created = 0;
         RequestFifo waiters;        ///< L2 requests, one per waiting SM
-    };
-
-    /** A walk on its PWC hop: the miss it resolves and when it began. */
-    struct PwcHop
-    {
-        TranslationKey key;
-        Cycle created = 0;
     };
 
     /** Key of a translation or L2 request record. */
@@ -272,7 +270,7 @@ class TranslationEngine : public PtReader, private RequestSink
     void drainL2WaitQueue();
     void drainL1WaitQueue(SmId sm);
     void createWalk(TranslationKey key, Cycle created);
-    void onWalkComplete(const WalkResult &result);
+    void onWalkComplete(WalkId walk);
     void resolveL1(SmId sm, TranslationKey key, Pfn pfn);
     /** A PTE read returned from the memory hierarchy. */
     void requestDone(RequestId id) override;
@@ -308,12 +306,7 @@ class TranslationEngine : public PtReader, private RequestSink
     bool idealMshrs = false;
 
     PageWalkCache pwcCache;
-    /**
-     * Walks consulting the PWC, oldest first.  The hop always takes
-     * cfg.pwcLatency, so hops end in the order they began, and each hop
-     * event takes the front record.
-     */
-    RingQueue<PwcHop> pwcHops;
+    WalkPool walks_;
     FaultBuffer faults_;
     std::unique_ptr<WalkBackend> walkBackend;
     std::uint64_t nextWalkId = 1;

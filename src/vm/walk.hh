@@ -1,8 +1,8 @@
 /**
  * @file
- * Walk-backend abstraction: the contract between the L2 TLB miss path and
- * whatever resolves walks — the hardware PTW pool, the SoftWalker, or the
- * hybrid of both.
+ * The walk record, and the walk-backend abstraction: the contract between
+ * the L2 TLB miss path and whatever resolves walks — the hardware PTW
+ * pool, the SoftWalker, or the hybrid of both.
  */
 
 #ifndef SW_VM_WALK_HH
@@ -12,6 +12,7 @@
 #include <functional>
 #include <string>
 
+#include "mem/request.hh"
 #include "obs/stat_registry.hh"
 #include "sim/types.hh"
 #include "vm/address.hh"
@@ -22,36 +23,44 @@ namespace sw {
 class Auditor;
 class TimeSeriesSampler;
 
-/** One outstanding page-table walk. */
-struct WalkRequest
-{
-    std::uint64_t id = 0;
-    TranslationKey key;     ///< {asid, vpn} this walk resolves
-    WalkCursor cursor;      ///< start point (after the PWC consult)
-    Cycle created = 0;      ///< cycle the L2 TLB miss spawned the walk
-};
+/** Index of a Walk in the TranslationEngine's WalkPool. */
+using WalkId = std::uint32_t;
+
+/** "No walk": an empty slot. */
+inline constexpr WalkId kNoWalk = ~WalkId(0);
 
 /**
- * Terminal outcome of a walk, with the paper's latency split (§3.2).  It
- * is the one record of a walk's span: @c walker picked the walk up
- * accessLatency before completion, queueDelay after it was created.
+ * One page-table walk, from the L2 TLB miss that creates it to the fill
+ * that completes it.  The record lives in the engine's WalkPool, and every
+ * stage the walk passes (the PWC hop, the PWB or the distributor's queue,
+ * the interconnect, a SoftPWB slot, a walker) names it by its WalkId.
+ * Its queue delay is pickedUp - created and its access latency the fill
+ * cycle - pickedUp (§3.2); the engine computes both when the walk
+ * completes.
  */
-struct WalkResult
+struct Walk
 {
-    std::uint64_t id = 0;
-    TranslationKey key;
-    Pfn pfn = 0;
-    bool fault = false;
-    bool software = false;   ///< walked by a PW-Warp (vs. hardware PTW)
-    std::uint16_t ptReads = 0; ///< page-table reads (0: an NHA rider)
+    TranslationKey key{};      ///< {asid, vpn} this walk resolves
+    WalkCursor cursor{};       ///< progress; once done, the PFN or fault
+    Cycle created = 0;         ///< cycle the L2 TLB miss spawned the walk
+    Cycle pickedUp = 0;        ///< cycle a walker picked it up
+    std::uint64_t id = 0;      ///< the walk id observers see
     std::uint32_t walker = 0;  ///< PTW slot or PW Warp's SM that took it
-    Cycle queueDelay = 0;    ///< created -> picked up by a walker
-    Cycle accessLatency = 0; ///< picked up -> completed
+    WalkId next = kNoWalk;     ///< free-list link
+    std::uint16_t ptReads = 0; ///< page-table reads (0: an NHA rider)
+    bool software = false;     ///< walked by a PW-Warp (vs. hardware PTW)
 };
-static_assert(sizeof(WalkResult) == 56, "walk records stay 56 bytes");
+static_assert(sizeof(Walk) == 96, "walk records stay 96 bytes");
 
-/** Invoked by a backend when a walk finishes. */
-using WalkCompleteFn = std::function<void(const WalkResult &)>;
+/** Every walk in flight, named by WalkId. */
+using WalkPool = Slab<Walk>;
+
+/**
+ * Invoked by a backend when a walk finishes.  The engine frees the record,
+ * and the drain that follows may reuse it for a new walk: a backend reads
+ * everything it needs from the record before completing it.
+ */
+using WalkCompleteFn = std::function<void(WalkId)>;
 
 /** Walker id of a hardware PTW pool's reads (PW Warps use their SM). */
 inline constexpr std::uint32_t kHardwareWalker = ~std::uint32_t(0);
@@ -79,7 +88,7 @@ class WalkBackend
     virtual ~WalkBackend() = default;
 
     /** Accept a walk; completion arrives via the WalkCompleteFn. */
-    virtual void submit(WalkRequest req) = 0;
+    virtual void submit(WalkId walk) = 0;
 
     /** Number of walks accepted but not yet completed. */
     virtual std::uint64_t inFlight() const = 0;

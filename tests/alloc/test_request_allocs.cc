@@ -118,13 +118,14 @@ class ReadingBackend : public WalkBackend
     }
 
     void
-    submit(WalkRequest req) override
+    submit(WalkId walk) override
     {
         std::uint32_t slot = 0;
-        while (walks[slot].live)
+        while (walkers[slot] != kNoWalk)
             ++slot;
-        ASSERT_LT(slot, walks.size());
-        walks[slot] = {req, true};
+        ASSERT_LT(slot, walkers.size());
+        walkers[slot] = walk;
+        engine.walks()[walk].pickedUp = engine.eventQueue().now();
         ++inFlightCount;
         read(slot);
     }
@@ -132,19 +133,16 @@ class ReadingBackend : public WalkBackend
     void
     ptReadDone(std::uint32_t, std::uint32_t slot) override
     {
-        Walk &walk = walks[slot];
-        spaces.tableFor(walk.req.key.asid).advance(walk.req.cursor);
-        if (!walk.req.cursor.done) {
+        WalkId walk = walkers[slot];
+        Walk &record = engine.walks()[walk];
+        spaces.tableFor(record.key.asid).advance(record.cursor);
+        if (!record.cursor.done) {
             read(slot);
             return;
         }
-        walk.live = false;
+        walkers[slot] = kNoWalk;
         --inFlightCount;
-        WalkResult result;
-        result.id = walk.req.id;
-        result.key = walk.req.key;
-        result.pfn = walk.req.cursor.pfn;
-        complete(result);
+        complete(walk);
     }
 
     std::uint64_t inFlight() const override { return inFlightCount; }
@@ -152,24 +150,23 @@ class ReadingBackend : public WalkBackend
     void resetStats() override {}
 
   private:
-    struct Walk
-    {
-        WalkRequest req;
-        bool live = false;
-    };
-
     void
     read(std::uint32_t slot)
     {
-        const WalkRequest &req = walks[slot].req;
-        engine.ptRead(spaces.tableFor(req.key.asid).pteAddr(req.cursor),
+        const Walk &walk = engine.walks()[walkers[slot]];
+        engine.ptRead(spaces.tableFor(walk.key.asid).pteAddr(walk.cursor),
                       kHardwareWalker, slot);
     }
 
     TranslationEngine &engine;
     const AddressSpaceManager &spaces;
     WalkCompleteFn complete;
-    std::array<Walk, 256> walks{};
+    /** The walk each walker slot is reading, or kNoWalk. */
+    std::array<WalkId, 256> walkers = [] {
+        std::array<WalkId, 256> idle;
+        idle.fill(kNoWalk);
+        return idle;
+    }();
     std::uint64_t inFlightCount = 0;
 };
 
@@ -265,6 +262,7 @@ TEST_F(RequestPathAllocs, SecondBatchAllocatesNothing)
     EXPECT_EQ(sink.done, 2u * (48 + 3 * kPages + 4));
     EXPECT_EQ(pool.live(), 0u);
     EXPECT_EQ(engine.outstandingWalks(), 0u);
+    EXPECT_EQ(engine.walks().live(), 0u);
 
     // And they took every path the gate claims to cover.
     const TranslationEngine::Stats &ts = engine.stats();
@@ -347,6 +345,7 @@ TEST_F(SoftWalkAllocs, SecondBatchAllocatesNothing)
     EXPECT_EQ(sink.done, 2 * kPages);
     EXPECT_EQ(pool.live(), 0u);
     EXPECT_EQ(gpu.engine().outstandingWalks(), 0u);
+    EXPECT_EQ(gpu.engine().walks().live(), 0u);
 
     // Every walk took the software path end to end, in multi-lane
     // batches, and none queued at the distributor (its waiting queues
@@ -425,6 +424,7 @@ class HardwareWalkAllocs : public ::testing::Test
         EXPECT_EQ(sink->done, 2 * kPages);
         EXPECT_EQ(gpu->memory().requests().live(), 0u);
         EXPECT_EQ(gpu->engine().outstandingWalks(), 0u);
+        EXPECT_EQ(gpu->engine().walks().live(), 0u);
         const auto &pool =
             *static_cast<const HardwarePtwPool *>(gpu->engine().backend());
         EXPECT_EQ(pool.inFlight(), 0u);

@@ -92,7 +92,7 @@ TEST(AuditPositive, RegistersTheFullInvariantCatalogue)
           "core.distributor.credit-conservation",
           "core.pwwarp.slot-lifecycle", "mem.cache.mshr-capacity",
           "mem.cache.no-leaked-mshr", "vm.tlb.no-cross-asid-leak",
-          "gpu.requests.no-leaked-record"})
+          "gpu.requests.no-leaked-record", "vm.walks.no-leaked-record"})
         EXPECT_TRUE(auditor.hasAudit(name)) << name;
 }
 
@@ -234,7 +234,7 @@ TEST(AuditNegative, DroppedWalkCompletionFiresAtEndOfSim)
     class DroppingBackend : public WalkBackend
     {
       public:
-        void submit(WalkRequest) override { ++dropped; }
+        void submit(WalkId) override { ++dropped; }
         std::uint64_t inFlight() const override { return dropped; }
         void ptReadDone(std::uint32_t, std::uint32_t) override {}
         std::string name() const override { return "dropping"; }
@@ -254,6 +254,25 @@ TEST(AuditNegative, DroppedWalkCompletionFiresAtEndOfSim)
     ASSERT_GT(raw->dropped, 0u);
     ASSERT_TRUE(gpu->eventQueue().empty());
     EXPECT_TRUE(gpu->auditor().fired("vm.l2.no-leaked-miss"));
+    // The swallowed walks' records are never freed either.
+    EXPECT_TRUE(gpu->auditor().fired("vm.walks.no-leaked-record"));
+    EXPECT_EQ(gpu->engine().walks().live(), raw->dropped);
+}
+
+TEST(AuditNegative, LeakedWalkRecordFiresWhenQuiescent)
+{
+    auto gpu = makeGpu(test::smallConfig());
+    runQuota(*gpu);
+    EXPECT_FALSE(gpu->auditor().fired("vm.walks.no-leaked-record"));
+
+    gpu->engine().walks().alloc({.key = {0, 0x80}});
+    gpu->auditor().finalCheck(gpu->cycles(), /*quiescent=*/true);
+    EXPECT_TRUE(gpu->auditor().fired("vm.walks.no-leaked-record"));
+
+    // While the machine is still running walks are in flight legally.
+    gpu->auditor().clearViolations();
+    gpu->auditor().checkNow(gpu->cycles(), /*quiescent=*/false);
+    EXPECT_FALSE(gpu->auditor().fired("vm.walks.no-leaked-record"));
 }
 
 TEST(AuditNegative, LostPtwWalkerSlotFires)

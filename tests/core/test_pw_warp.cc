@@ -60,11 +60,11 @@ class PwWarpTest : public ::testing::Test
         hooks.pwcFill = [this](int level, TranslationKey, PhysAddr) {
             pwcFills.push_back(level);
         };
-        hooks.complete = [this](const WalkResult &result) {
-            results.push_back(result);
+        hooks.complete = [this](WalkId walk) {
+            results.push_back(test::completeWalk(walks, walk, eq.now()));
             landedAt.push_back(eq.now());
         };
-        auto warp = std::make_unique<PwWarp>(eq, spaces, pwb,
+        auto warp = std::make_unique<PwWarp>(eq, spaces, pwb, walks,
                                              std::move(hooks), timing, lanes,
                                              comm, lifecycle);
         PwWarp *raw = warp.get();
@@ -74,16 +74,15 @@ class PwWarpTest : public ::testing::Test
         return warp;
     }
 
-    WalkRequest
+    /** A walk request: walk @p id of @p vpn, created now. */
+    WalkId
     makeRequest(Vpn vpn, std::uint64_t id)
     {
         pt.ensureMapped(vpn);
-        WalkRequest req;
-        req.id = id;
-        req.key = K(vpn);
-        req.cursor = pt.startWalk(vpn);
-        req.created = eq.now();
-        return req;
+        return walks.alloc({.key = K(vpn),
+                            .cursor = pt.startWalk(vpn),
+                            .created = eq.now(),
+                            .id = id});
     }
 
     EventQueue eq;
@@ -92,12 +91,13 @@ class PwWarpTest : public ::testing::Test
     AddressSpaceManager spaces;
     PageTableBase &pt;
     SoftPwb pwb;
+    WalkPool walks;
     LifecycleStream lifecycle;
     Cycle issueFree = 0;
     std::uint64_t issueSlots = 0;
     int memReads = 0;
     std::vector<int> pwcFills;
-    std::vector<WalkResult> results;
+    std::vector<test::WalkOutcome> results;
     std::vector<Cycle> landedAt;   ///< cycle each result reached complete
     std::vector<std::unique_ptr<test::FixedLatencyReader>> readers;
 };
@@ -196,11 +196,10 @@ TEST_F(PwWarpTest, LockstepLanesShareLevelIterations)
 TEST_F(PwWarpTest, FaultLaneIssuesFfb)
 {
     auto warp = makeWarp();
-    WalkRequest bad;
-    bad.id = 1;
-    bad.key = K(0xBAD);
-    bad.cursor = pt.startWalk(0xBAD);   // unmapped
-    pwb.insert(std::move(bad), eq.now());
+    WalkId bad = walks.alloc({.key = K(0xBAD),
+                              .cursor = pt.startWalk(0xBAD),   // unmapped
+                              .id = 1});
+    pwb.insert(bad, eq.now());
     warp->notifyWork();
     eq.run();
     ASSERT_EQ(results.size(), 1u);
@@ -289,11 +288,10 @@ TEST_F(PwWarpTest, ResumedCursorsSkipLevels)
     WalkCursor cur = pt.startWalk(0x300);
     while (cur.level > 1)
         pt.advance(cur);
-    WalkRequest req;
-    req.id = 5;
-    req.key = K(0x300);
-    req.cursor = pt.resumeWalk(0x300, 1, cur.tableBase);
-    pwb.insert(std::move(req), eq.now());
+    pwb.insert(walks.alloc({.key = K(0x300),
+                            .cursor = pt.resumeWalk(0x300, 1, cur.tableBase),
+                            .id = 5}),
+               eq.now());
     warp->notifyWork();
     eq.run();
     EXPECT_EQ(memReads, 1);
@@ -306,15 +304,15 @@ TEST_F(PwWarpTest, WalkRecordCountsEachLanesLdpts)
     auto warp = makeWarp();
     pwb.insert(makeRequest(0x42, 1), eq.now());
     // Lane 2 resumes at the leaf and reads one level.
-    WalkRequest leaf = makeRequest(0x300, 2);
-    while (leaf.cursor.level > 1)
-        pt.advance(leaf.cursor);
-    pwb.insert(std::move(leaf), eq.now());
+    WalkId leaf = makeRequest(0x300, 2);
+    while (walks[leaf].cursor.level > 1)
+        pt.advance(walks[leaf].cursor);
+    pwb.insert(leaf, eq.now());
     warp->notifyWork();
     eq.run();
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(warp->stats().batches, 1u);
-    for (const WalkResult &result : results) {
+    for (const test::WalkOutcome &result : results) {
         EXPECT_EQ(result.walker, kSm);
         EXPECT_EQ(result.ptReads, result.id == 1 ? 4u : 1u);
     }

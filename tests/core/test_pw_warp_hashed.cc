@@ -51,10 +51,10 @@ class PwWarpHashedTest : public ::testing::Test
         hooks.ptReader = reader.get();
         hooks.walker = kSm;
         hooks.pwcFill = [this](int, TranslationKey, PhysAddr) { ++pwcFills; };
-        hooks.complete = [this](const WalkResult &result) {
-            results.push_back(result);
+        hooks.complete = [this](WalkId walk) {
+            results.push_back(test::completeWalk(walks, walk, eq.now()));
         };
-        auto warp = std::make_unique<PwWarp>(eq, spaces, pwb,
+        auto warp = std::make_unique<PwWarp>(eq, spaces, pwb, walks,
                                              std::move(hooks),
                                              PwWarpCodeTiming{}, 8, 40,
                                              lifecycle);
@@ -71,21 +71,20 @@ class PwWarpHashedTest : public ::testing::Test
     AddressSpaceManager spaces;
     HashedPageTable &pt;
     SoftPwb pwb;
+    WalkPool walks;
     LifecycleStream lifecycle;
     int memReads = 0;
     int pwcFills = 0;
-    std::vector<WalkResult> results;
+    std::vector<test::WalkOutcome> results;
     std::unique_ptr<test::FixedLatencyReader> reader;
 };
 
 TEST_F(PwWarpHashedTest, SingleProbeWalk)
 {
     pt.ensureMapped(0x99);
-    WalkRequest req;
-    req.id = 1;
-    req.key = K(0x99);
-    req.cursor = pt.startWalk(0x99);
-    pwb.insert(std::move(req), eq.now());
+    pwb.insert(walks.alloc(
+                   {.key = K(0x99), .cursor = pt.startWalk(0x99), .id = 1}),
+               eq.now());
     auto warp = makeWarp();
     warp->notifyWork();
     eq.run();
@@ -101,11 +100,9 @@ TEST_F(PwWarpHashedTest, BatchOverHashedTable)
     for (std::uint64_t i = 0; i < 6; ++i) {
         Vpn vpn = 100 + i * 977;
         pt.ensureMapped(vpn);
-        WalkRequest req;
-        req.id = i;
-        req.key = K(vpn);
-        req.cursor = pt.startWalk(vpn);
-        pwb.insert(std::move(req), eq.now());
+        pwb.insert(walks.alloc(
+                       {.key = K(vpn), .cursor = pt.startWalk(vpn), .id = i}),
+                   eq.now());
     }
     warp->notifyWork();
     eq.run();
@@ -120,11 +117,10 @@ TEST_F(PwWarpHashedTest, BatchOverHashedTable)
 
 TEST_F(PwWarpHashedTest, UnmappedVpnFaults)
 {
-    WalkRequest req;
-    req.id = 7;
-    req.key = K(0xF00D);
-    req.cursor = pt.startWalk(0xF00D);
-    pwb.insert(std::move(req), eq.now());
+    pwb.insert(walks.alloc({.key = K(0xF00D),
+                            .cursor = pt.startWalk(0xF00D),
+                            .id = 7}),
+               eq.now());
     auto warp = makeWarp();
     warp->notifyWork();
     eq.run();

@@ -11,13 +11,13 @@ using namespace sw;
 
 namespace {
 
-WalkRequest
+/** The walk records the tests' SoftPWB slots name. */
+WalkPool walks;
+
+WalkId
 req(Vpn vpn, std::uint64_t id)
 {
-    WalkRequest request;
-    request.id = id;
-    request.key = {0, vpn};
-    return request;
+    return walks.alloc({.key = {0, vpn}, .id = id});
 }
 
 TEST(SoftPwb, StartsEmpty)
@@ -35,7 +35,7 @@ TEST(SoftPwb, InsertMakesSlotValid)
     EXPECT_EQ(pwb.validCount(), 1u);
     EXPECT_EQ(pwb.freeSlots(), 7u);
     EXPECT_EQ(pwb.slot(slot).state, SoftPwb::SlotState::Valid);
-    EXPECT_EQ(pwb.slot(slot).req.key.vpn, 1u);
+    EXPECT_EQ(walks[pwb.slot(slot).walk].key.vpn, 1u);
     EXPECT_EQ(pwb.slot(slot).arrived, 100u);
 }
 

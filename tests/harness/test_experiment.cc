@@ -218,4 +218,40 @@ TEST(Experiment, CappedRunWarnsThatItsResultsArePartial)
     EXPECT_EQ(whole_err.find("cycle cap"), std::string::npos) << whole_err;
 }
 
+/**
+ * The warmup ends at a 200-cycle poll; a quota and warmup the machine's
+ * warps fetch at once all issue before it, and the run measures nothing.
+ * It says so; a run that measures instructions does not.
+ */
+TEST(Experiment, EmptyMeasuredRegionWarns)
+{
+    LogLevel level = logLevel();
+    setLogLevel(LogLevel::Warn);
+    Gpu::RunLimits tiny = tinyLimits();
+    tiny.warpInstrQuota = 10;
+    tiny.warmupInstrs = 10;
+    ::testing::internal::CaptureStderr();
+    RunResult empty = runTiny(test::smallConfig(), tinyWorkload(), tiny);
+    std::string empty_err = ::testing::internal::GetCapturedStderr();
+    Gpu::RunLimits warmed = tinyLimits();
+    warmed.warmupInstrs = 100;
+    ::testing::internal::CaptureStderr();
+    RunResult measured = runTiny(test::smallConfig(), tinyWorkload(), warmed);
+    std::string measured_err = ::testing::internal::GetCapturedStderr();
+    setLogLevel(level);
+
+    EXPECT_EQ(empty.warpInstrs, 0u);
+    EXPECT_EQ(empty.perf, 0.0);
+    EXPECT_NE(empty_err.find(
+                  "warn: tiny (hw-ptw) measured no warp instruction: its "
+                  "10-instruction quota and 10-instruction warmup all "
+                  "issued before the warmup ended"),
+              std::string::npos)
+        << empty_err;
+    EXPECT_GT(measured.warpInstrs, 0u);
+    EXPECT_EQ(measured_err.find("measured no warp instruction"),
+              std::string::npos)
+        << measured_err;
+}
+
 } // namespace

@@ -121,6 +121,41 @@ smallSoftWalkerConfig()
 }
 
 /**
+ * What a backend reported for a finished walk: its record's outcome and
+ * the §3.2 latency split, as the engine computes them at completion.
+ */
+struct WalkOutcome
+{
+    std::uint64_t id = 0;
+    TranslationKey key;
+    Pfn pfn = 0;
+    bool fault = false;
+    bool software = false;
+    std::uint16_t ptReads = 0;
+    std::uint32_t walker = 0;
+    Cycle queueDelay = 0;      ///< created -> picked up by a walker
+    Cycle accessLatency = 0;   ///< picked up -> completed
+};
+
+/** Walk @p walk of @p walks completed at @p now: report it and free it. */
+inline WalkOutcome
+completeWalk(WalkPool &walks, WalkId walk, Cycle now)
+{
+    const Walk &w = walks[walk];
+    WalkOutcome outcome{.id = w.id,
+                        .key = w.key,
+                        .pfn = w.cursor.pfn,
+                        .fault = w.cursor.fault,
+                        .software = w.software,
+                        .ptReads = w.ptReads,
+                        .walker = w.walker,
+                        .queueDelay = w.pickedUp - w.created,
+                        .accessLatency = now - w.pickedUp};
+    walks.free(walk);
+    return outcome;
+}
+
+/**
  * A PtReader answering every page-table read after a fixed latency by
  * calling @c answer(walker, lane); counts reads into @p reads.
  */

@@ -42,8 +42,10 @@ class PtwTest : public ::testing::Test
             eq, mem_latency, memReads));
         test::FixedLatencyReader &reader = *readers.back();
         auto pool = std::make_unique<HardwarePtwPool>(
-            eq, params, spaces, pwc, reader,
-            [this](const WalkResult &result) { results.push_back(result); },
+            eq, params, spaces, pwc, walks, reader,
+            [this](WalkId walk) {
+                results.push_back(test::completeWalk(walks, walk, eq.now()));
+            },
             lifecycle);
         HardwarePtwPool *raw = pool.get();
         reader.answer = [raw](std::uint32_t walker, std::uint32_t lane) {
@@ -52,16 +54,15 @@ class PtwTest : public ::testing::Test
         return pool;
     }
 
-    WalkRequest
+    /** A walk request: walk @p id of @p vpn, created now. */
+    WalkId
     makeRequest(Vpn vpn, std::uint64_t id)
     {
         pt.ensureMapped(vpn);
-        WalkRequest req;
-        req.id = id;
-        req.key = K(vpn);
-        req.cursor = pt.startWalk(vpn);
-        req.created = eq.now();
-        return req;
+        return walks.alloc({.key = K(vpn),
+                            .cursor = pt.startWalk(vpn),
+                            .created = eq.now(),
+                            .id = id});
     }
 
     EventQueue eq;
@@ -71,8 +72,9 @@ class PtwTest : public ::testing::Test
     PageTableBase &pt;
     PageWalkCache pwc;
     LifecycleStream lifecycle;
+    WalkPool walks;
     int memReads = 0;
-    std::vector<WalkResult> results;
+    std::vector<test::WalkOutcome> results;
     std::vector<std::unique_ptr<test::FixedLatencyReader>> readers;
 };
 
@@ -109,11 +111,8 @@ TEST_F(PtwTest, ResumedWalkSkipsLevels)
     WalkCursor cur = pt.startWalk(9);
     while (cur.level > 1)
         pt.advance(cur);
-    WalkRequest req;
-    req.id = 2;
-    req.key = K(9);
-    req.cursor = pt.resumeWalk(9, 1, cur.tableBase);
-    pool->submit(std::move(req));
+    pool->submit(walks.alloc(
+        {.key = K(9), .cursor = pt.resumeWalk(9, 1, cur.tableBase), .id = 2}));
     eq.run();
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].accessLatency, 50u) << "one read from the leaf";
@@ -132,7 +131,7 @@ TEST_F(PtwTest, ParallelWalkersOverlap)
     // Four walks of 4 levels at 50cy overlap: well under serial time.
     EXPECT_LT(eq.now(), 4 * 200u);
     // Walk i took slot i, and each record counts its own reads.
-    for (const WalkResult &result : results) {
+    for (const test::WalkOutcome &result : results) {
         EXPECT_EQ(result.walker, result.id);
         EXPECT_EQ(result.ptReads, 4u);
     }
@@ -155,9 +154,9 @@ TEST_F(PtwTest, LimitedWalkersSerialiseAndQueueDelayGrows)
 TEST_F(PtwTest, QueueDelayMeasuredFromCreation)
 {
     auto pool = makePool({});
-    WalkRequest req = makeRequest(5, 1);
-    req.created = 0;
-    eq.schedule(100, [&pool, &req]() { pool->submit(req); });
+    WalkId walk = makeRequest(5, 1);
+    walks[walk].created = 0;
+    eq.schedule(100, [&pool, walk]() { pool->submit(walk); });
     eq.run();
     ASSERT_EQ(results.size(), 1u);
     EXPECT_GE(results[0].queueDelay, 100u);
@@ -225,11 +224,8 @@ TEST_F(PtwTest, WalksFillThePwc)
 TEST_F(PtwTest, FaultReportedForUnmappedVpn)
 {
     auto pool = makePool({});
-    WalkRequest req;
-    req.id = 9;
-    req.key = K(0xFFFF);
-    req.cursor = pt.startWalk(0xFFFF);
-    pool->submit(std::move(req));
+    pool->submit(walks.alloc(
+        {.key = K(0xFFFF), .cursor = pt.startWalk(0xFFFF), .id = 9}));
     eq.run();
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(results[0].fault);
@@ -302,9 +298,9 @@ TEST_F(PtwTest, NhaRiderReportsNoReadsAndItsPrimarysSlot)
     // frees slot 1 first; walk 3 takes it, and walks 4 and 5, which share
     // its leaf-PTE sector, ride along.
     pool->submit(makeRequest(0x9000, 1));
-    WalkRequest leaf = makeRequest(0xa000, 2);
-    while (leaf.cursor.level > 1)
-        pt.advance(leaf.cursor);
+    WalkId leaf = makeRequest(0xa000, 2);
+    while (walks[leaf].cursor.level > 1)
+        pt.advance(walks[leaf].cursor);
     pool->submit(leaf);
     for (std::uint64_t id = 3; id <= 5; ++id)
         pool->submit(makeRequest(0x1000 + Vpn(id - 3), id));
@@ -313,7 +309,7 @@ TEST_F(PtwTest, NhaRiderReportsNoReadsAndItsPrimarysSlot)
     EXPECT_EQ(pool->stats().nhaMerged, 2u);
 
     std::vector<std::pair<std::uint32_t, std::uint32_t>> by_id(6);
-    for (const WalkResult &result : results)
+    for (const test::WalkOutcome &result : results)
         by_id[result.id] = {result.walker, result.ptReads};
     EXPECT_EQ(by_id[1], std::pair(0u, 4u));
     EXPECT_EQ(by_id[2], std::pair(1u, 1u));

@@ -35,9 +35,9 @@ class PtwTimingTest : public ::testing::Test
             eq, mem_latency, memReads));
         test::FixedLatencyReader &reader = *readers.back();
         auto pool = std::make_unique<HardwarePtwPool>(
-            eq, params, spaces, pwc, reader,
-            [this](const WalkResult &result) {
-                results.push_back(result);
+            eq, params, spaces, pwc, walks, reader,
+            [this](WalkId walk) {
+                results.push_back(test::completeWalk(walks, walk, eq.now()));
             },
             lifecycle);
         HardwarePtwPool *raw = pool.get();
@@ -48,19 +48,17 @@ class PtwTimingTest : public ::testing::Test
     }
 
     /** Leaf-level request (one memory read per walk). */
-    WalkRequest
+    WalkId
     leafRequest(Vpn vpn, std::uint64_t id)
     {
         pt.ensureMapped(vpn);
         WalkCursor cur = pt.startWalk(vpn);
         while (cur.level > 1)
             pt.advance(cur);
-        WalkRequest req;
-        req.id = id;
-        req.key = {0, vpn};
-        req.cursor = pt.resumeWalk(vpn, 1, cur.tableBase);
-        req.created = eq.now();
-        return req;
+        return walks.alloc({.key = {0, vpn},
+                            .cursor = pt.resumeWalk(vpn, 1, cur.tableBase),
+                            .created = eq.now(),
+                            .id = id});
     }
 
     EventQueue eq;
@@ -70,8 +68,9 @@ class PtwTimingTest : public ::testing::Test
     PageTableBase &pt;
     PageWalkCache pwc;
     LifecycleStream lifecycle;
+    WalkPool walks;
     int memReads = 0;
-    std::vector<WalkResult> results;
+    std::vector<test::WalkOutcome> results;
     std::vector<std::unique_ptr<test::FixedLatencyReader>> readers;
 };
 

@@ -34,8 +34,8 @@ struct EngineRig
         pool.pwbEntries = cfg.pwbEntries;
         pool.pwbPorts = cfg.pwbPorts;
         engine.setBackend(std::make_unique<HardwarePtwPool>(
-            eq, pool, spaces, engine.pwc(), engine, engine.completionFn(),
-            lifecycle));
+            eq, pool, spaces, engine.pwc(), engine.walks(), engine,
+            engine.completionFn(), lifecycle));
     }
 
     GpuConfig cfg;
@@ -74,8 +74,8 @@ class TranslationTest : public ::testing::Test
         pool.pwbEntries = cfg.pwbEntries;
         pool.pwbPorts = cfg.pwbPorts;
         engine.setBackend(std::make_unique<HardwarePtwPool>(
-            eq, pool, spaces, engine.pwc(), engine, engine.completionFn(),
-            lifecycle));
+            eq, pool, spaces, engine.pwc(), engine.walks(), engine,
+            engine.completionFn(), lifecycle));
     }
 
     /** Translate and wait; returns (pfn, latency). */
