@@ -3,7 +3,8 @@
  * End-to-end simulation micro-benchmarks (google-benchmark): simulated
  * warp instructions per wall-clock second for each translation mode on a
  * small machine, and for SoftWalker with the full observer bundle
- * attached and every artifact written.  Guards against performance
+ * attached and every artifact written, then with each of the tracer,
+ * the cycle ledger and the event log alone.  Guards against performance
  * regressions that would make the figure sweeps impractical, and against
  * observers that cost more than the simulation they observe.
  */
@@ -84,43 +85,69 @@ class DiscardBuffer : public std::streambuf
     std::uint64_t bytes_ = 0;
 };
 
-/** The full observer bundle of one run. */
+/** The observers a benchmark attaches. */
+enum class Attach
+{
+    None,
+    Bundle, ///< registry, tracer, sampler, ledger and event log
+    Tracer,
+    Ledger,
+    Events,
+};
+
+/** The observers of one run; only those asked for are constructed. */
 struct Observers
 {
-    StatRegistry registry;
-    TranslationTracer tracer;
-    TimeSeriesSampler sampler;
-    CycleLedger ledger;
-    EventLog events;
+    std::optional<StatRegistry> registry;
+    std::optional<TranslationTracer> tracer;
+    std::optional<TimeSeriesSampler> sampler;
+    std::optional<CycleLedger> ledger;
+    std::optional<EventLog> events;
     Observability bundle;
 
-    Observers()
+    explicit Observers(Attach attach)
     {
-        bundle.registry = &registry;
-        bundle.tracer = &tracer;
-        bundle.sampler = &sampler;
-        bundle.ledger = &ledger;
-        bundle.events = &events;
+        const bool all = attach == Attach::Bundle;
+        if (all) {
+            bundle.registry = &registry.emplace();
+            bundle.sampler = &sampler.emplace();
+        }
+        if (all || attach == Attach::Tracer)
+            bundle.tracer = &tracer.emplace();
+        if (all || attach == Attach::Ledger)
+            bundle.ledger = &ledger.emplace();
+        if (all || attach == Attach::Events)
+            bundle.events = &events.emplace();
     }
 
     /** Finalise at @p now and write every artifact swsim_cli can. */
     void
     write(std::ostream &out, Cycle now)
     {
-        sampler.finalize(now);
-        registry.capture();
-        sampler.uninstall();
-        out << registry.dumpJson();
-        writePrometheus(out, registry);
-        tracer.writeTraceJson(out);
-        sampler.writeCsv(out);
-        out << ledger.dumpJson();
-        events.write(out);
+        if (sampler)
+            sampler->finalize(now);
+        if (registry)
+            registry->capture();
+        if (sampler)
+            sampler->uninstall();
+        if (registry) {
+            out << registry->dumpJson();
+            writePrometheus(out, *registry);
+        }
+        if (tracer)
+            tracer->writeTraceJson(out);
+        if (sampler)
+            sampler->writeCsv(out);
+        if (ledger)
+            out << ledger->dumpJson();
+        if (events)
+            events->write(out);
     }
 };
 
 void
-runMode(benchmark::State &state, TranslationMode mode, bool observe = false)
+runMode(benchmark::State &state, TranslationMode mode,
+        Attach attach = Attach::None)
 {
     std::uint64_t instrs = 0;
     DiscardBuffer discard;
@@ -128,8 +155,8 @@ runMode(benchmark::State &state, TranslationMode mode, bool observe = false)
     for (auto _ : state) {
         // Declared before the GPU so the observers outlive it.
         std::optional<Observers> observers;
-        if (observe)
-            observers.emplace();
+        if (attach != Attach::None)
+            observers.emplace(attach);
         Gpu gpu(smallCfg(mode), workload());
         installWalkBackend(gpu);
         if (observers)
@@ -167,9 +194,31 @@ BENCHMARK(BM_SimulateSoftWalker)->Unit(benchmark::kMillisecond);
 static void
 BM_SimulateSoftWalkerObserved(benchmark::State &state)
 {
-    runMode(state, TranslationMode::SoftWalker, true);
+    runMode(state, TranslationMode::SoftWalker, Attach::Bundle);
 }
 BENCHMARK(BM_SimulateSoftWalkerObserved)->Unit(benchmark::kMillisecond);
+
+// One observer each, so every observer's cost has its own budget.
+static void
+BM_SimulateSoftWalkerTracerOnly(benchmark::State &state)
+{
+    runMode(state, TranslationMode::SoftWalker, Attach::Tracer);
+}
+BENCHMARK(BM_SimulateSoftWalkerTracerOnly)->Unit(benchmark::kMillisecond);
+
+static void
+BM_SimulateSoftWalkerLedgerOnly(benchmark::State &state)
+{
+    runMode(state, TranslationMode::SoftWalker, Attach::Ledger);
+}
+BENCHMARK(BM_SimulateSoftWalkerLedgerOnly)->Unit(benchmark::kMillisecond);
+
+static void
+BM_SimulateSoftWalkerEventLogOnly(benchmark::State &state)
+{
+    runMode(state, TranslationMode::SoftWalker, Attach::Events);
+}
+BENCHMARK(BM_SimulateSoftWalkerEventLogOnly)->Unit(benchmark::kMillisecond);
 
 static void
 BM_SimulateHybrid(benchmark::State &state)

@@ -7,6 +7,7 @@
 #include "obs/cycle_ledger.hh"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <sstream>
 
@@ -54,6 +55,7 @@ CycleLedger::attach(std::vector<Asid> smAsids, Cycle now)
     SW_ASSERT(!smAsids.empty(), "CycleLedger::attach with no SMs");
     smAsid_ = std::move(smAsids);
     sms_.assign(smAsid_.size(), SmLedger{});
+    wordsPerSet_ = (sms_.size() + 63) / 64;
     for (SmLedger &led : sms_)
         led.spanStart = now;
     // Size the per-tenant accounts and the host x walk interference
@@ -219,69 +221,106 @@ CycleLedger::smSchedState(SmId sm, Cycle now, bool anyLive, bool stalled)
     led.stalled = stalled;
 }
 
-std::uint32_t
-CycleLedger::findMember(const KeyState &state, SmId sm) const
+CycleLedger::KeyState &
+CycleLedger::keyState(const TranslationKey &key)
 {
-    std::uint32_t node = state.members;
-    while (node != kNoMember && members_[node].sm != sm)
-        node = members_[node].next;
-    return node;
+    if (KeyState *state = keys_.find(key))
+        return *state;
+    KeyState &state = keys_.insert(key);
+    if (freeSets_ != kNoSets) {
+        state.sets = freeSets_;
+        freeSets_ = std::uint32_t(setSlab_[state.sets]);
+        setSlab_[state.sets] = 0;
+    } else {
+        const std::size_t blockWords = kNumSmSets * wordsPerSet_;
+        SW_ASSERT(setSlab_.size() + blockWords < kNoSets,
+                  "ledger SM-set slab exceeds 2^32 words");
+        state.sets = std::uint32_t(setSlab_.size());
+        setSlab_.resize(setSlab_.size() + blockWords, 0);
+    }
+    return state;
 }
 
 void
-CycleLedger::addMember(SmId sm, KeyState &state, LedgerCategory stage,
-                       Cycle now)
+CycleLedger::releaseIfIdle(const TranslationKey &key, const KeyState &state)
+{
+    if (state.walking)
+        return;
+    const std::uint64_t *block = &setSlab_[state.sets];
+    for (std::size_t word = 0; word < kNumSmSets * wordsPerSet_; ++word)
+        if (block[word] != 0)
+            return;
+    setSlab_[state.sets] = freeSets_;
+    freeSets_ = state.sets;
+    keys_.erase(key);
+}
+
+CycleLedger::SmSet
+CycleLedger::setOf(const KeyState &state, SmId sm) const
 {
     SW_ASSERT(sm < sms_.size(), "ledger SM id out of range");
-    SW_ASSERT(isTransStage(stage), "member stage must be a Trans* stage");
+    const std::uint64_t *word = &setSlab_[state.sets + sm / 64 * kNumSmSets];
+    const std::uint64_t bit = std::uint64_t(1) << (sm % 64);
+    for (std::size_t set = 0; set < kNumSmSets; ++set)
+        if (word[set] & bit)
+            return SmSet(set);
+    return NoSet;
+}
+
+void
+CycleLedger::moveSm(const KeyState &state, SmId sm, SmSet from, SmSet to,
+                    Cycle now)
+{
+    auto stageOf = [&state](SmSet set) {
+        return set == L1MissSet   ? LedgerCategory::TransL1Miss
+               : set == ParkedSet ? LedgerCategory::TransL2Queue
+                                  : state.stage;
+    };
     closeSpan(sm, now);
-    ++sms_[sm].stageCount[stageIndex(stage)];
-    std::uint32_t node = freeMembers_;
-    if (node == kNoMember) {
-        node = std::uint32_t(members_.size());
-        members_.emplace_back();
-    } else {
-        freeMembers_ = members_[node].next;
+    std::uint64_t *word = &setSlab_[state.sets + sm / 64 * kNumSmSets];
+    const std::uint64_t bit = std::uint64_t(1) << (sm % 64);
+    if (from != NoSet) {
+        --sms_[sm].stageCount[stageIndex(stageOf(from))];
+        word[from] &= ~bit;
     }
-    members_[node] = Member{sm, stage, state.members};
-    state.members = node;
+    if (to != NoSet) {
+        ++sms_[sm].stageCount[stageIndex(stageOf(to))];
+        word[to] |= bit;
+    }
 }
 
 void
-CycleLedger::moveMember(std::uint32_t member, LedgerCategory stage,
-                        Cycle now)
+CycleLedger::track(KeyState &state, LedgerCategory stage, Cycle now)
 {
-    Member &m = members_[member];
-    if (m.stage == stage)
+    SW_ASSERT(isTrackStage(stage), "track stage must be key-wide");
+    state.walking = true;
+    const LedgerCategory from = state.stage;
+    if (from == stage)
         return;
-    SW_ASSERT(isTransStage(stage), "member stage must be a Trans* stage");
-    closeSpan(m.sm, now);
-    --sms_[m.sm].stageCount[stageIndex(m.stage)];
-    ++sms_[m.sm].stageCount[stageIndex(stage)];
-    m.stage = stage;
-}
-
-void
-CycleLedger::moveRiders(const KeyState &state, Cycle now)
-{
-    // Only SMs already riding the walk advance with it; SMs still in an
-    // sm-local stage (L1 miss, L2 queue) move via transJoin().
-    for (std::uint32_t node = state.members; node != kNoMember;
-         node = members_[node].next) {
-        if (isTrackStage(members_[node].stage))
-            moveMember(node, state.trackStage, now);
+    state.stage = stage;
+    // Only SMs riding the walk advance with it; SMs still in an sm-local
+    // stage (L1 miss, L2 queue) move via transJoin().  Each SM's span is
+    // its own and accounts are sums, so the order riders close in
+    // affects no account.
+    for (std::size_t w = 0; w < wordsPerSet_; ++w) {
+        for (std::uint64_t bits =
+                 setSlab_[state.sets + w * kNumSmSets + RidingSet];
+             bits != 0; bits &= bits - 1) {
+            const SmId sm = SmId(w * 64 + std::countr_zero(bits));
+            closeSpan(sm, now);
+            --sms_[sm].stageCount[stageIndex(from)];
+            ++sms_[sm].stageCount[stageIndex(stage)];
+        }
     }
 }
 
 void
 CycleLedger::transEnter(SmId sm, const TranslationKey &key, Cycle now)
 {
-    KeyState *state = keys_.find(key);
-    if (!state)
-        state = &keys_.insert(key);
-    else if (findMember(*state, sm) != kNoMember)
-        return; // already tracked (retry/merge path) — idempotent
-    addMember(sm, *state, LedgerCategory::TransL1Miss, now);
+    KeyState &state = keyState(key);
+    // Already tracked (retry/merge path): idempotent.
+    if (setOf(state, sm) == NoSet)
+        moveSm(state, sm, NoSet, L1MissSet, now);
 }
 
 void
@@ -290,85 +329,57 @@ CycleLedger::transLeave(SmId sm, const TranslationKey &key, Cycle now)
     KeyState *state = keys_.find(key);
     if (!state)
         return;
-    std::uint32_t *link = &state->members;
-    while (*link != kNoMember && members_[*link].sm != sm)
-        link = &members_[*link].next;
-    const std::uint32_t node = *link;
-    if (node == kNoMember)
+    const SmSet set = setOf(*state, sm);
+    if (set == NoSet)
         return;
-    closeSpan(sm, now);
-    --sms_[sm].stageCount[stageIndex(members_[node].stage)];
-    *link = members_[node].next;
-    members_[node].next = freeMembers_;
-    freeMembers_ = node;
-    if (state->members == kNoMember &&
-        state->trackStage == LedgerCategory::NumCategories) {
-        keys_.erase(key);
-    }
+    moveSm(*state, sm, set, NoSet, now);
+    releaseIfIdle(key, *state);
 }
 
 void
 CycleLedger::transPark(SmId sm, const TranslationKey &key, Cycle now)
 {
-    KeyState *state = keys_.find(key);
-    if (!state)
-        state = &keys_.insert(key);
-    std::uint32_t node = findMember(*state, sm);
-    if (node == kNoMember)
-        addMember(sm, *state, LedgerCategory::TransL2Queue, now);
-    else
-        moveMember(node, LedgerCategory::TransL2Queue, now);
+    KeyState &state = keyState(key);
+    const SmSet set = setOf(state, sm);
+    if (set != ParkedSet)
+        moveSm(state, sm, set, ParkedSet, now);
 }
 
 void
 CycleLedger::transJoin(SmId sm, const TranslationKey &key, Cycle now)
 {
     KeyState *state = keys_.find(key);
-    if (!state)
-        return;
-    if (state->trackStage == LedgerCategory::NumCategories)
+    if (!state || !state->walking)
         return; // no walk in flight; stay at the local stage
-    std::uint32_t node = findMember(*state, sm);
-    if (node == kNoMember)
-        addMember(sm, *state, state->trackStage, now);
-    else
-        moveMember(node, state->trackStage, now);
+    const SmSet set = setOf(*state, sm);
+    if (set != RidingSet)
+        moveSm(*state, sm, set, RidingSet, now);
 }
 
 void
 CycleLedger::transTrackNew(const TranslationKey &key, LedgerCategory stage,
                            Cycle now)
 {
-    SW_ASSERT(isTrackStage(stage), "track stage must be key-wide");
-    KeyState *state = keys_.find(key);
-    if (!state)
-        state = &keys_.insert(key);
-    state->trackStage = stage;
-    moveRiders(*state, now);
+    track(keyState(key), stage, now);
 }
 
 void
 CycleLedger::transTrackStage(const TranslationKey &key, LedgerCategory stage,
                              Cycle now)
 {
-    KeyState *state = keys_.find(key);
-    if (!state)
-        return;
-    SW_ASSERT(isTrackStage(stage), "track stage must be key-wide");
-    state->trackStage = stage;
-    moveRiders(*state, now);
+    if (KeyState *state = keys_.find(key))
+        track(*state, stage, now);
 }
 
 void
 CycleLedger::transTrackDone(const TranslationKey &key)
 {
-    // Members stay at their last stage until their transLeave() wakeup.
+    // Riders stay at their last stage until their transLeave() wakeup.
     KeyState *state = keys_.find(key);
     if (!state)
         return;
-    state->trackStage = LedgerCategory::NumCategories;
-    if (state->members == kNoMember)
-        keys_.erase(key);
+    state->walking = false;
+    releaseIfIdle(key, *state);
 }
 
 void

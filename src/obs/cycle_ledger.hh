@@ -258,29 +258,39 @@ class CycleLedger
         RingQueue<PwInterval> pwIntervals;
     };
 
-    /** End of a member list. */
-    static constexpr std::uint32_t kNoMember = ~0u;
+    /**
+     * The three SM sets of an in-flight key, one bit per SM.  An SM
+     * waiting on the key is in exactly one of them.
+     */
+    enum SmSet : std::uint8_t
+    {
+        L1MissSet, ///< at its L1-miss stage
+        ParkedSet, ///< parked in the L2-TLB queue
+        RidingSet, ///< riding the key's walk, at KeyState::stage
+        NoSet,     ///< not waiting on the key
+    };
+    static constexpr std::size_t kNumSmSets = NoSet;
+
+    /** End of the free list of set blocks. */
+    static constexpr std::uint32_t kNoSets = ~0u;
 
     /** Shared walk-track state for one in-flight key. */
     struct KeyState
     {
-        /** Key-wide stage; NumCategories = no walk in flight. */
-        LedgerCategory trackStage = LedgerCategory::NumCategories;
-        /** Head of the key's member list in members_. */
-        std::uint32_t members = kNoMember;
-    };
-
-    /**
-     * One SM waiting on a key at its own Trans* stage; a node of the
-     * key's singly linked member list (or of the free list).  Members
-     * move in list order: each SM's span is independent, so the order
-     * affects no account.
-     */
-    struct Member
-    {
-        SmId sm = 0;
+        /**
+         * The stage of the key's walk and of every SM riding it: riders
+         * move together at each track change and keep their last stage
+         * after the fill until their own wakeup.
+         */
         LedgerCategory stage = LedgerCategory::NumCategories;
-        std::uint32_t next = kNoMember;
+        /** A walk for the key is in flight (its fill has not landed). */
+        bool walking = false;
+        /**
+         * Offset of the key's set block in setSlab_: word w of set s is
+         * setSlab_[sets + w * kNumSmSets + s], so an SM's bits in the
+         * three sets sit side by side.
+         */
+        std::uint32_t sets = kNoSets;
     };
 
     static std::size_t
@@ -300,13 +310,21 @@ class CycleLedger
      */
     void closeSpan(SmId sm, Cycle now);
 
-    /** @p sm's node in @p state's member list, or kNoMember. */
-    std::uint32_t findMember(const KeyState &state, SmId sm) const;
-    void addMember(SmId sm, KeyState &state, LedgerCategory stage,
-                   Cycle now);
-    void moveMember(std::uint32_t member, LedgerCategory stage, Cycle now);
-    /** Move every member riding @p state's walk to its track stage. */
-    void moveRiders(const KeyState &state, Cycle now);
+    /** @p key's state, created with empty sets if the key is new. */
+    KeyState &keyState(const TranslationKey &key);
+
+    /** Erase @p key, recycling its sets, once no walk or SM is left. */
+    void releaseIfIdle(const TranslationKey &key, const KeyState &state);
+
+    /** The set of @p state holding @p sm, or NoSet. */
+    SmSet setOf(const KeyState &state, SmId sm) const;
+
+    /** Move @p sm from set @p from to set @p to (either may be NoSet). */
+    void moveSm(const KeyState &state, SmId sm, SmSet from, SmSet to,
+                Cycle now);
+
+    /** Put @p state's walk at @p stage and move every rider with it. */
+    void track(KeyState &state, LedgerCategory stage, Cycle now);
 
     void charge(SmId sm, LedgerCategory cat, Cycle cycles);
 
@@ -321,9 +339,15 @@ class CycleLedger
     std::vector<Asid> smAsid_;
     /** In-flight translation keys with at least one tracked SM or walk. */
     FlatMap<TranslationKey, KeyState> keys_{kNoTranslationKey};
-    /** Member-list nodes; freed nodes chain from freeMembers_. */
-    std::vector<Member> members_;
-    std::uint32_t freeMembers_ = kNoMember;
+    /** 64-bit words per SM set: ceil(numSms / 64). */
+    std::size_t wordsPerSet_ = 0;
+    /**
+     * Each key's set block, kNumSmSets * wordsPerSet_ words.  A freed
+     * block is all zero but for its first word, which links the next
+     * free block.
+     */
+    std::vector<std::uint64_t> setSlab_;
+    std::uint32_t freeSets_ = kNoSets;
     /** Per-tenant accounts, accumulated alongside per-SM closes. */
     std::vector<std::array<Cycle, kNumLedgerCategories>> asidAccounts_;
     /** [host][walk] cell -> issue cycles SMs of host spent on walk's walks. */

@@ -101,10 +101,7 @@ StatGroup::histogram(const std::string &name, const Histogram *hist)
 bool
 StatRegistry::has(const std::string &name) const
 {
-    for (const auto &[entry_name, entry] : entries)
-        if (entry_name == name)
-            return true;
-    return false;
+    return index.count(name) != 0;
 }
 
 std::vector<std::string>
@@ -123,6 +120,7 @@ StatRegistry::add(std::string name, Entry entry)
 {
     SW_ASSERT(!name.empty(), "stat registered without a name");
     SW_ASSERT(!has(name), "duplicate stat registration '%s'", name.c_str());
+    index.insert(name);
     entries.emplace_back(std::move(name), std::move(entry));
 }
 

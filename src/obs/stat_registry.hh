@@ -25,6 +25,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -172,6 +173,8 @@ class StatRegistry
                              std::vector<NumericLeaf> &out);
 
     std::vector<std::pair<std::string, Entry>> entries;
+    /** The names in entries, so a duplicate is found without a scan. */
+    std::unordered_set<std::string> index;
     /** capture()d name -> rendered-JSON-value pairs (empty: not captured). */
     std::vector<std::pair<std::string, std::string>> snapshot;
     /** capture()d flat numeric leaves (empty: not captured). */

@@ -36,6 +36,18 @@ using namespace sw;
 
 namespace {
 
+/** FNV-1a 64: pins an artifact too large to commit as a baseline. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (unsigned char c : text) {
+        hash ^= c;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
 using Outcome = std::tuple<Cycle, std::uint64_t, std::uint64_t>;
 
 Outcome
@@ -192,6 +204,7 @@ TEST(ObsZeroPerturbationCoRun, FullBundleFingerprintMatchesBareCoRun)
 
     EXPECT_EQ(bare, observed);
     EXPECT_EQ(ledger.auditConservation(ledger.syncedAt()), "");
+    EXPECT_EQ(fnv1a(ledger.dumpJson()), 0x701c3850f5e2dbadull);
     // Both tenants accrued cycles in their own ledger rows.
     Cycle asid0 = 0, asid1 = 0;
     for (std::size_t cat = 0; cat < kNumLedgerCategories; ++cat) {
@@ -213,18 +226,6 @@ readBaseline(const std::string &name)
     std::ostringstream text;
     text << in.rdbuf();
     return text.str();
-}
-
-/** FNV-1a 64: pins an artifact too large to commit as a baseline. */
-std::uint64_t
-fnv1a(const std::string &text)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
 }
 
 /**
@@ -354,6 +355,7 @@ TEST(ObsGolden, HardwarePtwSampledRunKeepsDigests)
     EXPECT_EQ(log.str().find("\"sw\":true"), std::string::npos);
     EXPECT_EQ(fnv1a(log.str()), 0xc8a52f1483d24364ull);
     expectSpansMatchLog(tracer, log.str());
+    EXPECT_EQ(fnv1a(ledger.dumpJson()), 0xa5d22cb4c8bf8736ull);
 
     if (!prof::kHostProfCompiled) {
         std::ostringstream trace;
@@ -415,6 +417,85 @@ TEST(ObsGolden, HybridNhaRunKeepsDigests)
         tracer.writeTraceJson(trace);
         EXPECT_EQ(fnv1a(trace.str()), 0x3b79f1450e41beceull);
     }
+}
+
+/** Run @p spec with a ledger and a registry attached; the ledger's digest. */
+std::uint64_t
+ledgerDigest(RunSpec spec, RunResult &result, StatRegistry &registry)
+{
+    CycleLedger ledger;
+    Observability obs;
+    obs.registry = &registry;
+    obs.ledger = &ledger;
+    spec.obs = &obs;
+    result = run(std::move(spec));
+    EXPECT_EQ(ledger.auditConservation(ledger.syncedAt()), "");
+    return fnv1a(ledger.dumpJson());
+}
+
+/** The registry's captured value of @p name. */
+double
+leaf(const StatRegistry &registry, const std::string &name)
+{
+    for (const StatRegistry::NumericLeaf &leaf : registry.numericLeaves())
+        if (leaf.name == name)
+            return leaf.value;
+    ADD_FAILURE() << "no stat " << name;
+    return 0.0;
+}
+
+/**
+ * Golden ledger on gups under SoftWalker (`swsim_cli --bench gups --mode
+ * sw --quota 3000 --warmup 1250`): walks take In-TLB MSHRs, requesters
+ * park in the L2 queue when miss tracking is full, and SMs merge into
+ * other SMs' walks, so every per-key stage of the ledger is exercised.
+ */
+TEST(ObsGolden, GupsSoftWalkerLedgerKeepsDigest)
+{
+    RunSpec spec;
+    spec.cfg = makeSoftWalkerConfig();
+    spec.benchmark = &findBenchmark("gups");
+    Gpu::RunLimits limits;
+    limits.warpInstrQuota = 3000;
+    limits.warmupInstrs = 1250;
+    spec.limits = limits;
+    RunResult result;
+    StatRegistry registry;
+    const std::uint64_t digest =
+        ledgerDigest(std::move(spec), result, registry);
+
+    EXPECT_GT(result.warpInstrs, 0u);
+    EXPECT_GT(result.inTlbMshrAllocs, 0u);
+    EXPECT_GT(result.l2MshrFailures, 0u);
+    EXPECT_GT(leaf(registry, "l2tlb.mshr_merges"), 0.0);
+    EXPECT_EQ(digest, 0x08861ddb296706b1ull);
+}
+
+/**
+ * Golden ledger on a 130-SM SoftWalker machine running bfs: the ledger's
+ * per-key SM sets span three 64-bit words, and SM 129 sits in the last.
+ * Quota and warmup exceed the 6,240 warps the machine starts at cycle
+ * 0, so the measured region is not empty.
+ */
+TEST(ObsGolden, WideMachineLedgerKeepsDigest)
+{
+    RunSpec spec;
+    spec.cfg = makeSoftWalkerConfig();
+    spec.cfg.numSms = 130;
+    spec.benchmark = &findBenchmark("bfs");
+    Gpu::RunLimits limits;
+    limits.warpInstrQuota = 8000;
+    limits.warmupInstrs = 3000;
+    spec.limits = limits;
+    RunResult result;
+    StatRegistry registry;
+    const std::uint64_t digest =
+        ledgerDigest(std::move(spec), result, registry);
+
+    EXPECT_GT(result.warpInstrs, 0u);
+    EXPECT_GT(leaf(registry, "l2tlb.mshr_merges"), 0.0);
+    EXPECT_GT(leaf(registry, "ledger.sm129.trans_pw_exec"), 0.0);
+    EXPECT_EQ(digest, 0x3fca4e88433fe22cull);
 }
 
 /**

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "check/audit_tester.hh"
 #include "obs/cycle_ledger.hh"
@@ -165,6 +166,79 @@ TEST(CycleLedger, DeepestOutstandingStageWins)
     ledger.syncAll(80);
     EXPECT_EQ(ledger.account(0, LedgerCategory::TransL1Miss), 30u);
     EXPECT_EQ(ledger.auditConservation(80), "");
+}
+
+TEST(CycleLedger, WaitersAcrossSmSetWordBoundariesKeepTheirAccounts)
+{
+    // 130 SMs: a key's SM sets take three 64-bit words, and SMs 0, 63,
+    // 64 and 129 sit at the first and last bit of the words they use.
+    LedgerStream feed;
+    CycleLedger &ledger = feed.ledger;
+    ledger.attach(std::vector<Asid>(130, 0), 0);
+    const SmId sm0 = 0, sm63 = 63, sm64 = 64, sm129 = 129;
+    for (SmId sm : {sm0, sm63, sm64, sm129}) {
+        feed.sched(sm, 0, true, true);
+        feed.emit(LifecyclePhase::L1Miss, 10, sm, kKeyA);
+    }
+    feed.emit(LifecyclePhase::MshrFail, 20, sm63, kKeyA);
+    feed.emit(LifecyclePhase::InTlbAlloc, 30, sm0, kKeyA);
+    feed.emit(LifecyclePhase::L2Merge, 35, sm64, kKeyA);
+    // Each rider sits at the live track stage, the joiner too.
+    ledger.syncAll(40);
+    EXPECT_EQ(ledger.account(sm0, LedgerCategory::TransInTlbMshr), 10u);
+    EXPECT_EQ(ledger.account(sm64, LedgerCategory::TransInTlbMshr), 5u);
+
+    feed.walk(LifecyclePhase::WalkDispatch, 40, kKeyA, true);
+    feed.walk(LifecyclePhase::Fault, 50, kKeyA);
+    feed.emit(LifecyclePhase::L2Merge, 55, sm129, kKeyA);
+    ledger.syncAll(60);
+    EXPECT_EQ(ledger.account(sm0, LedgerCategory::TransFault), 10u);
+    EXPECT_EQ(ledger.account(sm64, LedgerCategory::TransFault), 10u);
+    EXPECT_EQ(ledger.account(sm129, LedgerCategory::TransFault), 5u);
+
+    // The replayed walk holds an In-TLB MSHR slot (a = 1).
+    SW_LIFECYCLE(feed.stream, LifecyclePhase::FaultReplay, 60, 0, kKeyA,
+                 LifecycleEvent::kNoWhere, false, 1);
+    feed.walk(LifecyclePhase::WalkDispatch, 70, kKeyA, true);
+    feed.emit(LifecyclePhase::L2Merge, 80, sm63, kKeyA);
+    ledger.syncAll(90);
+    EXPECT_EQ(ledger.account(sm63, LedgerCategory::TransPwExec), 10u);
+    EXPECT_EQ(ledger.account(sm129, LedgerCategory::TransPwExec), 20u);
+
+    // Riders keep their last stage after the fill until their wakeup.
+    feed.walk(LifecyclePhase::WalkFill, 90, kKeyA);
+    feed.emit(LifecyclePhase::Wakeup, 95, sm0, kKeyA);
+    feed.emit(LifecyclePhase::Wakeup, 100, sm63, kKeyA);
+    feed.emit(LifecyclePhase::Wakeup, 105, sm64, kKeyA);
+    feed.emit(LifecyclePhase::Wakeup, 110, sm129, kKeyA);
+    ledger.syncAll(120);
+
+    using C = LedgerCategory;
+    struct Want
+    {
+        SmId sm;
+        Cycle memWait, l1Miss, l2Queue, inTlb, pwExec, fault;
+    };
+    for (const Want &want : {Want{sm0, 35, 20, 0, 20, 35, 10},
+                             Want{sm63, 30, 10, 60, 0, 20, 0},
+                             Want{sm64, 25, 25, 0, 15, 45, 10},
+                             Want{sm129, 20, 45, 0, 10, 40, 5}}) {
+        SCOPED_TRACE(want.sm);
+        EXPECT_EQ(ledger.account(want.sm, C::MemWait), want.memWait);
+        EXPECT_EQ(ledger.account(want.sm, C::TransL1Miss), want.l1Miss);
+        EXPECT_EQ(ledger.account(want.sm, C::TransL2Queue), want.l2Queue);
+        EXPECT_EQ(ledger.account(want.sm, C::TransInTlbMshr), want.inTlb);
+        EXPECT_EQ(ledger.account(want.sm, C::TransPwExec), want.pwExec);
+        EXPECT_EQ(ledger.account(want.sm, C::TransFault), want.fault);
+    }
+    EXPECT_EQ(ledger.account(1, C::Idle), 120u);
+    EXPECT_EQ(ledger.auditConservation(120), "");
+
+    // The key is gone: a new miss on it starts from a clean set.
+    feed.emit(LifecyclePhase::L1Miss, 120, sm64, kKeyA);
+    ledger.syncAll(130);
+    EXPECT_EQ(ledger.account(sm64, C::TransL1Miss), 35u);
+    EXPECT_EQ(ledger.account(sm0, C::MemWait), 45u);
 }
 
 TEST(CycleLedger, PwReservationIsCarvedOutOfTheStallSpan)
