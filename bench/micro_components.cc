@@ -113,9 +113,10 @@ BM_RadixWalkFunctional(benchmark::State &state)
     }
     std::size_t i = 0;
     for (auto _ : state) {
-        WalkCursor cur = pt.startWalk(vpns[i % vpns.size()]);
+        Vpn vpn = vpns[i % vpns.size()];
+        WalkCursor cur = pt.startWalk();
         while (!cur.done)
-            pt.advance(cur);
+            pt.advance(cur, vpn);
         benchmark::DoNotOptimize(cur.pfn);
         ++i;
     }

@@ -30,12 +30,13 @@ class SoftWalkerController
 
     SoftWalkerController(EventQueue &eq, SmId sm,
                          std::uint32_t pwb_entries,
-                         const AddressSpaceManager &spaces, WalkPool &walks,
+                         const AddressSpaceManager &spaces,
+                         PageWalkCache &pwc, WalkPool &walks,
                          PwWarp::Hooks hooks, PwWarpCodeTiming timing,
                          std::uint32_t lanes, Cycle comm_latency,
                          const LifecycleStream &lifecycle)
         : eventq(eq), smId(sm), pwb(pwb_entries),
-          warp(std::make_unique<PwWarp>(eq, spaces, pwb, walks,
+          warp(std::make_unique<PwWarp>(eq, spaces, pwc, pwb, walks,
                                         std::move(hooks), timing, lanes,
                                         comm_latency, lifecycle))
     {

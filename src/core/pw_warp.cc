@@ -23,10 +23,12 @@ toString(PwOpcode op)
 }
 
 PwWarp::PwWarp(EventQueue &eq, const AddressSpaceManager &aspaces,
-               SoftPwb &buffer, WalkPool &walk_pool, Hooks hooks_in,
+               PageWalkCache &walk_cache, SoftPwb &buffer,
+               WalkPool &walk_pool, Hooks hooks_in,
                PwWarpCodeTiming timing_in, std::uint32_t num_lanes,
                Cycle comm_latency, const LifecycleStream &lifecycle)
-    : eventq(eq), spaces(aspaces), pwb(buffer), walks(walk_pool),
+    : eventq(eq), spaces(aspaces), pwc(walk_cache), pwb(buffer),
+      walks(walk_pool),
       hooks(std::move(hooks_in)), timing(timing_in), numLanes(num_lanes),
       commLatency(comm_latency), lifecycle_(lifecycle)
 {
@@ -102,8 +104,8 @@ PwWarp::levelIteration()
     pendingLoads = num_active;
     for (std::uint32_t lane_idx : std::span(active).first(num_active)) {
         const Walk &walk = walks[lanes[lane_idx].walk];
-        PhysAddr addr =
-            spaces.tableFor(walk.key.asid).pteAddr(walk.cursor);
+        PhysAddr addr = spaces.tableFor(walk.key.asid)
+                            .pteAddr(walk.cursor, walk.key.vpn);
         eventq.schedule(issue_done, [this, lane_idx, addr]() {
             Walk &reading = walks[lanes[lane_idx].walk];
             ++reading.ptReads;
@@ -119,14 +121,10 @@ PwWarp::ptReadDone(std::uint32_t lane_idx)
 {
     SW_ASSERT(lane_idx < batchLanes, "LDPT completion for a lost lane");
     Walk &walk = walks[lanes[lane_idx].walk];
+    // FPWC: publish the just-learned table base.
     const PageTableBase &table = spaces.tableFor(walk.key.asid);
-    int level_read = walk.cursor.level;
-    table.advance(walk.cursor);
-    if (!walk.cursor.done && level_read > 1) {
-        // FPWC: publish the just-learned table base.
+    if (advanceWalk(table, pwc, walk.key, walk.cursor))
         ++stats_.fpwcIssued;
-        hooks.pwcFill(walk.cursor.level, walk.key, walk.cursor.tableBase);
-    }
     SW_ASSERT(pendingLoads > 0, "LDPT completion underflow");
     if (--pendingLoads == 0)
         levelIteration();

@@ -53,8 +53,6 @@ class PwWarp
          */
         PtReader *ptReader = nullptr;
         std::uint32_t walker = 0;
-        /** FPWC: cache (level, {asid, vpn}) -> table base. */
-        std::function<void(int, TranslationKey, PhysAddr)> pwcFill;
         /**
          * FL2T arrival at the L2 TLB (after the communication latency):
          * resolves the walk and releases the distributor credit.
@@ -76,12 +74,13 @@ class PwWarp
     };
 
     /**
-     * The warp walks the records of @p walks that @p pwb names; batch
-     * pickups and LDPTs are emitted into @p lifecycle.
+     * The warp walks the records of @p walks that @p pwb names, filling
+     * @p pwc as it descends (FPWC); batch pickups and LDPTs are emitted
+     * into @p lifecycle.
      */
-    PwWarp(EventQueue &eq, const AddressSpaceManager &spaces, SoftPwb &pwb,
-           WalkPool &walks, Hooks hooks, PwWarpCodeTiming timing,
-           std::uint32_t lanes, Cycle comm_latency,
+    PwWarp(EventQueue &eq, const AddressSpaceManager &spaces,
+           PageWalkCache &pwc, SoftPwb &pwb, WalkPool &walks, Hooks hooks,
+           PwWarpCodeTiming timing, std::uint32_t lanes, Cycle comm_latency,
            const LifecycleStream &lifecycle);
 
     PwWarp(const PwWarp &) = delete;
@@ -134,6 +133,7 @@ class PwWarp
 
     EventQueue &eventq;
     const AddressSpaceManager &spaces;
+    PageWalkCache &pwc;
     SoftPwb &pwb;
     WalkPool &walks;
     Hooks hooks;

@@ -31,7 +31,6 @@ SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
 
     EventQueue &eq = gpu.eventQueue();
     TranslationEngine &engine = gpu.engine();
-    Cycle comm = cfg.effectiveCommLatency();
     PwWarpCodeTiming timing;
 
     controllers.reserve(cfg.numSms);
@@ -42,17 +41,13 @@ SoftWalkerBackend::SoftWalkerBackend(Gpu &gpu_ref, const GpuConfig &config)
         };
         hooks.ptReader = &engine;
         hooks.walker = sm;
-        hooks.pwcFill = [&engine](int level, TranslationKey key,
-                                  PhysAddr base) {
-            engine.pwc().fill(engine.pageTableFor(key.asid), level, key,
-                              base);
-        };
         hooks.complete = [this, sm](WalkId walk) {
             onSoftwareComplete(sm, walk);
         };
         controllers.push_back(std::make_unique<SoftWalkerController>(
-            eq, sm, cfg.softPwbEntries, engine.spaces(), walks,
-            std::move(hooks), timing, cfg.pwWarpThreads, comm,
+            eq, sm, cfg.softPwbEntries, engine.spaces(), engine.pwc(), walks,
+            std::move(hooks), timing, cfg.pwWarpThreads,
+            cfg.l2TlbLatency,   // the SM -> L2 TLB FL2T hop (§6.1)
             gpu.lifecycle()));
     }
 
@@ -143,8 +138,7 @@ SoftWalkerBackend::sendToSm(SmId target, WalkId walk)
                  target, true);
     // L2 TLB -> SM interconnect hop (modeled as the L2 TLB latency, §6.1).
     ++crossingInterconnect;
-    gpu.eventQueue().scheduleIn(cfg.effectiveCommLatency(),
-                                [this, target, walk]() {
+    gpu.eventQueue().scheduleIn(cfg.l2TlbLatency, [this, target, walk]() {
         --crossingInterconnect;
         controllers[target]->accept(walk);
     });

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/softwalker.hh"
 #include "harness/experiment.hh"
 #include "prof/hostprof.hh"
 #include "sim/logging.hh"
@@ -54,21 +53,10 @@ runMachine(const GpuConfig &cfg,
     std::unique_ptr<Gpu> gpu;
     {
         SW_PROF_SCOPE(prof::Zone::Setup);
-        gpu = std::make_unique<Gpu>(cfg, std::move(workloads));
-        installWalkBackend(*gpu);
-        if (obs && obs->any())
-            gpu->installObservability(*obs);
+        gpu = buildMachine(cfg, std::move(workloads), obs);
     }
     gpu->run(limits);
-    // Same teardown order as the single-run harness: the final sample row
-    // (and ledger sync) lands before the registry snapshot, and the
-    // sampler is disarmed before the event queue dies with the machine.
-    if (obs && obs->sampler)
-        obs->sampler->finalize(gpu->cycles());
-    if (obs && obs->registry)
-        obs->registry->capture();
-    if (obs && obs->sampler)
-        obs->sampler->uninstall();
+    closeObservers(*gpu, obs);
     return gpu;
 }
 
@@ -111,8 +99,8 @@ runCoRun(const CoRunSpec &spec)
     std::vector<std::unique_ptr<Workload>> workloads;
     workloads.reserve(spec.tenants.size());
     for (const CoRunTenant &tenant : spec.tenants)
-        workloads.push_back(
-            makeWorkload(tenant.workload, tenant.footprintScale));
+        workloads.push_back(makeWorkload(findBenchmark(tenant.workload),
+                                         tenant.footprintScale));
 
     std::unique_ptr<Gpu> corun =
         runMachine(cfg, std::move(workloads), limits, spec.obs);
@@ -141,7 +129,7 @@ runCoRun(const CoRunSpec &spec)
     for (TenantOutcome &outcome : result.tenants) {
         std::vector<std::unique_ptr<Workload>> solo_workloads;
         solo_workloads.push_back(
-            makeWorkload(outcome.workload,
+            makeWorkload(findBenchmark(outcome.workload),
                          spec.tenants[outcome.asid].footprintScale));
         std::unique_ptr<Gpu> solo =
             runMachine(soloConfigFor(cfg, outcome.asid),

@@ -24,10 +24,10 @@
 
 namespace sw {
 
-/** One tenant of a co-run: a workload-factory name plus its scale. */
+/** One tenant of a co-run: a Table 4 benchmark plus its scale. */
 struct CoRunTenant
 {
-    /** Factory-registry name (benchmark, scheme like "trace:...", ...). */
+    /** Table 4 abbreviation; an unknown one is fatal (findBenchmark). */
     std::string workload;
     double footprintScale = 1.0;
 };

@@ -106,6 +106,29 @@ collectResult(Gpu &gpu, const std::string &name)
     return out;
 }
 
+std::unique_ptr<Gpu>
+buildMachine(const GpuConfig &cfg,
+             std::vector<std::unique_ptr<Workload>> workloads,
+             const Observability *obs)
+{
+    auto gpu = std::make_unique<Gpu>(cfg, std::move(workloads));
+    installWalkBackend(*gpu);
+    if (obs && obs->any())
+        gpu->installObservability(*obs);
+    return gpu;
+}
+
+void
+closeObservers(const Gpu &gpu, const Observability *obs)
+{
+    if (obs && obs->sampler)
+        obs->sampler->finalize(gpu.cycles());
+    if (obs && obs->registry)
+        obs->registry->capture();
+    if (obs && obs->sampler)
+        obs->sampler->uninstall();
+}
+
 namespace {
 
 /** Materialise the spec's workload source and resolve the run limits. */
@@ -113,24 +136,14 @@ std::unique_ptr<Workload>
 materialiseWorkload(RunSpec &spec, Gpu::RunLimits &limits)
 {
     int sources = (spec.benchmark != nullptr) +
-                  !spec.workloadName.empty() + (spec.workload != nullptr) +
-                  !spec.replayPath.empty();
+                  (spec.workload != nullptr) + !spec.replayPath.empty();
     if (sources != 1)
         fatal("RunSpec needs exactly one workload source (benchmark, "
-              "workloadName, workload, or replayPath); %d are set",
-              sources);
+              "workload, or replayPath); %d are set", sources);
 
     if (spec.benchmark) {
         limits = spec.limits.value_or(limitsFor(*spec.benchmark));
         return makeWorkload(*spec.benchmark, spec.footprintScale);
-    }
-    if (!spec.workloadName.empty()) {
-        std::unique_ptr<Workload> workload =
-            makeWorkload(spec.workloadName, spec.footprintScale);
-        const BenchmarkInfo *info = findBenchmarkOrNull(spec.workloadName);
-        limits = spec.limits.value_or(info ? limitsFor(*info)
-                                           : defaultLimits());
-        return workload;
     }
     if (spec.workload) {
         limits = spec.limits.value_or(defaultLimits());
@@ -165,7 +178,6 @@ RunResult
 run(RunSpec spec)
 {
     Gpu::RunLimits limits;
-    const Observability *obs = spec.obs;
     TraceRecorder *recorder = nullptr;
     std::string name;
     std::unique_ptr<Gpu> gpu;
@@ -198,10 +210,9 @@ run(RunSpec spec)
         }
 
         name = workload->name();
-        gpu = std::make_unique<Gpu>(spec.cfg, std::move(workload));
-        installWalkBackend(*gpu);
-        if (obs && obs->any())
-            gpu->installObservability(*obs);
+        std::vector<std::unique_ptr<Workload>> workloads;
+        workloads.push_back(std::move(workload));
+        gpu = buildMachine(spec.cfg, std::move(workloads), spec.obs);
     }
     // Recording captures the workload stream as the *detailed* engine
     // consumes it; fast-forward and checkpoint segmentation consume the
@@ -291,17 +302,8 @@ run(RunSpec spec)
         recorded.maxActiveWarps = limits.maxActiveWarps;
         recorder->writeFile(spec.recordPath, spec.cfg, recorded);
     }
-    // The GPU (and every registered counter) dies on return; snapshot the
-    // registry so dumps outlive the run, and disarm the sampler before its
-    // event-queue pointer dangles.  Finalize first: a run shorter than one
-    // sample interval still gets its end-of-run row (and the ledger its
-    // final sync) before the snapshot.
-    if (obs && obs->sampler)
-        obs->sampler->finalize(gpu->cycles());
-    if (obs && obs->registry)
-        obs->registry->capture();
-    if (obs && obs->sampler)
-        obs->sampler->uninstall();
+    // The GPU (and every registered counter) dies on return.
+    closeObservers(*gpu, spec.obs);
     return result;
 }
 

@@ -109,15 +109,31 @@ Gpu::RunLimits limitsFor(const BenchmarkInfo &info);
 RunResult collectResult(Gpu &gpu, const std::string &name);
 
 /**
+ * Build the machine one run simulates: the Gpu over @p workloads (one
+ * per tenant), its walk backend, then @p obs when it attaches anything
+ * (after the backend, so backend stats register too).  Callers time it
+ * inside their Setup profiler zone.
+ */
+std::unique_ptr<Gpu> buildMachine(
+    const GpuConfig &cfg, std::vector<std::unique_ptr<Workload>> workloads,
+    const Observability *obs);
+
+/**
+ * Close @p obs over @p gpu once it has run, before the machine dies: the
+ * sampler's end-of-run row (and the ledger's final sync) lands first,
+ * then the registry snapshots every counter, then the sampler is
+ * disarmed before its event-queue pointer dangles.
+ */
+void closeObservers(const Gpu &gpu, const Observability *obs);
+
+/**
  * Everything one simulation run needs, in one struct: configuration,
  * workload source, stopping conditions, observability, and optional trace
  * recording.  This is the single harness entry point (the deprecated
  * runBenchmark()/runWorkload() shims were removed after one release).
  *
  * Workload source: set exactly one of
- *   - `benchmark` (+ `footprintScale`): a Table 4 registry entry;
- *   - `workloadName`: any factory-registry name, including scheme names
- *     like "trace:run.swtrace";
+ *   - `benchmark` (+ `footprintScale`): a Table 4 benchmark;
  *   - `workload`: a ready-made instance (RunSpec becomes move-only);
  *   - `replayPath` (+ `replayEnd`): replay a recorded `.swtrace`.  The
  *     file's config digest is verified against `cfg` before the run.
@@ -131,11 +147,10 @@ struct RunSpec
 
     // ---- Workload source (exactly one) -------------------------------
     const BenchmarkInfo *benchmark = nullptr;
-    std::string workloadName;
     std::unique_ptr<Workload> workload;
     std::string replayPath;
 
-    /** Footprint multiplier for benchmark / workloadName sources. */
+    /** Footprint multiplier for benchmark sources. */
     double footprintScale = 1.0;
     /** End-of-trace behaviour for replayPath sources. */
     TraceEndPolicy replayEnd = TraceEndPolicy::Drain;

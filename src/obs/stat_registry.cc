@@ -63,15 +63,6 @@ StatGroup::counter(const std::string &name, const std::uint32_t *value)
 }
 
 void
-StatGroup::value(const std::string &name, const double *value)
-{
-    StatRegistry::Entry entry;
-    entry.kind = StatRegistry::Entry::Kind::F64;
-    entry.f64 = value;
-    registry_->add(qualify(name), std::move(entry));
-}
-
-void
 StatGroup::gauge(const std::string &name, std::function<double()> fn)
 {
     StatRegistry::Entry entry;
@@ -86,15 +77,6 @@ StatGroup::latency(const std::string &name, const LatencyStat *stat)
     StatRegistry::Entry entry;
     entry.kind = StatRegistry::Entry::Kind::Latency;
     entry.lat = stat;
-    registry_->add(qualify(name), std::move(entry));
-}
-
-void
-StatGroup::histogram(const std::string &name, const Histogram *hist)
-{
-    StatRegistry::Entry entry;
-    entry.kind = StatRegistry::Entry::Kind::Hist;
-    entry.hist = hist;
     registry_->add(qualify(name), std::move(entry));
 }
 
@@ -133,8 +115,6 @@ StatRegistry::valueJson(const Entry &entry)
                          static_cast<unsigned long long>(*entry.u64));
       case Entry::Kind::U32:
         return strprintf("%u", *entry.u32);
-      case Entry::Kind::F64:
-        return strprintf("%.6g", *entry.f64);
       case Entry::Kind::Gauge:
         return strprintf("%.6g", entry.gauge());
       case Entry::Kind::Latency: {
@@ -146,17 +126,6 @@ StatRegistry::valueJson(const Entry &entry)
             static_cast<unsigned long long>(s.sum),
             static_cast<unsigned long long>(s.count ? s.minv : 0),
             static_cast<unsigned long long>(s.maxv), s.mean());
-      }
-      case Entry::Kind::Hist: {
-        const Histogram &h = *entry.hist;
-        return strprintf(
-            "{\"samples\":%llu,\"bucket_width\":%llu,\"p50\":%llu,"
-            "\"p95\":%llu,\"p99\":%llu}",
-            static_cast<unsigned long long>(h.samples()),
-            static_cast<unsigned long long>(h.bucketWidth()),
-            static_cast<unsigned long long>(h.p50()),
-            static_cast<unsigned long long>(h.p95()),
-            static_cast<unsigned long long>(h.p99()));
       }
     }
     return "null";
@@ -173,9 +142,6 @@ StatRegistry::appendLeaves(const std::string &name, const Entry &entry,
       case Entry::Kind::U32:
         out.push_back({name, static_cast<double>(*entry.u32)});
         break;
-      case Entry::Kind::F64:
-        out.push_back({name, *entry.f64});
-        break;
       case Entry::Kind::Gauge:
         out.push_back({name, entry.gauge()});
         break;
@@ -187,15 +153,6 @@ StatRegistry::appendLeaves(const std::string &name, const Entry &entry,
         out.push_back(
             {name + ".min", static_cast<double>(s.count ? s.minv : 0)});
         out.push_back({name + ".max", static_cast<double>(s.maxv)});
-        break;
-      }
-      case Entry::Kind::Hist: {
-        const Histogram &h = *entry.hist;
-        out.push_back(
-            {name + ".samples", static_cast<double>(h.samples())});
-        out.push_back({name + ".p50", static_cast<double>(h.p50())});
-        out.push_back({name + ".p95", static_cast<double>(h.p95())});
-        out.push_back({name + ".p99", static_cast<double>(h.p99())});
         break;
       }
     }

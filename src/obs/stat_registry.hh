@@ -3,7 +3,7 @@
  * StatRegistry: the unified statistics registry of the observability
  * subsystem (src/obs).
  *
- * Components register their existing counters / LatencyStats / Histograms
+ * Components register their existing counters / gauges / LatencyStats
  * under hierarchical dotted names ("sm3.l1tlb.misses",
  * "l2tlb.intlb_mshr.alloc_fail") through a non-owning StatGroup handle; the
  * registry then dumps everything to JSON generically, so adding a counter
@@ -60,17 +60,11 @@ class StatGroup
     /** Register a 32-bit counter (occupancy counters and the like). */
     void counter(const std::string &name, const std::uint32_t *value);
 
-    /** Register a floating-point value. */
-    void value(const std::string &name, const double *value);
-
     /** Register a computed gauge (evaluated at capture time). */
     void gauge(const std::string &name, std::function<double()> fn);
 
     /** Register a LatencyStat (dumped as count/sum/min/max/mean). */
     void latency(const std::string &name, const LatencyStat *stat);
-
-    /** Register a Histogram (dumped as samples/width/p50/p95/p99). */
-    void histogram(const std::string &name, const Histogram *hist);
 
     const std::string &prefix() const { return prefix_; }
 
@@ -129,8 +123,7 @@ class StatRegistry
     /**
      * Every entry expanded to flat numeric leaves, sorted by name.
      * Scalar entries yield one leaf; a LatencyStat expands to
-     * .count/.sum/.mean/.min/.max and a Histogram to
-     * .samples/.p50/.p95/.p99.  Serves the capture()d snapshot if one
+     * .count/.sum/.mean/.min/.max.  Serves the capture()d snapshot if one
      * exists (so exports stay valid after the machine is torn down),
      * else reads live.
      */
@@ -148,19 +141,15 @@ class StatRegistry
         {
             U64,
             U32,
-            F64,
             Gauge,
             Latency,
-            Hist,
         };
 
         Kind kind = Kind::U64;
         const std::uint64_t *u64 = nullptr;
         const std::uint32_t *u32 = nullptr;
-        const double *f64 = nullptr;
         std::function<double()> gauge;
         const LatencyStat *lat = nullptr;
-        const Histogram *hist = nullptr;
     };
 
     void add(std::string name, Entry entry);

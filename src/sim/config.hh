@@ -121,8 +121,6 @@ struct GpuConfig
      */
     std::uint32_t inTlbMshrMax = 0;
     DistributorPolicy distributorPolicy = DistributorPolicy::RoundRobin;
-    /** SM <-> L2 TLB communication latency; 0 means "same as L2 TLB". */
-    Cycle commLatency = 0;
 
     // ---- Multi-tenancy ---------------------------------------------------
     /**
@@ -176,12 +174,6 @@ struct GpuConfig
      * keep the sweeps off the clock.
      */
     Cycle auditIntervalCycles = kAuditEnabled ? 10000 : 0;
-
-    /** Effective SM<->L2TLB communication latency. */
-    Cycle effectiveCommLatency() const
-    {
-        return commLatency ? commLatency : l2TlbLatency;
-    }
 
     /** Number of page-table radix levels for the configured page size. */
     std::uint32_t pageTableLevels() const;

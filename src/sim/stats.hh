@@ -3,7 +3,7 @@
  * Lightweight statistics primitives.
  *
  * Components expose plain stat structs for speed; these helpers cover the
- * common aggregations (latency accumulation, histograms) and the table
+ * common aggregations (latency accumulation, means) and the table
  * formatting used by the benchmark harnesses.
  */
 
@@ -47,73 +47,6 @@ struct LatencyStat
     }
 
     void reset() { *this = LatencyStat{}; }
-};
-
-/** Fixed-bucket histogram with uniform (linear) bucket widths. */
-class Histogram
-{
-  public:
-    /**
-     * @param num_buckets number of linear buckets
-     * @param bucket_width width of each bucket; samples beyond the last
-     *        bucket land in the overflow bucket.
-     */
-    explicit Histogram(std::size_t num_buckets = 32,
-                       std::uint64_t bucket_width = 64)
-        : width(bucket_width), buckets(num_buckets + 1, 0)
-    {
-    }
-
-    void
-    add(std::uint64_t v)
-    {
-        std::size_t idx = static_cast<std::size_t>(v / width);
-        if (idx >= buckets.size() - 1)
-            idx = buckets.size() - 1;
-        ++buckets[idx];
-        ++total;
-    }
-
-    std::uint64_t bucket(std::size_t i) const { return buckets.at(i); }
-    std::size_t numBuckets() const { return buckets.size(); }
-    std::uint64_t samples() const { return total; }
-    std::uint64_t bucketWidth() const { return width; }
-
-    /** Value below which @p fraction of samples fall (approximate). */
-    std::uint64_t
-    percentile(double fraction) const
-    {
-        if (total == 0)
-            return 0;
-        std::uint64_t target =
-            static_cast<std::uint64_t>(fraction * double(total));
-        // A zero target (fraction 0, or a fraction smaller than one
-        // sample) would stop the scan at the first bucket even when it is
-        // empty; the smallest meaningful rank is the first sample.
-        if (target == 0)
-            target = 1;
-        std::uint64_t seen = 0;
-        for (std::size_t i = 0; i < buckets.size(); ++i) {
-            seen += buckets[i];
-            if (seen >= target)
-                return (i + 1) * width;
-        }
-        return buckets.size() * width;
-    }
-
-    /** Median (upper bucket edge, like percentile()). */
-    std::uint64_t p50() const { return percentile(0.50); }
-    /** 95th percentile. */
-    std::uint64_t p95() const { return percentile(0.95); }
-    /** 99th percentile. */
-    std::uint64_t p99() const { return percentile(0.99); }
-
-    void reset() { std::fill(buckets.begin(), buckets.end(), 0); total = 0; }
-
-  private:
-    std::uint64_t width;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t total = 0;
 };
 
 /** Geometric mean of a vector of ratios (speedups). */

@@ -84,7 +84,10 @@ configDigest(const GpuConfig &cfg)
     d.u64(cfg.softPwbEntries);
     d.u64(cfg.inTlbMshrMax);
     d.u64(std::uint64_t(cfg.distributorPolicy));
-    d.u64(cfg.commLatency);
+    // The slot of the removed commLatency knob, whose default 0 meant "the
+    // L2 TLB latency": hashing that 0 keeps every recorded trace's and
+    // checkpoint's digest valid.
+    d.u64(0);
     d.u64(cfg.fixedPtAccessLatency);
     d.u64(cfg.rngSeed);
     // Tenant layout guard: appended only when any multi-tenancy knob moves

@@ -5,7 +5,6 @@
 #include "ckpt/ckpt_io.hh"
 #include "sim/logging.hh"
 #include "sim/ordered.hh"
-#include "workload/benchmarks.hh"
 
 namespace sw {
 
@@ -191,29 +190,5 @@ TraceWorkload::checkConfig(const GpuConfig &cfg) const
               origin.c_str(), (unsigned long long)recorded,
               (unsigned long long)ours);
 }
-
-namespace {
-
-/**
- * Registers the "trace:" scheme: makeWorkload("trace:run.swtrace")
- * replays a file with the default (drain) end policy.  Lives in this
- * translation unit so any binary that can construct a TraceWorkload also
- * has the scheme registered.
- */
-[[maybe_unused]] const bool traceSchemeRegistered = [] {
-    registerWorkloadScheme(
-        "trace",
-        [](const std::string &path, double scale)
-            -> std::unique_ptr<Workload> {
-            if (scale != 1.0)
-                warn("footprint scale %.3g ignored for trace replay "
-                     "'%s': the stream is fixed at record time", scale,
-                     path.c_str());
-            return std::make_unique<TraceWorkload>(path);
-        });
-    return true;
-}();
-
-} // namespace
 
 } // namespace sw

@@ -9,10 +9,6 @@
  * recording configuration and limits reproduces the recorded run
  * field-identically (the Rng the SM passes in is ignored; the stream *is*
  * the randomness).
- *
- * Also registers the "trace:" workload scheme with the factory registry,
- * so `makeWorkload("trace:run.swtrace")` — and therefore
- * `swsim_cli --bench trace:run.swtrace` — replays a file.
  */
 
 #ifndef SW_TRACE_TRACE_WORKLOAD_HH

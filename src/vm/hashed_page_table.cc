@@ -74,19 +74,18 @@ HashedPageTable::translate(Vpn vpn) const
 }
 
 WalkCursor
-HashedPageTable::startWalk(Vpn vpn) const
+HashedPageTable::startWalk() const
 {
     WalkCursor cur;
-    cur.vpn = vpn;
     cur.level = 1;
     cur.tableBase = 0;   // probe counter lives in tableBase
     return cur;
 }
 
 WalkCursor
-HashedPageTable::resumeWalk(Vpn vpn, int, PhysAddr) const
+HashedPageTable::resumeWalk(int, PhysAddr) const
 {
-    return startWalk(vpn);
+    return startWalk();
 }
 
 std::uint64_t
@@ -96,25 +95,25 @@ HashedPageTable::probeOf(const WalkCursor &cur) const
 }
 
 PhysAddr
-HashedPageTable::pteAddr(const WalkCursor &cur) const
+HashedPageTable::pteAddr(const WalkCursor &cur, Vpn vpn) const
 {
     SW_ASSERT(!cur.done, "pteAddr on a finished walk");
-    std::uint64_t idx = (hashVpn(cur.vpn) + probeOf(cur)) & (numSlots - 1);
+    std::uint64_t idx = (hashVpn(vpn) + probeOf(cur)) & (numSlots - 1);
     return tableBase + idx * kSlotBytes;
 }
 
 void
-HashedPageTable::advance(WalkCursor &cur) const
+HashedPageTable::advance(WalkCursor &cur, Vpn vpn) const
 {
     SW_ASSERT(!cur.done, "advance on a finished walk");
-    std::uint64_t idx = (hashVpn(cur.vpn) + probeOf(cur)) & (numSlots - 1);
+    std::uint64_t idx = (hashVpn(vpn) + probeOf(cur)) & (numSlots - 1);
     const Slot &slot = slots[idx];
     if (!slot.used) {
         cur.done = true;
         cur.fault = true;
         return;
     }
-    if (slot.vpn == cur.vpn) {
+    if (slot.vpn == vpn) {
         cur.done = true;
         cur.pfn = slot.pfn;
         return;

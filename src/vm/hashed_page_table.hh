@@ -37,10 +37,10 @@ class HashedPageTable : public PageTableBase
     bool isMapped(Vpn vpn) const override;
     Pfn translate(Vpn vpn) const override;
 
-    WalkCursor startWalk(Vpn vpn) const override;
-    WalkCursor resumeWalk(Vpn vpn, int level, PhysAddr base) const override;
-    PhysAddr pteAddr(const WalkCursor &cur) const override;
-    void advance(WalkCursor &cur) const override;
+    WalkCursor startWalk() const override;
+    WalkCursor resumeWalk(int level, PhysAddr base) const override;
+    PhysAddr pteAddr(const WalkCursor &cur, Vpn vpn) const override;
+    void advance(WalkCursor &cur, Vpn vpn) const override;
     int topLevel() const override { return 1; }
     bool usesPwc() const override { return false; }
     std::uint64_t pwcPrefix(int, Vpn) const override { return 0; }

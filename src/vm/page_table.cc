@@ -178,36 +178,34 @@ RadixPageTable::translate(Vpn vpn) const
 }
 
 WalkCursor
-RadixPageTable::startWalk(Vpn vpn) const
+RadixPageTable::startWalk() const
 {
     WalkCursor cur;
-    cur.vpn = vpn;
     cur.level = topLevel();
     cur.tableBase = root;
     return cur;
 }
 
 WalkCursor
-RadixPageTable::resumeWalk(Vpn vpn, int level, PhysAddr base) const
+RadixPageTable::resumeWalk(int level, PhysAddr base) const
 {
     SW_ASSERT(level >= 1 && level <= topLevel(),
               "resumeWalk at invalid level %d", level);
     WalkCursor cur;
-    cur.vpn = vpn;
     cur.level = level;
     cur.tableBase = base;
     return cur;
 }
 
 PhysAddr
-RadixPageTable::pteAddr(const WalkCursor &cur) const
+RadixPageTable::pteAddr(const WalkCursor &cur, Vpn vpn) const
 {
     SW_ASSERT(!cur.done, "pteAddr on a finished walk");
-    return cur.tableBase + levelIndex(cur.level, cur.vpn) * kPteBytes;
+    return cur.tableBase + levelIndex(cur.level, vpn) * kPteBytes;
 }
 
 void
-RadixPageTable::advance(WalkCursor &cur) const
+RadixPageTable::advance(WalkCursor &cur, Vpn vpn) const
 {
     SW_ASSERT(!cur.done, "advance on a finished walk");
     const Node *node = findNode(cur.tableBase);
@@ -216,7 +214,7 @@ RadixPageTable::advance(WalkCursor &cur) const
         cur.fault = true;
         return;
     }
-    const Entry &entry = node->entries[levelIndex(cur.level, cur.vpn)];
+    const Entry &entry = node->entries[levelIndex(cur.level, vpn)];
     if (!entry.valid) {
         cur.done = true;
         cur.fault = true;

@@ -67,17 +67,17 @@ class FrameAllocator
  * Walker-visible cursor over an in-progress page walk.
  *
  * A walk is a sequence of (read PTE at pteAddr, advance) steps; the page
- * table implementation interprets the cursor.  level counts down to 1 (the
- * leaf); done/fault/pfn are the terminal outputs.
+ * table implementation interprets the cursor, and the walker passes the
+ * VPN its walk resolves to both.  level counts down to 1 (the leaf);
+ * done/fault/pfn are the terminal outputs.
  */
 struct WalkCursor
 {
-    Vpn vpn = 0;
-    int level = 0;          ///< level whose entry is read next (top..1)
     PhysAddr tableBase = 0; ///< base address of the current-level table
+    Pfn pfn = 0;
+    int level = 0;          ///< level whose entry is read next (top..1)
     bool done = false;
     bool fault = false;
-    Pfn pfn = 0;
 };
 
 /** Common interface for the radix and hashed page tables. */
@@ -98,17 +98,19 @@ class PageTableBase
 
     // ---- Walker protocol -------------------------------------------------
     /** Begin a walk from the root. */
-    virtual WalkCursor startWalk(Vpn vpn) const = 0;
+    virtual WalkCursor startWalk() const = 0;
 
     /** Resume from a page-walk-cache hit at @p level with @p base. */
-    virtual WalkCursor resumeWalk(Vpn vpn, int level,
-                                  PhysAddr base) const = 0;
+    virtual WalkCursor resumeWalk(int level, PhysAddr base) const = 0;
 
-    /** Physical address of the PTE the cursor reads next. */
-    virtual PhysAddr pteAddr(const WalkCursor &cur) const = 0;
+    /** Physical address of the PTE @p cur reads next for @p vpn. */
+    virtual PhysAddr pteAddr(const WalkCursor &cur, Vpn vpn) const = 0;
 
-    /** Consume the PTE read: descend a level or terminate the cursor. */
-    virtual void advance(WalkCursor &cur) const = 0;
+    /**
+     * Consume the PTE read for @p vpn: descend a level or terminate the
+     * cursor.
+     */
+    virtual void advance(WalkCursor &cur, Vpn vpn) const = 0;
 
     /** Topmost level number (== number of levels). */
     virtual int topLevel() const = 0;
@@ -150,10 +152,10 @@ class RadixPageTable : public PageTableBase
     bool isMapped(Vpn vpn) const override;
     Pfn translate(Vpn vpn) const override;
 
-    WalkCursor startWalk(Vpn vpn) const override;
-    WalkCursor resumeWalk(Vpn vpn, int level, PhysAddr base) const override;
-    PhysAddr pteAddr(const WalkCursor &cur) const override;
-    void advance(WalkCursor &cur) const override;
+    WalkCursor startWalk() const override;
+    WalkCursor resumeWalk(int level, PhysAddr base) const override;
+    PhysAddr pteAddr(const WalkCursor &cur, Vpn vpn) const override;
+    void advance(WalkCursor &cur, Vpn vpn) const override;
     int topLevel() const override { return int(levelBits.size()) - 1; }
     std::uint64_t pwcPrefix(int level, Vpn vpn) const override;
     int walkReads(Vpn) const override { return topLevel(); }

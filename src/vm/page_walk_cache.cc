@@ -14,6 +14,18 @@ PageWalkCache::PageWalkCache(std::uint32_t num_entries)
 }
 
 bool
+advanceWalk(const PageTableBase &pt, PageWalkCache &pwc,
+            TranslationKey key, WalkCursor &cur)
+{
+    int level_read = cur.level;
+    pt.advance(cur, key.vpn);
+    if (cur.done || level_read <= 1)
+        return false;
+    pwc.fill(pt, cur.level, key, cur.tableBase);
+    return true;
+}
+
+bool
 PageWalkCache::lookup(const PageTableBase &pt, TranslationKey key,
                       int &level, PhysAddr &base)
 {

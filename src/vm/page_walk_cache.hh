@@ -21,6 +21,7 @@
 namespace sw {
 
 class PageTableBase;
+struct WalkCursor;
 class StatGroup;
 class CkptWriter;
 class CkptReader;
@@ -95,6 +96,16 @@ class PageWalkCache
     std::uint64_t lruCounter = 0;
     Stats stats_;
 };
+
+/**
+ * One walk step, the same for every walker: consume the PTE @p cur just
+ * read for @p key in @p pt, and, when a read above level 1 left the walk
+ * unfinished, cache the next-lower table's base in @p pwc so later walks
+ * can skip the levels above it.
+ * @retval true when it cached a base (the PW Warp's FPWC).
+ */
+bool advanceWalk(const PageTableBase &pt, PageWalkCache &pwc,
+                 TranslationKey key, WalkCursor &cur);
 
 } // namespace sw
 

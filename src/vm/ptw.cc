@@ -159,7 +159,7 @@ HardwarePtwPool::walkStep(std::uint64_t slot)
     }
 
     const PageTableBase &pt = spaces.tableFor(primary.key.asid);
-    PhysAddr addr = pt.pteAddr(primary.cursor);
+    PhysAddr addr = pt.pteAddr(primary.cursor, primary.key.vpn);
     ++stats_.memReads;
     ++primary.ptReads;
     SW_LIFECYCLE(lifecycle_, LifecyclePhase::PtRead, eventq.now(),
@@ -173,14 +173,7 @@ HardwarePtwPool::ptReadDone(std::uint32_t walker, std::uint32_t slot)
     SW_ASSERT(walker == kHardwareWalker && slot < active.size(),
               "page-table read routed to the wrong walker");
     Walk &walk = walks[active[slot].primary];
-    const PageTableBase &table = spaces.tableFor(walk.key.asid);
-    int level_read = walk.cursor.level;
-    table.advance(walk.cursor);
-    if (!walk.cursor.done && level_read > 1) {
-        // The read returned the base of the next-lower table: cache it so
-        // later walks can skip the levels above it.
-        pwc.fill(table, walk.cursor.level, walk.key, walk.cursor.tableBase);
-    }
+    advanceWalk(spaces.tableFor(walk.key.asid), pwc, walk.key, walk.cursor);
     if (walk.cursor.done) {
         finishWalk(active[slot]);
     } else {

@@ -298,9 +298,9 @@ TranslationEngine::createWalk(TranslationKey key, Cycle created)
         PhysAddr base = 0;
         w.id = nextWalkId++;
         if (pwcCache.lookup(pt, w.key, level, base)) {
-            w.cursor = pt.resumeWalk(w.key.vpn, level, base);
+            w.cursor = pt.resumeWalk(level, base);
         } else {
-            w.cursor = pt.startWalk(w.key.vpn);
+            w.cursor = pt.startWalk();
         }
         SW_LIFECYCLE(lifecycle_, LifecyclePhase::WalkCreated, w.created, w.id,
                      w.key);
@@ -416,25 +416,20 @@ TranslationEngine::functionalTouch(SmId sm, TranslationKey key)
         return TouchResult::L2Hit;
     }
     // Full functional walk.  Map on first touch (warmup never takes the
-    // UVM fault path), consult the PWC, then descend — filling the PWC at
-    // exactly the points a timed walker would (see HardwarePtwPool::
-    // walkStep), so warmed PWC contents match detailed-walk behaviour.
+    // UVM fault path), consult the PWC, then descend through the walk step
+    // every timed walker takes, so warmed PWC contents match detailed-walk
+    // behaviour.
     PageTableBase &pt = spaces_.tableFor(key.asid);
     pt.ensureMapped(key.vpn);
     int level = 0;
     PhysAddr base = 0;
     WalkCursor cursor;
     if (pwcCache.lookup(pt, key, level, base))
-        cursor = pt.resumeWalk(key.vpn, level, base);
+        cursor = pt.resumeWalk(level, base);
     else
-        cursor = pt.startWalk(key.vpn);
-    while (!cursor.done) {
-        int level_read = cursor.level;
-        pt.advance(cursor);
-        if (!cursor.done && level_read > 1) {
-            pwcCache.fill(pt, cursor.level, key, cursor.tableBase);
-        }
-    }
+        cursor = pt.startWalk();
+    while (!cursor.done)
+        advanceWalk(pt, pwcCache, key, cursor);
     SW_ASSERT(!cursor.fault, "functional walk faulted on a mapped page");
     l2Fill(key, cursor.pfn);
     l1Arrays[sm].fill(key, cursor.pfn);

@@ -50,7 +50,7 @@ struct Walk
     std::uint16_t ptReads = 0; ///< page-table reads (0: an NHA rider)
     bool software = false;     ///< walked by a PW-Warp (vs. hardware PTW)
 };
-static_assert(sizeof(Walk) == 96, "walk records stay 96 bytes");
+static_assert(sizeof(Walk) == 80, "walk records stay 80 bytes");
 
 /** Every walk in flight, named by WalkId. */
 using WalkPool = Slab<Walk>;

@@ -1,8 +1,6 @@
 #include "workload/benchmarks.hh"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 
 #include "sim/logging.hh"
 #include "vm/address.hh"
@@ -158,125 +156,6 @@ buildSuite()
     return suite;
 }
 
-/**
- * The name-keyed factory registry.  Static registrars (e.g. the "trace:"
- * scheme in src/trace) may run before the first lookup, so the registry
- * itself is a Meyers singleton and every entry point goes through it; the
- * Table 4 suite self-registers on first access.  A mutex guards mutation
- * because SweepRunner workers may instantiate workloads concurrently.
- */
-class WorkloadRegistry
-{
-  public:
-    static WorkloadRegistry &
-    instance()
-    {
-        static WorkloadRegistry registry;
-        return registry;
-    }
-
-    void
-    add(const std::string &name, WorkloadFactoryFn factory)
-    {
-        SW_ASSERT(factory != nullptr, "null workload factory");
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!factories.emplace(name, std::move(factory)).second)
-            fatal("workload '%s' registered twice", name.c_str());
-    }
-
-    void
-    addScheme(const std::string &scheme, WorkloadSchemeFn factory)
-    {
-        SW_ASSERT(factory != nullptr, "null workload scheme factory");
-        SW_ASSERT(scheme.find(':') == std::string::npos,
-                  "scheme name '%s' must not contain ':'", scheme.c_str());
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!schemes.emplace(scheme, std::move(factory)).second)
-            fatal("workload scheme '%s' registered twice", scheme.c_str());
-    }
-
-    std::unique_ptr<Workload>
-    make(const std::string &name, double footprint_scale)
-    {
-        WorkloadFactoryFn factory;
-        WorkloadSchemeFn scheme_factory;
-        std::string rest;
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            ensureBuiltinsLocked();
-            if (auto it = factories.find(name); it != factories.end()) {
-                factory = it->second;
-            } else if (std::size_t colon = name.find(':');
-                       colon != std::string::npos) {
-                if (auto sit = schemes.find(name.substr(0, colon));
-                    sit != schemes.end()) {
-                    scheme_factory = sit->second;
-                    rest = name.substr(colon + 1);
-                }
-            }
-        }
-        // Factories run outside the lock: a trace factory does file I/O
-        // and a scheme may legitimately call back into the registry.
-        if (factory)
-            return factory(footprint_scale);
-        if (scheme_factory)
-            return scheme_factory(rest, footprint_scale);
-        fatal("unknown benchmark '%s' (valid: %s)", name.c_str(),
-              validNames().c_str());
-    }
-
-    std::vector<std::string>
-    names()
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        ensureBuiltinsLocked();
-        std::vector<std::string> out;
-        out.reserve(factories.size() + schemes.size());
-        for (const auto &[name, factory] : factories)
-            out.push_back(name);
-        for (const auto &[scheme, factory] : schemes)
-            out.push_back(scheme + ":…");
-        return out;
-    }
-
-  private:
-    void
-    ensureBuiltinsLocked()
-    {
-        if (builtinsRegistered)
-            return;
-        builtinsRegistered = true;
-        for (const BenchmarkInfo &info : benchmarkSuite()) {
-            auto [it, inserted] = factories.emplace(
-                info.abbr, [&info](double scale) {
-                    return makeWorkload(info, scale);
-                });
-            if (!inserted)
-                fatal("workload '%s' registered twice",
-                      info.abbr.c_str());
-        }
-    }
-
-    std::string
-    validNames()
-    {
-        // names() re-locks; only reached after make() dropped the lock,
-        // on the way to fatal().
-        std::string out;
-        for (const std::string &name : names()) {
-            if (!out.empty())
-                out += ", ";
-            out += name;
-        }
-        return out;
-    }
-
-    std::mutex mutex;
-    std::map<std::string, WorkloadFactoryFn> factories;
-    std::map<std::string, WorkloadSchemeFn> schemes;
-    bool builtinsRegistered = false;
-};
-
 } // namespace
 
 const std::vector<BenchmarkInfo> &
@@ -357,31 +236,6 @@ makeWorkload(const BenchmarkInfo &info, double footprint_scale)
               static_cast<unsigned long long>(kMaxBytes));
     }
     return info.factory(static_cast<std::uint64_t>(bytes));
-}
-
-void
-registerWorkload(const std::string &name, WorkloadFactoryFn factory)
-{
-    WorkloadRegistry::instance().add(name, std::move(factory));
-}
-
-void
-registerWorkloadScheme(const std::string &scheme, WorkloadSchemeFn factory)
-{
-    WorkloadRegistry::instance().addScheme(scheme, std::move(factory));
-}
-
-std::unique_ptr<Workload>
-makeWorkload(const std::string &name, double footprint_scale)
-{
-    SW_ASSERT(footprint_scale > 0.0, "footprint scale must be positive");
-    return WorkloadRegistry::instance().make(name, footprint_scale);
-}
-
-std::vector<std::string>
-registeredWorkloads()
-{
-    return WorkloadRegistry::instance().names();
 }
 
 } // namespace sw

@@ -57,40 +57,6 @@ std::vector<const BenchmarkInfo *> scalableSuite();
 std::unique_ptr<Workload> makeWorkload(const BenchmarkInfo &info,
                                        double footprint_scale = 1.0);
 
-// ---- Workload factory registry ------------------------------------------
-//
-// Every workload source — the twenty Table 4 synthetic generators, trace
-// replays, anything a user registers — is reachable through one name-keyed
-// registry, so harnesses and the CLI never special-case where a stream
-// comes from.  Exact names ("bfs") resolve first; a name of the form
-// "<scheme>:<rest>" then routes to its scheme handler (e.g.
-// "trace:run.swtrace" → TraceWorkload, registered by src/trace).
-
-/** Build a workload at @p footprint_scale (× the published footprint). */
-using WorkloadFactoryFn =
-    std::function<std::unique_ptr<Workload>(double footprint_scale)>;
-
-/** Handler for "<scheme>:<rest>" names; receives the "<rest>" part. */
-using WorkloadSchemeFn = std::function<std::unique_ptr<Workload>(
-    const std::string &rest, double footprint_scale)>;
-
-/** Register an exact-name factory; duplicate names are fatal(). */
-void registerWorkload(const std::string &name, WorkloadFactoryFn factory);
-
-/** Register a scheme handler; duplicate schemes are fatal(). */
-void registerWorkloadScheme(const std::string &scheme,
-                            WorkloadSchemeFn factory);
-
-/**
- * Instantiate by registry name ("bfs", "trace:run.swtrace", ...);
- * fatal() — listing every valid name and scheme — when unknown.
- */
-std::unique_ptr<Workload> makeWorkload(const std::string &name,
-                                       double footprint_scale = 1.0);
-
-/** All registered names: exact names sorted, then "<scheme>:…" entries. */
-std::vector<std::string> registeredWorkloads();
-
 } // namespace sw
 
 #endif // SW_WORKLOAD_BENCHMARKS_HH

@@ -135,7 +135,8 @@ class ReadingBackend : public WalkBackend
     {
         WalkId walk = walkers[slot];
         Walk &record = engine.walks()[walk];
-        spaces.tableFor(record.key.asid).advance(record.cursor);
+        spaces.tableFor(record.key.asid)
+            .advance(record.cursor, record.key.vpn);
         if (!record.cursor.done) {
             read(slot);
             return;
@@ -154,8 +155,9 @@ class ReadingBackend : public WalkBackend
     read(std::uint32_t slot)
     {
         const Walk &walk = engine.walks()[walkers[slot]];
-        engine.ptRead(spaces.tableFor(walk.key.asid).pteAddr(walk.cursor),
-                      kHardwareWalker, slot);
+        engine.ptRead(
+            spaces.tableFor(walk.key.asid).pteAddr(walk.cursor, walk.key.vpn),
+            kHardwareWalker, slot);
     }
 
     TranslationEngine &engine;

@@ -57,14 +57,11 @@ class PwWarpTest : public ::testing::Test
         test::FixedLatencyReader &reader = *readers.back();
         hooks.ptReader = &reader;
         hooks.walker = kSm;
-        hooks.pwcFill = [this](int level, TranslationKey, PhysAddr) {
-            pwcFills.push_back(level);
-        };
         hooks.complete = [this](WalkId walk) {
             results.push_back(test::completeWalk(walks, walk, eq.now()));
             landedAt.push_back(eq.now());
         };
-        auto warp = std::make_unique<PwWarp>(eq, spaces, pwb, walks,
+        auto warp = std::make_unique<PwWarp>(eq, spaces, pwc, pwb, walks,
                                              std::move(hooks), timing, lanes,
                                              comm, lifecycle);
         PwWarp *raw = warp.get();
@@ -80,7 +77,7 @@ class PwWarpTest : public ::testing::Test
     {
         pt.ensureMapped(vpn);
         return walks.alloc({.key = K(vpn),
-                            .cursor = pt.startWalk(vpn),
+                            .cursor = pt.startWalk(),
                             .created = eq.now(),
                             .id = id});
     }
@@ -90,13 +87,13 @@ class PwWarpTest : public ::testing::Test
     FrameAllocator alloc;
     AddressSpaceManager spaces;
     PageTableBase &pt;
+    PageWalkCache pwc;
     SoftPwb pwb;
     WalkPool walks;
     LifecycleStream lifecycle;
     Cycle issueFree = 0;
     std::uint64_t issueSlots = 0;
     int memReads = 0;
-    std::vector<int> pwcFills;
     std::vector<test::WalkOutcome> results;
     std::vector<Cycle> landedAt;   ///< cycle each result reached complete
     std::vector<std::unique_ptr<test::FixedLatencyReader>> readers;
@@ -196,8 +193,8 @@ TEST_F(PwWarpTest, LockstepLanesShareLevelIterations)
 TEST_F(PwWarpTest, FaultLaneIssuesFfb)
 {
     auto warp = makeWarp();
-    WalkId bad = walks.alloc({.key = K(0xBAD),
-                              .cursor = pt.startWalk(0xBAD),   // unmapped
+    WalkId bad = walks.alloc({.key = K(0xBAD),   // unmapped
+                              .cursor = pt.startWalk(),
                               .id = 1});
     pwb.insert(bad, eq.now());
     warp->notifyWork();
@@ -215,8 +212,17 @@ TEST_F(PwWarpTest, FpwcFillsOnDescent)
     warp->notifyWork();
     eq.run();
     // Levels 3, 2, 1 learned table bases.
-    EXPECT_EQ(pwcFills.size(), 3u);
+    EXPECT_EQ(pwc.stats().fills, 3u);
     EXPECT_EQ(warp->stats().fpwcIssued, 3u);
+    // The deepest one, the leaf table's, now resumes a walk of the page.
+    WalkCursor cur = pt.startWalk();
+    while (cur.level > 1)
+        pt.advance(cur, 0x42);
+    int level = 0;
+    PhysAddr base = 0;
+    ASSERT_TRUE(pwc.lookup(pt, K(0x42), level, base));
+    EXPECT_EQ(level, 1);
+    EXPECT_EQ(base, cur.tableBase);
 }
 
 TEST_F(PwWarpTest, RequestsArrivingMidBatchJoinNextBatch)
@@ -285,11 +291,11 @@ TEST_F(PwWarpTest, ResumedCursorsSkipLevels)
 {
     auto warp = makeWarp();
     pt.ensureMapped(0x300);
-    WalkCursor cur = pt.startWalk(0x300);
+    WalkCursor cur = pt.startWalk();
     while (cur.level > 1)
-        pt.advance(cur);
+        pt.advance(cur, 0x300);
     pwb.insert(walks.alloc({.key = K(0x300),
-                            .cursor = pt.resumeWalk(0x300, 1, cur.tableBase),
+                            .cursor = pt.resumeWalk(1, cur.tableBase),
                             .id = 5}),
                eq.now());
     warp->notifyWork();
@@ -306,7 +312,7 @@ TEST_F(PwWarpTest, WalkRecordCountsEachLanesLdpts)
     // Lane 2 resumes at the leaf and reads one level.
     WalkId leaf = makeRequest(0x300, 2);
     while (walks[leaf].cursor.level > 1)
-        pt.advance(walks[leaf].cursor);
+        pt.advance(walks[leaf].cursor, walks[leaf].key.vpn);
     pwb.insert(leaf, eq.now());
     warp->notifyWork();
     eq.run();

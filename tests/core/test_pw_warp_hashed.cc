@@ -50,11 +50,10 @@ class PwWarpHashedTest : public ::testing::Test
                                                              memReads);
         hooks.ptReader = reader.get();
         hooks.walker = kSm;
-        hooks.pwcFill = [this](int, TranslationKey, PhysAddr) { ++pwcFills; };
         hooks.complete = [this](WalkId walk) {
             results.push_back(test::completeWalk(walks, walk, eq.now()));
         };
-        auto warp = std::make_unique<PwWarp>(eq, spaces, pwb, walks,
+        auto warp = std::make_unique<PwWarp>(eq, spaces, pwc, pwb, walks,
                                              std::move(hooks),
                                              PwWarpCodeTiming{}, 8, 40,
                                              lifecycle);
@@ -70,11 +69,11 @@ class PwWarpHashedTest : public ::testing::Test
     FrameAllocator alloc;
     AddressSpaceManager spaces;
     HashedPageTable &pt;
+    PageWalkCache pwc;
     SoftPwb pwb;
     WalkPool walks;
     LifecycleStream lifecycle;
     int memReads = 0;
-    int pwcFills = 0;
     std::vector<test::WalkOutcome> results;
     std::unique_ptr<test::FixedLatencyReader> reader;
 };
@@ -83,7 +82,7 @@ TEST_F(PwWarpHashedTest, SingleProbeWalk)
 {
     pt.ensureMapped(0x99);
     pwb.insert(walks.alloc(
-                   {.key = K(0x99), .cursor = pt.startWalk(0x99), .id = 1}),
+                   {.key = K(0x99), .cursor = pt.startWalk(), .id = 1}),
                eq.now());
     auto warp = makeWarp();
     warp->notifyWork();
@@ -91,7 +90,8 @@ TEST_F(PwWarpHashedTest, SingleProbeWalk)
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].pfn, pt.translate(0x99));
     EXPECT_EQ(memReads, pt.walkReads(0x99));
-    EXPECT_EQ(pwcFills, 0) << "hashed tables never fill the PWC";
+    EXPECT_EQ(pwc.stats().fills, 0u) << "hashed tables never fill the PWC";
+    EXPECT_EQ(warp->stats().fpwcIssued, 0u);
 }
 
 TEST_F(PwWarpHashedTest, BatchOverHashedTable)
@@ -101,7 +101,7 @@ TEST_F(PwWarpHashedTest, BatchOverHashedTable)
         Vpn vpn = 100 + i * 977;
         pt.ensureMapped(vpn);
         pwb.insert(walks.alloc(
-                       {.key = K(vpn), .cursor = pt.startWalk(vpn), .id = i}),
+                       {.key = K(vpn), .cursor = pt.startWalk(), .id = i}),
                    eq.now());
     }
     warp->notifyWork();
@@ -118,7 +118,7 @@ TEST_F(PwWarpHashedTest, BatchOverHashedTable)
 TEST_F(PwWarpHashedTest, UnmappedVpnFaults)
 {
     pwb.insert(walks.alloc({.key = K(0xF00D),
-                            .cursor = pt.startWalk(0xF00D),
+                            .cursor = pt.startWalk(),
                             .id = 7}),
                eq.now());
     auto warp = makeWarp();

@@ -121,4 +121,14 @@ TEST(CoRunDeath, EmptySpecIsFatal)
     EXPECT_DEATH(runCoRun(CoRunSpec{}), "no tenants");
 }
 
+TEST(CoRunDeath, UnknownTenantIsFatal)
+{
+    // A tenant names a Table 4 benchmark; anything else ends in the fatal
+    // that lists the valid names, before any machine is built.
+    CoRunSpec spec = tinySpec();
+    spec.tenants[1].workload = "trace:run.swtrace";
+    EXPECT_DEATH(runCoRun(spec),
+                 "unknown benchmark 'trace:run.swtrace' \\(valid: bc, ");
+}
+
 } // namespace

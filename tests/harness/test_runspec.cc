@@ -37,22 +37,11 @@ tinyWorkload()
                                            params);
 }
 
-TEST(RunSpec, WorkloadNameSourceUsesTheRegistry)
-{
-    RunSpec spec;
-    spec.cfg = test::smallConfig();
-    spec.workloadName = "gups";
-    spec.limits = tinyLimits();
-    RunResult result = run(std::move(spec));
-    EXPECT_EQ(result.benchmark, "gups");
-    EXPECT_EQ(result.warpInstrs, 300u);
-}
-
 TEST(RunSpec, NamedBenchmarkGetsBenchmarkLimits)
 {
-    // With no explicit limits, a workloadName that matches a Table 4 entry
-    // resolves limitsFor(info) — observable through the larger regular
-    // quota (vs. the irregular default).
+    // With no explicit limits, a benchmark source resolves
+    // limitsFor(info) — observable through the larger regular quota
+    // (vs. the irregular default).
     setenv("SW_QUOTA", "100", 1);
     setenv("SW_QUOTA_REG", "150", 1);
     setenv("SW_WARMUP", "0", 1);
@@ -60,7 +49,7 @@ TEST(RunSpec, NamedBenchmarkGetsBenchmarkLimits)
 
     RunSpec spec;
     spec.cfg = test::smallConfig();
-    spec.workloadName = "gemm";   // regular benchmark
+    spec.benchmark = &findBenchmark("gemm");   // regular benchmark
     RunResult result = run(std::move(spec));
     EXPECT_EQ(result.warpInstrs, 150u)
         << "named benchmark must pick up limitsFor(), not defaultLimits()";
@@ -150,7 +139,7 @@ TEST(RunSpecDeath, TwoSourcesAreFatal)
     RunSpec spec;
     spec.cfg = test::smallConfig();
     spec.benchmark = &findBenchmark("gups");
-    spec.workloadName = "bfs";
+    spec.workload = tinyWorkload();
     EXPECT_DEATH(run(std::move(spec)), "exactly one workload source");
 }
 

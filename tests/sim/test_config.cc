@@ -54,14 +54,6 @@ TEST(Config, PageTableLevels)
     EXPECT_EQ(cfg.pageTableLevels(), 3u);
 }
 
-TEST(Config, EffectiveCommLatencyDefaultsToL2Latency)
-{
-    GpuConfig cfg = makeDefaultConfig();
-    EXPECT_EQ(cfg.effectiveCommLatency(), cfg.l2TlbLatency);
-    cfg.commLatency = 120;
-    EXPECT_EQ(cfg.effectiveCommLatency(), 120u);
-}
-
 TEST(Config, ScalePtwSubsystem)
 {
     GpuConfig cfg = makeDefaultConfig();

@@ -48,74 +48,6 @@ TEST(LatencyStat, ResetClears)
     EXPECT_EQ(stat.sum, 0u);
 }
 
-TEST(Histogram, CountsIntoBuckets)
-{
-    Histogram hist(4, 10);
-    hist.add(0);
-    hist.add(9);
-    hist.add(10);
-    hist.add(39);
-    EXPECT_EQ(hist.bucket(0), 2u);
-    EXPECT_EQ(hist.bucket(1), 1u);
-    EXPECT_EQ(hist.bucket(3), 1u);
-    EXPECT_EQ(hist.samples(), 4u);
-}
-
-TEST(Histogram, OverflowLandsInLastBucket)
-{
-    Histogram hist(4, 10);
-    hist.add(1000000);
-    EXPECT_EQ(hist.bucket(4), 1u);
-}
-
-TEST(Histogram, PercentileIsMonotonic)
-{
-    Histogram hist(100, 1);
-    for (std::uint64_t v = 0; v < 100; ++v)
-        hist.add(v);
-    EXPECT_LE(hist.percentile(0.5), hist.percentile(0.9));
-    EXPECT_LE(hist.percentile(0.9), hist.percentile(0.99));
-}
-
-TEST(Histogram, PercentileZeroReturnsFirstOccupiedBucketEdge)
-{
-    // fraction 0 used to stop the scan at bucket 0 even when it was
-    // empty; the smallest meaningful rank is the first sample.
-    Histogram hist(10, 10);
-    hist.add(35);  // only bucket 3 occupied
-    EXPECT_EQ(hist.percentile(0.0), 40u);
-    EXPECT_EQ(hist.percentile(0.0), hist.percentile(1.0));
-}
-
-TEST(Histogram, PercentileOfEmptyIsZero)
-{
-    Histogram hist(10, 10);
-    EXPECT_EQ(hist.percentile(0.0), 0u);
-    EXPECT_EQ(hist.percentile(0.99), 0u);
-}
-
-TEST(Histogram, PercentileShortcuts)
-{
-    Histogram hist(100, 1);
-    for (std::uint64_t v = 0; v < 100; ++v)
-        hist.add(v);
-    EXPECT_EQ(hist.p50(), hist.percentile(0.50));
-    EXPECT_EQ(hist.p95(), hist.percentile(0.95));
-    EXPECT_EQ(hist.p99(), hist.percentile(0.99));
-    // 100 uniform samples of width 1: the p50 upper edge is 50.
-    EXPECT_EQ(hist.p50(), 50u);
-    EXPECT_EQ(hist.p99(), 99u);
-}
-
-TEST(Histogram, ResetClears)
-{
-    Histogram hist(4, 10);
-    hist.add(5);
-    hist.reset();
-    EXPECT_EQ(hist.samples(), 0u);
-    EXPECT_EQ(hist.bucket(0), 0u);
-}
-
 TEST(Geomean, OfIdenticalValuesIsThatValue)
 {
     EXPECT_DOUBLE_EQ(geomean({2.0, 2.0, 2.0}), 2.0);

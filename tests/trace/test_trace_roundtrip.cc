@@ -4,7 +4,7 @@
  * trace under the recording configuration reproduces the RunResult
  * field-identically (every field, doubles compared bit-for-bit via the %a
  * fingerprint).  Also covers the replay end policies, the recorded-limits
- * fallback, the "trace:" factory scheme, and the text converter.
+ * fallback, and the text converter.
  */
 
 #include <gtest/gtest.h>
@@ -193,26 +193,6 @@ TEST(TraceRoundTrip, LoopRewindsTheStream)
         << "loop policy must rewind to the first record";
     EXPECT_EQ(workload.exhaustedStreams(), 1u);
     EXPECT_EQ(workload.next(0, 0, rng).addrs[0], 0x2000u);
-}
-
-TEST(TraceRoundTrip, FactorySchemeReplaysAFile)
-{
-    GpuConfig cfg = test::smallConfig();
-    std::string path = tempPath("scheme.swtrace");
-
-    RunSpec record;
-    record.cfg = cfg;
-    record.benchmark = &findBenchmark("gups");
-    record.limits = tinyLimits();
-    record.recordPath = path;
-    run(std::move(record));
-
-    std::unique_ptr<Workload> workload = makeWorkload("trace:" + path);
-    ASSERT_NE(workload, nullptr);
-    EXPECT_EQ(workload->name(), "gups");
-    auto *trace = dynamic_cast<TraceWorkload *>(workload.get());
-    ASSERT_NE(trace, nullptr);
-    EXPECT_GT(trace->totalInstrs(), 0u);
 }
 
 TEST(TraceRoundTrip, ConverterProducesAReplayableTrace)

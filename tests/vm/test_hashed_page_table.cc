@@ -48,10 +48,10 @@ TEST_F(HashedPageTableTest, TranslateAfterMap)
 TEST_F(HashedPageTableTest, DirectHitWalkIsOneRead)
 {
     Pfn pfn = pt.ensureMapped(0x1000);
-    WalkCursor cur = pt.startWalk(0x1000);
+    WalkCursor cur = pt.startWalk();
     int steps = 0;
     while (!cur.done) {
-        pt.advance(cur);
+        pt.advance(cur, 0x1000);
         ++steps;
     }
     // Could be >1 only on a collision chain; with a near-empty table the
@@ -63,9 +63,9 @@ TEST_F(HashedPageTableTest, DirectHitWalkIsOneRead)
 
 TEST_F(HashedPageTableTest, UnmappedWalkFaults)
 {
-    WalkCursor cur = pt.startWalk(0xBEEF);
+    WalkCursor cur = pt.startWalk();
     while (!cur.done)
-        pt.advance(cur);
+        pt.advance(cur, 0xBEEF);
     EXPECT_TRUE(cur.fault);
 }
 
@@ -79,9 +79,9 @@ TEST_F(HashedPageTableTest, CollisionsResolveViaProbing)
         mapped.emplace_back(vpn, pt.ensureMapped(vpn));
     }
     for (auto [vpn, pfn] : mapped) {
-        WalkCursor cur = pt.startWalk(vpn);
+        WalkCursor cur = pt.startWalk();
         while (!cur.done)
-            pt.advance(cur);
+            pt.advance(cur, vpn);
         ASSERT_FALSE(cur.fault);
         EXPECT_EQ(cur.pfn, pfn);
     }
@@ -113,9 +113,9 @@ TEST_F(HashedPageTableTest, WalkReadsGrowWithCollisions)
 TEST_F(HashedPageTableTest, ResumeWalkRestarts)
 {
     pt.ensureMapped(5);
-    WalkCursor cur = pt.resumeWalk(5, 3, 0x1234);
+    WalkCursor cur = pt.resumeWalk(3, 0x1234);
     EXPECT_EQ(cur.level, 1);
-    pt.advance(cur);
+    pt.advance(cur, 5);
     EXPECT_TRUE(cur.done);
 }
 
@@ -143,10 +143,10 @@ TEST_P(PageTableContract, MapTranslateWalkAgree)
         Pfn pfn = pt->ensureMapped(vpn);
         EXPECT_TRUE(pt->isMapped(vpn));
         EXPECT_EQ(pt->translate(vpn), pfn);
-        WalkCursor cur = pt->startWalk(vpn);
+        WalkCursor cur = pt->startWalk();
         int guard = 0;
         while (!cur.done && guard++ < 64)
-            pt->advance(cur);
+            pt->advance(cur, vpn);
         ASSERT_TRUE(cur.done);
         ASSERT_FALSE(cur.fault);
         EXPECT_EQ(cur.pfn, pfn);

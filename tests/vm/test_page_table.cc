@@ -72,13 +72,13 @@ TEST_F(RadixPageTableTest, TranslateMatchesEnsureMapped)
 TEST_F(RadixPageTableTest, WalkReachesLeaf)
 {
     Pfn pfn = pt.ensureMapped(0x777);
-    WalkCursor cur = pt.startWalk(0x777);
+    WalkCursor cur = pt.startWalk();
     EXPECT_EQ(cur.level, 4);
     int steps = 0;
     while (!cur.done) {
-        PhysAddr addr = pt.pteAddr(cur);
+        PhysAddr addr = pt.pteAddr(cur, 0x777);
         EXPECT_GT(addr, 0u);
-        pt.advance(cur);
+        pt.advance(cur, 0x777);
         ++steps;
     }
     EXPECT_EQ(steps, 4);
@@ -88,9 +88,9 @@ TEST_F(RadixPageTableTest, WalkReachesLeaf)
 
 TEST_F(RadixPageTableTest, WalkOnUnmappedFaults)
 {
-    WalkCursor cur = pt.startWalk(0xDEAD);
+    WalkCursor cur = pt.startWalk();
     while (!cur.done)
-        pt.advance(cur);
+        pt.advance(cur, 0xDEAD);
     EXPECT_TRUE(cur.fault);
 }
 
@@ -99,10 +99,10 @@ TEST_F(RadixPageTableTest, PartialMappingFaultsAtTheRightLevel)
     // Map a VPN so upper levels exist, then walk a sibling sharing the
     // top three levels but with an unmapped leaf entry.
     pt.ensureMapped(0x1000);
-    WalkCursor cur = pt.startWalk(0x1001);
+    WalkCursor cur = pt.startWalk();
     int steps = 0;
     while (!cur.done) {
-        pt.advance(cur);
+        pt.advance(cur, 0x1001);
         ++steps;
     }
     EXPECT_TRUE(cur.fault);
@@ -113,17 +113,17 @@ TEST_F(RadixPageTableTest, ResumeWalkSkipsLevels)
 {
     Pfn pfn = pt.ensureMapped(0x2000);
     // Walk fully once, recording the level-1 table base.
-    WalkCursor full = pt.startWalk(0x2000);
+    WalkCursor full = pt.startWalk();
     PhysAddr leaf_base = 0;
     while (!full.done) {
         if (full.level == 1)
             leaf_base = full.tableBase;
-        pt.advance(full);
+        pt.advance(full, 0x2000);
     }
     ASSERT_NE(leaf_base, 0u);
 
-    WalkCursor resumed = pt.resumeWalk(0x2000, 1, leaf_base);
-    pt.advance(resumed);
+    WalkCursor resumed = pt.resumeWalk(1, leaf_base);
+    pt.advance(resumed, 0x2000);
     EXPECT_TRUE(resumed.done);
     EXPECT_EQ(resumed.pfn, pfn);
 }
@@ -132,13 +132,13 @@ TEST_F(RadixPageTableTest, PteAddressesWithinOneLeafTableAreContiguous)
 {
     pt.ensureMapped(0x3000);
     pt.ensureMapped(0x3001);
-    WalkCursor a = pt.startWalk(0x3000);
-    WalkCursor b = pt.startWalk(0x3001);
+    WalkCursor a = pt.startWalk();
+    WalkCursor b = pt.startWalk();
     while (a.level > 1)
-        pt.advance(a);
+        pt.advance(a, 0x3000);
     while (b.level > 1)
-        pt.advance(b);
-    EXPECT_EQ(pt.pteAddr(b), pt.pteAddr(a) + kPteBytes);
+        pt.advance(b, 0x3001);
+    EXPECT_EQ(pt.pteAddr(b, 0x3001), pt.pteAddr(a, 0x3000) + kPteBytes);
 }
 
 TEST_F(RadixPageTableTest, PwcPrefixSharedWithinSameTable)
@@ -199,9 +199,9 @@ TEST_P(RadixWalkProperty, WalkMatchesTranslate)
     for (int i = 0; i < 200; ++i) {
         Vpn vpn = rng.range(1ull << 33);
         Pfn pfn = pt.ensureMapped(vpn);
-        WalkCursor cur = pt.startWalk(vpn);
+        WalkCursor cur = pt.startWalk();
         while (!cur.done)
-            pt.advance(cur);
+            pt.advance(cur, vpn);
         ASSERT_FALSE(cur.fault);
         EXPECT_EQ(cur.pfn, pfn);
         EXPECT_EQ(pt.translate(vpn), pfn);

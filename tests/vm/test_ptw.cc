@@ -60,7 +60,7 @@ class PtwTest : public ::testing::Test
     {
         pt.ensureMapped(vpn);
         return walks.alloc({.key = K(vpn),
-                            .cursor = pt.startWalk(vpn),
+                            .cursor = pt.startWalk(),
                             .created = eq.now(),
                             .id = id});
     }
@@ -108,11 +108,11 @@ TEST_F(PtwTest, ResumedWalkSkipsLevels)
     auto pool = makePool({}, 50);
     pt.ensureMapped(9);
     // Learn the leaf base from a functional walk.
-    WalkCursor cur = pt.startWalk(9);
+    WalkCursor cur = pt.startWalk();
     while (cur.level > 1)
-        pt.advance(cur);
+        pt.advance(cur, 9);
     pool->submit(walks.alloc(
-        {.key = K(9), .cursor = pt.resumeWalk(9, 1, cur.tableBase), .id = 2}));
+        {.key = K(9), .cursor = pt.resumeWalk(1, cur.tableBase), .id = 2}));
     eq.run();
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].accessLatency, 50u) << "one read from the leaf";
@@ -225,7 +225,7 @@ TEST_F(PtwTest, FaultReportedForUnmappedVpn)
 {
     auto pool = makePool({});
     pool->submit(walks.alloc(
-        {.key = K(0xFFFF), .cursor = pt.startWalk(0xFFFF), .id = 9}));
+        {.key = K(0xFFFF), .cursor = pt.startWalk(), .id = 9}));
     eq.run();
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(results[0].fault);
@@ -300,7 +300,7 @@ TEST_F(PtwTest, NhaRiderReportsNoReadsAndItsPrimarysSlot)
     pool->submit(makeRequest(0x9000, 1));
     WalkId leaf = makeRequest(0xa000, 2);
     while (walks[leaf].cursor.level > 1)
-        pt.advance(walks[leaf].cursor);
+        pt.advance(walks[leaf].cursor, walks[leaf].key.vpn);
     pool->submit(leaf);
     for (std::uint64_t id = 3; id <= 5; ++id)
         pool->submit(makeRequest(0x1000 + Vpn(id - 3), id));

@@ -52,11 +52,11 @@ class PtwTimingTest : public ::testing::Test
     leafRequest(Vpn vpn, std::uint64_t id)
     {
         pt.ensureMapped(vpn);
-        WalkCursor cur = pt.startWalk(vpn);
+        WalkCursor cur = pt.startWalk();
         while (cur.level > 1)
-            pt.advance(cur);
+            pt.advance(cur, vpn);
         return walks.alloc({.key = {0, vpn},
-                            .cursor = pt.resumeWalk(vpn, 1, cur.tableBase),
+                            .cursor = pt.resumeWalk(1, cur.tableBase),
                             .created = eq.now(),
                             .id = id});
     }

@@ -1,4 +1,4 @@
-/** @file Tests for the Table 4 benchmark registry. */
+/** @file Tests for the Table 4 benchmark suite. */
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "sim/rng.hh"
 #include "vm/address.hh"
@@ -199,104 +198,12 @@ TEST(Benchmarks, FootprintFillingTheVirtualAddressSpaceRuns)
     }
 }
 
-TEST(WorkloadRegistry, FindBenchmarkOrNull)
+TEST(Benchmarks, FindBenchmarkOrNull)
 {
     ASSERT_NE(findBenchmarkOrNull("bfs"), nullptr);
     EXPECT_EQ(findBenchmarkOrNull("bfs")->abbr, "bfs");
     EXPECT_EQ(findBenchmarkOrNull("nope"), nullptr);
     EXPECT_EQ(findBenchmarkOrNull(""), nullptr);
-}
-
-TEST(WorkloadRegistry, ListsEveryTable4EntryByName)
-{
-    std::vector<std::string> names = registeredWorkloads();
-    std::set<std::string> set(names.begin(), names.end());
-    for (const auto &info : benchmarkSuite())
-        EXPECT_TRUE(set.count(info.abbr)) << info.abbr;
-}
-
-TEST(WorkloadRegistry, ListsTheTraceScheme)
-{
-    // Registered by src/trace; exact names lead (sorted), schemes trail.
-    std::vector<std::string> names = registeredWorkloads();
-    EXPECT_NE(std::find(names.begin(), names.end(), "trace:…"),
-              names.end());
-}
-
-TEST(WorkloadRegistry, MakeByNameMatchesMakeByInfo)
-{
-    auto by_name = makeWorkload(std::string("bfs"), 2.0);
-    auto by_info = makeWorkload(findBenchmark("bfs"), 2.0);
-    ASSERT_NE(by_name, nullptr);
-    EXPECT_EQ(by_name->name(), by_info->name());
-    EXPECT_EQ(by_name->footprintBytes(), by_info->footprintBytes());
-    EXPECT_EQ(by_name->irregular(), by_info->irregular());
-}
-
-TEST(WorkloadRegistry, UserRegistrationIsReachable)
-{
-    class Fixed : public Workload
-    {
-      public:
-        WarpInstr
-        next(SmId, WarpId, Rng &) override
-        {
-            WarpInstr instr;
-            instr.activeLanes = 1;
-            instr.addrs[0] = 0x1000;
-            return instr;
-        }
-        std::uint64_t footprintBytes() const override { return 4096; }
-        std::string name() const override { return "fixed"; }
-        bool irregular() const override { return false; }
-    };
-
-    registerWorkload("test-fixed", [](double) {
-        return std::make_unique<Fixed>();
-    });
-    auto wl = makeWorkload(std::string("test-fixed"));
-    ASSERT_NE(wl, nullptr);
-    EXPECT_EQ(wl->name(), "fixed");
-
-    std::vector<std::string> names = registeredWorkloads();
-    EXPECT_NE(std::find(names.begin(), names.end(), "test-fixed"),
-              names.end());
-}
-
-TEST(WorkloadRegistry, SchemeHandlerReceivesTheRest)
-{
-    std::string captured;
-    registerWorkloadScheme(
-        "echo", [&captured](const std::string &rest, double)
-                    -> std::unique_ptr<Workload> {
-            captured = rest;
-            return nullptr;
-        });
-    // A scheme may legitimately return nullptr only in tests; the real
-    // trace scheme always produces a workload or dies.
-    makeWorkload(std::string("echo:hello:world"));
-    EXPECT_EQ(captured, "hello:world")
-        << "everything after the first ':' belongs to the scheme";
-}
-
-TEST(WorkloadRegistryDeath, UnknownNameIsFatalAndListsNames)
-{
-    EXPECT_DEATH(makeWorkload(std::string("nope")),
-                 "unknown benchmark.*valid:");
-}
-
-TEST(WorkloadRegistryDeath, DuplicateRegistrationIsFatal)
-{
-    EXPECT_DEATH(
-        {
-            registerWorkload("test-dup", [](double) {
-                return std::unique_ptr<Workload>();
-            });
-            registerWorkload("test-dup", [](double) {
-                return std::unique_ptr<Workload>();
-            });
-        },
-        "registered twice");
 }
 
 } // namespace
