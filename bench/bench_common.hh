@@ -139,9 +139,9 @@ struct SuiteRun
  */
 using RunKey = std::tuple<std::uint64_t, const BenchmarkInfo *,
                           std::uint64_t, std::uint64_t, Cycle,
-                          std::uint64_t, Cycle, double>;
+                          std::uint64_t, double>;
 
-static_assert(sizeof(Gpu::RunLimits) == 5 * sizeof(std::uint64_t),
+static_assert(sizeof(Gpu::RunLimits) == 4 * sizeof(std::uint64_t),
               "a new Gpu::RunLimits field must join RunKey");
 
 /** Every suite run this process has simulated, by key. */
@@ -176,7 +176,7 @@ runSuites(const std::vector<const BenchmarkInfo *> &suite,
             auto [it, inserted] = simulatedRuns.try_emplace(
                 {configDigest(job.cfg), info, l.warpInstrQuota,
                  l.warmupInstrs, l.maxCycles, l.maxActiveWarps,
-                 l.restartSkewCycles, job.footprintScale});
+                 job.footprintScale});
             slots.push_back(&it->second);
             if (inserted) {
                 fresh.push_back(&it->second);

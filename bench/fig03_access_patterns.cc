@@ -5,9 +5,10 @@
  *
  * The paper scatter-plots (cycle, page index) samples from real-GPU
  * profiles; this harness dumps the same series from the simulator to
- * fig03_<bench>.csv and prints summary dispersion statistics: irregular
- * apps touch a wide page range within short windows, the regular app
- * streams contiguously.
+ * fig03_<bench>.csv, one sample per lane stamped with the cycle its warp
+ * fetched the instruction, and prints summary dispersion statistics:
+ * irregular apps touch a wide page range within short windows, the
+ * regular app streams contiguously.
  */
 
 #include <algorithm>
@@ -27,19 +28,54 @@ struct Sample
     std::uint64_t page;
 };
 
+/**
+ * Forwards a workload's stream to the SMs and samples each fetched
+ * instruction's lanes as (fetch cycle, 64 KB page index).
+ */
+class PageSampler : public Workload
+{
+  public:
+    PageSampler(std::unique_ptr<Workload> inner, std::vector<Sample> &out)
+        : inner_(std::move(inner)), samples(out)
+    {
+    }
+
+    /** Read fetch cycles from @p eq, the machine's event queue. */
+    void setClock(const EventQueue &eq) { clock = &eq; }
+
+    WarpInstr
+    next(SmId sm, WarpId warp, Rng &rng) override
+    {
+        WarpInstr instr = inner_->next(sm, warp, rng);
+        for (std::uint32_t lane = 0; lane < instr.activeLanes; ++lane)
+            samples.push_back({clock->now(), instr.addrs[lane] / kPage});
+        return instr;
+    }
+
+    std::uint64_t footprintBytes() const override
+    {
+        return inner_->footprintBytes();
+    }
+    std::string name() const override { return inner_->name(); }
+    bool irregular() const override { return inner_->irregular(); }
+
+  private:
+    static constexpr std::uint64_t kPage = 64 * 1024;
+
+    std::unique_ptr<Workload> inner_;
+    std::vector<Sample> &samples;
+    const EventQueue *clock = nullptr;
+};
+
 void
 trace(const char *abbr)
 {
     const BenchmarkInfo &info = findBenchmark(abbr);
-    Gpu gpu(baselineCfg(), makeWorkload(info));
-
     std::vector<Sample> samples;
-    constexpr std::uint64_t kPage = 64 * 1024;
-    gpu.setTraceHook([&](SmId, WarpId, Cycle cycle,
-                         const WarpInstr &instr) {
-        for (std::uint32_t lane = 0; lane < instr.activeLanes; ++lane)
-            samples.push_back({cycle, instr.addrs[lane] / kPage});
-    });
+    auto sampler = std::make_unique<PageSampler>(makeWorkload(info), samples);
+    PageSampler &tap = *sampler;
+    Gpu gpu(baselineCfg(), std::move(sampler));
+    tap.setClock(gpu.eventQueue());
 
     Gpu::RunLimits limits;
     limits.warpInstrQuota = 3000;

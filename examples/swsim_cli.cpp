@@ -19,7 +19,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/corun.hh"
@@ -429,9 +431,11 @@ printHelp(const std::vector<CliOption> &table)
     }
 }
 
-void
+/** Apply @p argv through @p table; @return the name of each option given. */
+std::set<std::string>
 parseArgs(int argc, char **argv, const std::vector<CliOption> &table)
 {
+    std::set<std::string> given;
     for (int i = 1; i < argc;) {
         const std::string arg = argv[i];
         const CliOption *match = nullptr;
@@ -445,7 +449,59 @@ parseArgs(int argc, char **argv, const std::vector<CliOption> &table)
             cliError(strprintf("%s expects %s", match->name, match->args));
         std::vector<std::string> values(argv + i + 1, argv + i + 1 + arity);
         match->set(values);
+        given.insert(match->name);
         i += 1 + arity;
+    }
+    return given;
+}
+
+/**
+ * Reject each option that the run path @p given selects would not read:
+ * one another option excludes, or one that means nothing without another.
+ */
+void
+checkCombinations(const std::set<std::string> &given)
+{
+    auto has = [&](const char *flag) { return given.count(flag) > 0; };
+    // A phase-sampled run attaches no observers and writes only its
+    // sampled JSON; a co-run has no single stream to record, checkpoint
+    // or sample, and does not arm the profiler.
+    const std::pair<const char *, std::vector<const char *>> excludes[] = {
+        {"--phase-sample",
+         {"--metrics-out", "--prom-out", "--trace-out", "--samples-out",
+          "--ledger-out", "--events-out", "--fingerprint-out",
+          "--profile-out", "--replay-end"}},
+        {"--corun",
+         {"--record", "--ffwd", "--checkpoint-at", "--checkpoint-out",
+          "--checkpoint-in", "--phase-sample", "--phase-window",
+          "--phase-clusters", "--phase-warmup", "--phase-skip",
+          "--phase-time-weight", "--replay-end", "--profile-out"}},
+    };
+    for (const auto &[path, flags] : excludes) {
+        for (const char *flag : flags) {
+            if (has(path) && has(flag))
+                cliError(strprintf("%s cannot be combined with %s", path,
+                                   flag));
+        }
+    }
+    // Options read only beside another; the tenant options need a
+    // co-run, since a single run has one tenant.
+    const std::pair<const char *, const char *> needs[] = {
+        {"--no-solo", "--corun"},
+        {"--mig", "--corun"},
+        {"--pw-arb", "--corun"},
+        {"--checkpoint-out", "--checkpoint-at"},
+        {"--sample-interval", "--samples-out"},
+        {"--replay-end", "--replay"},
+        {"--phase-window", "--phase-sample"},
+        {"--phase-clusters", "--phase-sample"},
+        {"--phase-warmup", "--phase-sample"},
+        {"--phase-skip", "--phase-sample"},
+        {"--phase-time-weight", "--phase-sample"},
+    };
+    for (const auto &[flag, needed] : needs) {
+        if (has(flag) && !has(needed))
+            cliError(strprintf("%s needs %s", flag, needed));
     }
 }
 
@@ -466,12 +522,13 @@ main(int argc, char **argv)
     setVerbose(false);
     Options opt;
     std::vector<CliOption> table = optionTable(opt);
-    parseArgs(argc, argv, table);
+    std::set<std::string> given = parseArgs(argc, argv, table);
 
     if (opt.help) {
         printHelp(table);
         return 0;
     }
+    checkCombinations(given);
 
     if (!opt.convertIn.empty()) {
         if (opt.benchSet || !opt.replayPath.empty())

@@ -64,18 +64,7 @@ fastForward(Gpu &gpu, std::uint64_t instrs, const Gpu::RunLimits &limits)
     const GpuConfig &cfg = gpu.config();
     PageGeometry geometry(cfg.pageBytes);
 
-    // Replicate runSegment()'s active-warp distribution so ffwd advances
-    // exactly the streams the detailed segments will run.
-    std::vector<std::uint32_t> active(gpu.numSms(), cfg.maxWarpsPerSm);
-    if (limits.maxActiveWarps > 0) {
-        std::fill(active.begin(), active.end(), 0u);
-        for (std::uint64_t k = 0; k < limits.maxActiveWarps; ++k) {
-            SmId sm = SmId(k % gpu.numSms());
-            if (active[sm] < cfg.maxWarpsPerSm)
-                ++active[sm];
-        }
-    }
-
+    std::vector<std::uint32_t> active = gpu.warpsToStart(limits);
     std::vector<Stream> streams;
     for (SmId sm = 0; sm < SmId(gpu.numSms()); ++sm) {
         for (WarpId warp = 0; warp < active[sm]; ++warp)

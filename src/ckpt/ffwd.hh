@@ -41,9 +41,9 @@ struct FfwdStats
 /**
  * Stream @p instrs warp instructions through @p gpu functionally.  Only
  * legal before a detailed segment starts or at a quiesced barrier (the
- * event queue must be empty).  @p limits supplies the active-warp
- * distribution (limits.maxActiveWarps) so ffwd advances the same streams
- * the detailed segments run.
+ * event queue must be empty).  Only the streams of the warps
+ * Gpu::warpsToStart(@p limits) names advance: the detailed segments run
+ * the same warps.
  */
 FfwdStats fastForward(Gpu &gpu, std::uint64_t instrs,
                       const Gpu::RunLimits &limits);

@@ -75,17 +75,6 @@ struct SamplingOptions
      * disables it (pure SimPoint behaviour).  It must be finite.
      */
     double timeFeatureWeight = 0.5;
-    /**
-     * Per-warp restart stagger (cycles) for each detailed segment; warp k
-     * begins k * restartSkewCycles after the segment starts.  Off by
-     * default: replay fidelity comes from restoring the *recorded* phase
-     * relationships (the trace's fetch order, which fast-forward
-     * replays), and imposing an artificial stagger on top of coherent
-     * positions perturbs the trajectory away from the recording rather
-     * than toward it.  Kept as an experiment knob for workloads whose
-     * restart transient benefits from de-synchronised warp starts.
-     */
-    std::uint64_t restartSkewCycles = 0;
 };
 
 /** One representative window the detailed simulation must cover. */

@@ -203,33 +203,10 @@ Gpu::runSegment(std::uint64_t fetch_quota,
               "warmup extends past this segment's quota");
     quotaRemaining = fetch_quota;
 
-    // Distribute active warps across SMs (round-robin when capped).
-    std::vector<std::uint32_t> active(sms.size(), cfg.maxWarpsPerSm);
-    if (limits.maxActiveWarps > 0) {
-        std::fill(active.begin(), active.end(), 0u);
-        for (std::uint64_t k = 0; k < limits.maxActiveWarps; ++k) {
-            SmId sm = SmId(k % sms.size());
-            if (active[sm] < cfg.maxWarpsPerSm)
-                ++active[sm];
-        }
-    }
-
-    warpsAlive = 0;
-    for (auto &sm : sms) {
-        sm->onWarpRetired = [this]() {
-            SW_ASSERT(warpsAlive > 0, "warp retirement underflow");
-            --warpsAlive;
-        };
-    }
-    // Global warp index k = sm + numSms * warp interleaves SMs, so the
-    // skewed restart spreads load across SMs rather than one SM at a time.
+    std::vector<std::uint32_t> active = warpsToStart(limits);
     for (std::size_t i = 0; i < sms.size(); ++i) {
-        warpsAlive += active[i];
-        if (active[i] > 0) {
-            sms[i]->start(&quotaRemaining, active[i],
-                          limits.restartSkewCycles * i,
-                          limits.restartSkewCycles * sms.size());
-        }
+        if (active[i] > 0)
+            sms[i]->start(&quotaRemaining, active[i]);
     }
 
     if (warmup_fetch_remaining > 0)
@@ -251,17 +228,30 @@ Gpu::runSegment(std::uint64_t fetch_quota,
     auditor_.finalCheck(eventq.now(), eventq.empty());
 }
 
+std::vector<std::uint32_t>
+Gpu::warpsToStart(const RunLimits &limits) const
+{
+    if (limits.maxActiveWarps == 0)
+        return std::vector<std::uint32_t>(sms.size(), cfg.maxWarpsPerSm);
+    std::vector<std::uint32_t> active(sms.size(), 0);
+    for (std::uint64_t k = 0; k < limits.maxActiveWarps; ++k) {
+        SmId sm = SmId(k % sms.size());
+        if (active[sm] < cfg.maxWarpsPerSm)
+            ++active[sm];
+    }
+    return active;
+}
+
 void
 Gpu::scheduleWarmupCheck(std::uint64_t measured_quota)
 {
-    // Poll until the warmup portion of the quota has been issued, then
-    // zero every component's statistics.
+    // Poll until the warmup portion of the quota has been fetched, then
+    // zero every component's statistics.  No warp retires before the
+    // whole quota is fetched, so the poll always ends.
     eventq.scheduleIn(200, [this, measured_quota]() {
-        if (quotaRemaining <= measured_quota) {
+        if (quotaRemaining <= measured_quota)
             resetAllStats();
-            return;
-        }
-        if (warpsAlive > 0)
+        else
             scheduleWarmupCheck(measured_quota);
     });
 }
@@ -280,7 +270,7 @@ Gpu::saveState(CkptWriter &w) const
     SW_ASSERT(engine_->walks().live() == 0,
               "checkpoint with %zu walk records in flight",
               engine_->walks().live());
-    SW_ASSERT(quotaRemaining == 0 && warpsAlive == 0,
+    SW_ASSERT(quotaRemaining == 0,
               "checkpoint before the segment's quota drained");
     w.section("gpu");
     w.u64(eventq.now());
@@ -481,13 +471,6 @@ Gpu::performance() const
     if (elapsed == 0)
         return 0.0;
     return double(instructionsIssued()) / double(elapsed);
-}
-
-void
-Gpu::setTraceHook(TraceHookFn hook)
-{
-    for (auto &sm : sms)
-        sm->traceHook = hook;
 }
 
 } // namespace sw

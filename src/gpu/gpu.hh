@@ -51,17 +51,6 @@ class Gpu : private SmPort, private RequestSink
         Cycle maxCycles = 3000000;
         /** Cap on concurrently active warps (0 = all); Fig 4 uses this. */
         std::uint64_t maxActiveWarps = 0;
-        /**
-         * Stagger warp (re)starts: globally, warp k begins fetching k *
-         * restartSkewCycles after the segment starts (0 = all at once).
-         * A lock-step restart of a *warm* machine keeps warps phase-
-         * aligned; the resulting miss bursts can park the shared L2 TLB
-         * MSHRs in a persistently saturated state that a continuous run
-         * never reaches.  Sampled/segmented runs set a small skew so each
-         * detailed window re-enters the same steady state the full run
-         * occupies (docs/CHECKPOINTS.md §Phase sampling).
-         */
-        Cycle restartSkewCycles = 0;
     };
 
     /** Single-tenant machine (cfg.numTenants must be 1). */
@@ -98,6 +87,13 @@ class Gpu : private SmPort, private RequestSink
     void runSegment(std::uint64_t fetch_quota,
                     std::uint64_t warmup_fetch_remaining,
                     const RunLimits &limits);
+
+    /**
+     * The warps each SM starts in a segment under @p limits, indexed by
+     * SM: every warp, or limits.maxActiveWarps dealt round-robin across
+     * the SMs.  Fast-forward advances exactly these warps' streams.
+     */
+    std::vector<std::uint32_t> warpsToStart(const RunLimits &limits) const;
 
     /**
      * Serialise the entire machine state into @p w.  Only legal at a
@@ -159,9 +155,6 @@ class Gpu : private SmPort, private RequestSink
     std::uint32_t numSms() const { return std::uint32_t(sms.size()); }
     const GpuConfig &config() const { return cfg; }
 
-    /** Install a per-instruction trace hook on every SM (Fig 3). */
-    void setTraceHook(TraceHookFn hook);
-
     /**
      * The lifecycle stream every component emits into; its consumers are
      * the tracer, ledger and event log of the installed bundle.
@@ -212,7 +205,6 @@ class Gpu : private SmPort, private RequestSink
 
 
     std::uint64_t quotaRemaining = 0;
-    std::uint64_t warpsAlive = 0;
     Cycle measureStart = 0;        ///< cycle the measured region began
     std::uint64_t warmupBaseline = 0; ///< instrs issued when warmup ended
 };

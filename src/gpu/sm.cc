@@ -24,8 +24,7 @@ Sm::Sm(EventQueue &eq, Params params, Workload &wl, RequestPool &requests,
 }
 
 void
-Sm::start(std::uint64_t *instr_quota, std::uint32_t active_warps,
-          Cycle skew_base, Cycle skew_stride)
+Sm::start(std::uint64_t *instr_quota, std::uint32_t active_warps)
 {
     quota = instr_quota;
     std::uint32_t count = std::min(active_warps, params_.numWarps);
@@ -36,14 +35,8 @@ Sm::start(std::uint64_t *instr_quota, std::uint32_t active_warps,
     SW_LIFECYCLE(lifecycle_, LifecyclePhase::SmSched, eventq.now(), 0, {},
                  params_.id, false, liveWarps > 0,
                  liveWarps > 0 && blockedWarps >= liveWarps);
-    for (WarpId w = 0; w < count; ++w) {
-        Cycle delay = skew_base + skew_stride * w;
-        if (delay == 0) {
-            fetchAndSchedule(w);
-        } else {
-            eventq.scheduleIn(delay, [this, w]() { fetchAndSchedule(w); });
-        }
-    }
+    for (WarpId w = 0; w < count; ++w)
+        fetchAndSchedule(w);
 }
 
 Cycle
@@ -97,9 +90,6 @@ Sm::execMemInstr(WarpId warp)
     WarpState &ws = warps[warp];
     const WarpInstr &instr = ws.pending;
     ws.issuedAt = eventq.now();
-
-    if (traceHook)
-        traceHook(params_.id, warp, ws.issuedAt, instr);
 
     // Coalesce the warp's lanes into unique pages, and each page's unique
     // sectors in first-touch lane order.  A lane compares its sector only
@@ -237,8 +227,6 @@ Sm::retireWarp(WarpId warp)
     SW_ASSERT(liveWarps > 0, "live warp underflow");
     --liveWarps;
     updateStallWindow();
-    if (onWarpRetired)
-        onWarpRetired();
 }
 
 void

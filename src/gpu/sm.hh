@@ -19,7 +19,6 @@
 #define SW_GPU_SM_HH
 
 #include <cstdint>
-#include <functional>
 #include <tuple>
 #include <vector>
 
@@ -55,10 +54,6 @@ class SmPort
   protected:
     ~SmPort() = default;
 };
-
-/** Optional per-instruction trace hook (Fig 3 dumps). */
-using TraceHookFn =
-    std::function<void(SmId, WarpId, Cycle, const WarpInstr &)>;
 
 /** One GPU core. */
 class Sm
@@ -99,20 +94,12 @@ class Sm
     Sm &operator=(const Sm &) = delete;
 
     /**
-     * Activate warps and begin issuing.
+     * Activate warps and begin issuing: every warp fetches at the current
+     * cycle.  A warp retires when it finds @p quota spent.
      * @param quota shared pool of warp instructions left to issue
      * @param active_warps number of warps to enable on this SM
-     * @param skew_base delay (cycles) before this SM's first warp starts
-     * @param skew_stride additional delay between successive warps
-     *
-     * A zero skew starts every warp at the current cycle, which is the
-     * cold-start behaviour.  Segmented runs restarting a *warm* machine
-     * pass a non-zero skew: a lock-step restart keeps warps phase-aligned
-     * and can drive the shared L2 TLB MSHRs into a persistent saturated
-     * regime that a continuously-run machine never enters.
      */
-    void start(std::uint64_t *quota, std::uint32_t active_warps,
-               Cycle skew_base = 0, Cycle skew_stride = 0);
+    void start(std::uint64_t *quota, std::uint32_t active_warps);
 
     /**
      * Reserve @p slots consecutive issue-port cycles for the PW Warp
@@ -178,12 +165,6 @@ class Sm
 
     /** Restore state saved by saveState(). */
     void restoreState(CkptReader &r);
-
-    /** Set by the GPU when tracing is requested. */
-    TraceHookFn traceHook;
-
-    /** Invoked whenever a warp retires (all work done). */
-    std::function<void()> onWarpRetired;
 
   private:
     struct WarpState

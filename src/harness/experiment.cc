@@ -224,6 +224,8 @@ run(RunSpec spec)
         fatal("trace recording cannot be combined with fast-forward or "
               "checkpointing");
     }
+    if (!spec.checkpointOut.empty() && spec.checkpointAtInstrs == 0)
+        fatal("checkpointOut set without a checkpointAtInstrs barrier");
 
     std::uint64_t total_fetch = limits.warpInstrQuota + limits.warmupInstrs;
     if (!spec.checkpointIn.empty()) {

@@ -182,7 +182,8 @@ struct RunSpec
      * quota + warmup.
      */
     std::uint64_t checkpointAtInstrs = 0;
-    std::string checkpointOut;   ///< path for the checkpointAtInstrs save
+    /** Path for the checkpointAtInstrs save; needs checkpointAtInstrs. */
+    std::string checkpointOut;
     /**
      * Resume from this checkpoint instead of starting cold: the spec
      * must rebuild the same machine (config digest is hard-checked) and

@@ -5,9 +5,9 @@
 #include <ostream>
 
 #include "ckpt/ffwd.hh"
-#include "core/softwalker.hh"
 #include "harness/report.hh"
 #include "sim/logging.hh"
+#include "trace/trace_workload.hh"
 
 namespace sw {
 
@@ -70,6 +70,8 @@ runSampled(RunSpec spec, SamplingOptions opts,
         fatal("phase sampling drives its own fast-forward; recording and "
               "checkpoint fields must be unset");
     }
+    if (spec.obs != nullptr)
+        fatal("phase sampling attaches no observers; obs must be unset");
 
     Gpu::RunLimits limits = spec.limits.value_or(defaultLimits());
     auto replay = std::make_unique<TraceWorkload>(spec.replayPath,
@@ -96,8 +98,10 @@ runSampled(RunSpec spec, SamplingOptions opts,
     }
 
     std::string name = replay->name();
-    Gpu gpu(spec.cfg, std::move(replay));
-    installWalkBackend(gpu);
+    std::vector<std::unique_ptr<Workload>> workloads;
+    workloads.push_back(std::move(replay));
+    std::unique_ptr<Gpu> gpu =
+        buildMachine(spec.cfg, std::move(workloads), nullptr);
 
     // Alternate functional fast-forward (stream gaps) and detailed
     // segments (representative windows).  Fast-forward carries no timing
@@ -113,14 +117,13 @@ runSampled(RunSpec spec, SamplingOptions opts,
         std::uint64_t gap = window.startInstr - pos;
         std::uint64_t warmup = std::min(opts.windowWarmupInstrs, gap);
         if (gap > warmup)
-            fastForward(gpu, gap - warmup, limits);
+            fastForward(*gpu, gap - warmup, limits);
         Gpu::RunLimits segment = limits;
-        segment.maxCycles = gpu.cycles() + limits.maxCycles;
-        segment.restartSkewCycles = opts.restartSkewCycles;
+        segment.maxCycles = gpu->cycles() + limits.maxCycles;
         if (warmup == 0)
-            gpu.resetAllStats();   // runSegment only resets after a warmup
-        gpu.runSegment(warmup + window.instrs, warmup, segment);
-        out.windows.push_back(collectResult(gpu, name));
+            gpu->resetAllStats();   // runSegment only resets after a warmup
+        gpu->runSegment(warmup + window.instrs, warmup, segment);
+        out.windows.push_back(collectResult(*gpu, name));
         out.detailedInstrsRun += warmup + window.instrs;
         pos = window.startInstr + window.instrs;
     }

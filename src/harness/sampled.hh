@@ -64,7 +64,8 @@ struct SampledRunResult
  * Run @p spec phase-sampled.  The spec must use a replayPath workload
  * source (sampling needs the recorded stream to plan over); recording,
  * checkpointing, and ffwdInstrs must be unset — the sampler drives its
- * own fast-forward.  @p opts.pageBytes is overridden with the config's
+ * own fast-forward — and so must obs, as no observer follows a sampled
+ * run.  @p opts.pageBytes is overridden with the config's
  * page size so features match the simulated geometry.
  *
  * @p sharedPlan, when non-null, replaces the plan built from this run's

@@ -74,10 +74,8 @@ class TimeSeriesSampler
      */
     void onSample(std::function<void(Cycle)> fn) { onSample_ = std::move(fn); }
 
-    std::size_t numGauges() const { return gauges.size(); }
     std::size_t numRows() const { return rows_.size(); }
     const std::vector<Row> &rows() const { return rows_; }
-    const std::vector<std::string> &gaugeNames() const { return names_; }
 
     /** CSV header: "cycle,<gauge>,<gauge>,...". */
     std::string csvHeader() const;

@@ -26,7 +26,7 @@
  *  - the *far heap*: a binary heap of trivially-copyable 24-byte
  *    (cycle, seq, slot) entries for the rare events scheduled a full span
  *    or more ahead (UVM fault replays under long fixed page-table
- *    latencies, skewed warp restarts).
+ *    latencies).
  *
  * Execution order is a strict total order on (cycle, insertion-seq) —
  * neither the tiers nor the slot assignment can change *which* event runs

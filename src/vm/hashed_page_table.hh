@@ -47,7 +47,6 @@ class HashedPageTable : public PageTableBase
     int walkReads(Vpn vpn) const override;
 
     double loadFactor() const;
-    std::uint64_t collisions() const { return collisionCount; }
 
     void saveState(CkptWriter &w) const override;
     void restoreState(CkptReader &r) override;

@@ -47,7 +47,6 @@ class FrameAllocator
     PhysAddr allocTable(std::uint64_t bytes);
 
     std::uint64_t dataFramesAllocated() const { return dataFrames; }
-    std::uint64_t tableBytesAllocated() const { return tableBytes; }
 
     /** Serialise the allocation cursors into a checkpoint. */
     void saveState(CkptWriter &w) const;
@@ -165,8 +164,6 @@ class RadixPageTable : public PageTableBase
 
     /** VPN bits consumed by levels strictly below @p level. */
     unsigned bitsBelow(int level) const;
-
-    std::uint64_t nodesAllocated() const { return nodes.size(); }
 
     void saveState(CkptWriter &w) const override;
     void restoreState(CkptReader &r) override;

@@ -94,7 +94,6 @@ class SubEntryTlb
     std::uint32_t numTags() const { return std::uint32_t(entries.size()); }
     std::uint32_t numWays() const { return ways; }
     std::uint32_t numSets() const { return sets; }
-    std::uint32_t subEntries() const { return subs; }
     bool sharing() const { return shared_; }
 
     /**

@@ -141,7 +141,6 @@ class TlbArray
         }
     }
 
-    std::uint32_t numEntries() const { return std::uint32_t(tags.size()); }
     std::uint32_t numWays() const { return ways; }
     std::uint32_t numSets() const { return sets; }
     std::uint64_t setOf(Vpn vpn) const { return vpn % sets; }

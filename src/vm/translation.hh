@@ -171,17 +171,8 @@ class TranslationEngine : public PtReader, private RequestSink
     const PageWalkCache &pwc() const { return pwcCache; }
     /** The single-tenant (ASID 0) page table. */
     PageTableBase &pageTable() { return spaces_.tableFor(0); }
-    /** Tenant @p asid's page table. */
-    PageTableBase &pageTableFor(Asid asid) { return spaces_.tableFor(asid); }
-    const PageTableBase &pageTableFor(Asid asid) const
-    {
-        return spaces_.tableFor(asid);
-    }
     AddressSpaceManager &spaces() { return spaces_; }
-    const TlbArray &l1Tlb(SmId sm) const { return l1Arrays.at(sm); }
     const TlbArray &l2Tlb() const { return l2Array; }
-    /** The sub-entry L2 TLB, or nullptr when l2SubEntries == 1. */
-    const SubEntryTlb *subEntryL2() const { return subL2.get(); }
     const FaultBuffer &faultBuffer() const { return faults_; }
     /** Zero all statistics (engine, TLBs, PWC) after warmup. */
     void resetStats();
@@ -225,15 +216,6 @@ class TranslationEngine : public PtReader, private RequestSink
 
     /** Restore state saved by saveState(). */
     void restoreState(CkptReader &r);
-
-    /** L2 TLB misses per kilo "instruction" given an instruction count. */
-    double
-    l2Mpki(std::uint64_t instructions) const
-    {
-        return instructions
-            ? 1000.0 * double(stats_.l2Misses) / double(instructions)
-            : 0.0;
-    }
 
   private:
     friend struct AuditTester;   ///< negative-path audit tests only

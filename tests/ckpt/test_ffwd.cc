@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "ckpt/ffwd.hh"
 #include "core/softwalker.hh"
@@ -41,6 +43,35 @@ freshGpu(const GpuConfig &cfg)
     installWalkBackend(*gpu);
     return gpu;
 }
+
+/** Forwards a workload and counts each (sm, warp) stream's fetches. */
+class FetchCounter : public Workload
+{
+  public:
+    explicit FetchCounter(std::unique_ptr<Workload> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    WarpInstr
+    next(SmId sm, WarpId warp, Rng &rng) override
+    {
+        ++fetches[{sm, warp}];
+        return inner_->next(sm, warp, rng);
+    }
+
+    std::uint64_t footprintBytes() const override
+    {
+        return inner_->footprintBytes();
+    }
+    std::string name() const override { return inner_->name(); }
+    bool irregular() const override { return inner_->irregular(); }
+
+    std::map<std::pair<SmId, WarpId>, std::uint64_t> fetches;
+
+  private:
+    std::unique_ptr<Workload> inner_;
+};
 
 TEST(Ffwd, FunctionalTouchFillsTlbs)
 {
@@ -94,6 +125,36 @@ TEST(Ffwd, HarnessRunIsDeterministic)
         return fingerprint(run(std::move(spec)));
     };
     EXPECT_EQ(once(), once());
+}
+
+TEST(Ffwd, ActiveWarpCapAdvancesOnlyTheStartedWarps)
+{
+    // Six warps dealt round-robin over four SMs start 2, 2, 1 and 1 of
+    // them.  Fast-forward advances those six streams evenly and no other,
+    // and the detailed segment after it fetches for the same six warps.
+    auto counter = std::make_unique<FetchCounter>(
+        makeWorkload(findBenchmark("bfs")));
+    FetchCounter &fetched = *counter;
+    Gpu gpu(test::smallConfig(), std::move(counter));
+    Gpu::RunLimits limits = smallLimits();
+    limits.warpInstrQuota = 300;
+    limits.maxActiveWarps = 6;
+    EXPECT_EQ(gpu.warpsToStart(limits),
+              (std::vector<std::uint32_t>{2, 2, 1, 1}));
+
+    fastForward(gpu, 600, limits);
+    const std::map<std::pair<SmId, WarpId>, std::uint64_t> capped = {
+        {{0, 0}, 100}, {{0, 1}, 100}, {{1, 0}, 100},
+        {{1, 1}, 100}, {{2, 0}, 100}, {{3, 0}, 100}};
+    EXPECT_EQ(fetched.fetches, capped);
+
+    fetched.fetches.clear();
+    gpu.resetAllStats();
+    gpu.runSegment(limits.warpInstrQuota, 0, limits);
+    EXPECT_EQ(gpu.instructionsIssued(), limits.warpInstrQuota);
+    EXPECT_EQ(fetched.fetches.size(), capped.size());
+    for (const auto &[stream, count] : capped)
+        EXPECT_EQ(fetched.fetches.count(stream), 1u);
 }
 
 /**

@@ -209,6 +209,18 @@ TEST(Sampling, EmptyTraceIsFatal)
     EXPECT_DEATH(buildSamplingPlan(trace, SamplingOptions{}), "empty trace");
 }
 
+TEST(Sampling, ObservedRunIsFatal)
+{
+    // No observer follows a sampled run, so a bundle would stay empty.
+    Observability obs;
+    RunSpec spec;
+    spec.cfg = test::smallConfig();
+    spec.replayPath = "never-opened.swtrace";
+    spec.obs = &obs;
+    EXPECT_DEATH(runSampled(std::move(spec), SamplingOptions{}),
+                 "attaches no observers");
+}
+
 TEST(Sampling, WeightedEstimateKnownValues)
 {
     // Mean: 0.25*2 + 0.75*6 = 5; variance: 0.25*9 + 0.75*1 = 3.

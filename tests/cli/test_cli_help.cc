@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace {
 
@@ -113,6 +114,43 @@ TEST(CliNumbers, BadValuesAreUsageErrors)
           "--ptws 0", "--mode hybrid --ptws 0", "--phase-window 0",
           "--phase-clusters 0", "--phase-time-weight inf",
           "--phase-time-weight nan", "--sample-interval 0"}) {
+        auto [status, out] = runCli(args);
+        EXPECT_EQ(status, 2) << args << ": " << out;
+        EXPECT_NE(out.find("(try --help)"), std::string::npos)
+            << args << ": " << out;
+    }
+}
+
+TEST(CliCombinations, IgnoredOptionsAreUsageErrors)
+{
+    // Each option here would be read by no run path: a phase-sampled run
+    // writes only its sampled JSON, a co-run neither records, checkpoints,
+    // samples phases, replays nor profiles, the tenant options need a
+    // co-run, and the rest mean nothing without their partner option.
+    // Every one ends in the exit-2 usage error before anything runs.
+    const std::string replay = "--replay t.swtrace ";
+    const std::string sample = replay + "--phase-sample s.json ";
+    const std::string corun = "--corun bfs,gemm ";
+    const std::vector<std::string> cases = {
+        sample + "--metrics-out m.json", sample + "--prom-out m.prom",
+        sample + "--trace-out t.json", sample + "--samples-out s.csv",
+        sample + "--ledger-out l.json", sample + "--events-out e.ndjson",
+        sample + "--fingerprint-out f.fp", sample + "--profile-out p.json",
+        sample + "--replay-end loop",
+        corun + "--record r.swtrace", corun + "--ffwd 100",
+        corun + "--checkpoint-at 100",
+        corun + "--checkpoint-at 100 --checkpoint-out c.swckpt",
+        corun + "--checkpoint-in c.swckpt", corun + "--phase-sample s.json",
+        corun + "--phase-window 100", corun + "--phase-clusters 2",
+        corun + "--phase-warmup 100", corun + "--phase-skip 100",
+        corun + "--phase-time-weight 1", corun + "--replay-end loop",
+        corun + "--profile-out p.json",
+        "--no-solo", "--mig", "--pw-arb rr", "--bench bfs --mig",
+        "--checkpoint-out c.swckpt", "--sample-interval 500",
+        "--replay-end loop", "--bench bfs --replay-end drain",
+        replay + "--phase-window 100", "--phase-clusters 2",
+        "--phase-warmup 0", "--phase-skip 10", "--phase-time-weight 0.5"};
+    for (const std::string &args : cases) {
         auto [status, out] = runCli(args);
         EXPECT_EQ(status, 2) << args << ": " << out;
         EXPECT_NE(out.find("(try --help)"), std::string::npos)

@@ -127,19 +127,6 @@ TEST(Gpu, CacheSetCountsNeedNotBePowersOfTwo)
     EXPECT_TRUE(gpu.eventQueue().empty());
 }
 
-TEST(Gpu, TraceHookDeliversInstructions)
-{
-    Gpu gpu(test::smallConfig(), streamWorkload());
-    int traced = 0;
-    gpu.setTraceHook([&](SmId, WarpId, Cycle, const WarpInstr &) {
-        ++traced;
-    });
-    Gpu::RunLimits limits;
-    limits.warpInstrQuota = 40;
-    gpu.run(limits);
-    EXPECT_EQ(traced, 40);
-}
-
 TEST(Gpu, AggregateSmStatsSumsAcrossSms)
 {
     Gpu gpu(test::smallConfig(), streamWorkload());

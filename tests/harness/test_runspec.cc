@@ -152,4 +152,15 @@ TEST(RunSpecDeath, WorkloadPlusReplayIsFatal)
     EXPECT_DEATH(run(std::move(spec)), "exactly one workload source");
 }
 
+TEST(RunSpecDeath, CheckpointOutWithoutABarrierIsFatal)
+{
+    // With no checkpointAtInstrs the run would never write the file.
+    RunSpec spec;
+    spec.cfg = test::smallConfig();
+    spec.workload = tinyWorkload();
+    spec.limits = tinyLimits();
+    spec.checkpointOut = "never-written.swckpt";
+    EXPECT_DEATH(run(std::move(spec)), "without a checkpointAtInstrs");
+}
+
 } // namespace

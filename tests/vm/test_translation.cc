@@ -272,13 +272,6 @@ TEST_F(TranslationTest, ShootdownOfUnknownVpnIsHarmless)
     EXPECT_EQ(pfn, pt.translate(0x5));
 }
 
-TEST_F(TranslationTest, MpkiComputation)
-{
-    translateAndWait(0, 0x111);
-    EXPECT_DOUBLE_EQ(engine.l2Mpki(1000), 1.0);
-    EXPECT_DOUBLE_EQ(engine.l2Mpki(0), 0.0);
-}
-
 TEST_F(TranslationTest, FixedPtLatencyOverride)
 {
     // An engine with the Fig 23 fixed-latency override, on its own
