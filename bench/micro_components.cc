@@ -15,6 +15,7 @@
 #include "vm/page_table.hh"
 #include "vm/page_walk_cache.hh"
 #include "vm/tlb.hh"
+#include "workload/generators.hh"
 
 using namespace sw;
 
@@ -215,6 +216,28 @@ BM_CacheMissSweep(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheMissSweep);
+
+/**
+ * 2dc's generator (Table 4: a 1,120 MB footprint, one stream, 4-byte
+ * elements): one warp instruction a call, its 32 lane offsets stepped
+ * modulo a footprint that is not a power of two.  SMs rotate as warps of
+ * the Table 3 machine fetch.
+ */
+static void
+BM_StreamingNext(benchmark::State &state)
+{
+    StreamingWorkload wl("2dc", 1120ull << 20, false, 25,
+                         StreamingWorkload::Params{});
+    Rng rng(3);
+    SmId sm = 0;
+    for (auto _ : state) {
+        WarpInstr instr = wl.next(sm, 0, rng);
+        benchmark::DoNotOptimize(instr);
+        sm = sm == 79 ? 0 : sm + 1;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StreamingNext);
 
 static void
 BM_RngRange(benchmark::State &state)

@@ -6,8 +6,10 @@
  * simulator schedules (16-byte [this, id] request and issue events,
  * 24-byte [this, key] and [this, lane, addr] events, the most a handler
  * may capture), self-scheduling chains, a periodic sweep-hook workload, a
- * queue as deep as gups-sw's with its measured delays, and delays that
- * all land in the far heap.
+ * queue as deep as gups-sw's with its measured delays (empty handlers,
+ * and handlers that each read a random record of a 16 MB slab, with and
+ * without naming it to the queue), and delays that all land in the far
+ * heap.
  *
  * BM_LegacyQueue* replicate the pre-EventFn design in-file — a
  * std::priority_queue of {cycle, seq, std::function} — so the speedup of
@@ -184,6 +186,88 @@ delayTable(const std::pair<Cycle, int> *weights, std::size_t n)
     return table;
 }
 
+/** A 32-byte record: what a simulator handler reads first. */
+struct Record
+{
+    std::uint64_t words[4];
+};
+
+/** Records in the slab the reading rows draw from: 16 MB, past L2. */
+constexpr std::size_t kSlabRecords = std::size_t(1) << 19;
+
+/**
+ * A steady-state deep queue whose handlers each read one random record
+ * of a 16 MB slab, as the simulator's read a request or a walk record.
+ * With @p kNamed an event names its record when it is scheduled, so the
+ * queue prefetches it before the handler runs.
+ */
+template <bool kNamed>
+class ReadingQueue
+{
+  public:
+    ReadingQueue(const std::vector<Record> &records,
+                 const std::vector<Cycle> &delays, std::int64_t events)
+        : slab(records), delayTable(delays), remaining(events)
+    {
+    }
+
+    /** Schedule one event reading a random record. */
+    void
+    schedule()
+    {
+        struct Read
+        {
+            ReadingQueue *queue;
+            const Record *record;
+
+            void operator()() const { queue->fire(*record); }
+        };
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        const Record *record = &slab[rng & (slab.size() - 1)];
+        eq.scheduleIn(delayTable[next++ % delayTable.size()],
+                      Read{this, record}, kNamed ? record : nullptr);
+    }
+
+    EventQueue eq;
+    std::uint64_t sum = 0;
+
+  private:
+    void
+    fire(const Record &record)
+    {
+        for (std::uint64_t word : record.words)
+            sum += word;
+        if (remaining-- > 0)
+            schedule();
+    }
+
+    const std::vector<Record> &slab;
+    const std::vector<Cycle> &delayTable;
+    std::int64_t remaining;
+    std::size_t next = 0;
+    std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+};
+
+/** BM_DeepQueue's depth and delays, each handler reading a record. */
+template <bool kNamed>
+void
+deepQueueReading(benchmark::State &state, const std::vector<Cycle> &delays,
+                 int depth, std::int64_t total)
+{
+    static const std::vector<Record> records(kSlabRecords,
+                                             Record{{1, 2, 3, 4}});
+    for (auto _ : state) {
+        ReadingQueue<kNamed> queue(records, delays, total - depth);
+        for (int i = 0; i < depth; ++i)
+            queue.schedule();
+        queue.eq.run();
+        benchmark::DoNotOptimize(queue.sum);
+    }
+    state.SetItemsProcessed(state.iterations() * total);
+}
+
 /** Delays from one to four wheel spans: all of them far-heap events. */
 std::vector<Cycle>
 farDelayTable()
@@ -279,6 +363,26 @@ BM_DeepQueue(benchmark::State &state)
     steadyState<EventQueue>(state, delays, kGupsDepth, 8 * kGupsDepth);
 }
 BENCHMARK(BM_DeepQueue);
+
+/** BM_DeepQueue with a record read per handler, not named to the queue. */
+static void
+BM_DeepQueueRecordUnnamed(benchmark::State &state)
+{
+    static const std::vector<Cycle> delays =
+        delayTable(kGupsDelays.data(), kGupsDelays.size());
+    deepQueueReading<false>(state, delays, kGupsDepth, 8 * kGupsDepth);
+}
+BENCHMARK(BM_DeepQueueRecordUnnamed);
+
+/** The same, each event naming its record: the queue prefetches it. */
+static void
+BM_DeepQueueRecordNamed(benchmark::State &state)
+{
+    static const std::vector<Cycle> delays =
+        delayTable(kGupsDelays.data(), kGupsDelays.size());
+    deepQueueReading<true>(state, delays, kGupsDepth, 8 * kGupsDepth);
+}
+BENCHMARK(BM_DeepQueueRecordNamed);
 
 static void
 BM_LegacyDeepQueue(benchmark::State &state)

@@ -463,14 +463,17 @@ void
 checkCombinations(const std::set<std::string> &given)
 {
     auto has = [&](const char *flag) { return given.count(flag) > 0; };
-    // A phase-sampled run attaches no observers and writes only its
-    // sampled JSON; a co-run has no single stream to record, checkpoint
-    // or sample, and does not arm the profiler.
+    // A phase-sampled run attaches no observers, writes only its sampled
+    // JSON and runs the windows its plan picks, not a quota and a warmup;
+    // a replay runs the recorded stream, whose footprint no --scale
+    // changes; a co-run has no single stream to record, checkpoint or
+    // sample, and does not arm the profiler.
     const std::pair<const char *, std::vector<const char *>> excludes[] = {
         {"--phase-sample",
          {"--metrics-out", "--prom-out", "--trace-out", "--samples-out",
           "--ledger-out", "--events-out", "--fingerprint-out",
-          "--profile-out", "--replay-end"}},
+          "--profile-out", "--replay-end", "--quota", "--warmup"}},
+        {"--replay", {"--scale"}},
         {"--corun",
          {"--record", "--ffwd", "--checkpoint-at", "--checkpoint-out",
           "--checkpoint-in", "--phase-sample", "--phase-window",

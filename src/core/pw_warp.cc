@@ -112,7 +112,7 @@ PwWarp::levelIteration()
             SW_LIFECYCLE(lifecycle_, LifecyclePhase::PtRead, eventq.now(),
                          reading.id, reading.key, hooks.walker, true);
             hooks.ptReader->ptRead(addr, hooks.walker, lane_idx);
-        });
+        }, &walk);
     }
 }
 
@@ -178,7 +178,7 @@ PwWarp::finishBatch()
         eventq.schedule(arrive, [this, walk = lane.walk]() {
             --fillsCrossing;
             hooks.complete(walk);
-        });
+        }, &walks[lane.walk]);
         pwb.release(lane.slot);
         ++stats_.walksCompleted;
     }

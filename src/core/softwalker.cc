@@ -141,7 +141,7 @@ SoftWalkerBackend::sendToSm(SmId target, WalkId walk)
     gpu.eventQueue().scheduleIn(cfg.l2TlbLatency, [this, target, walk]() {
         --crossingInterconnect;
         controllers[target]->accept(walk);
-    });
+    }, &walks[walk]);
 }
 
 std::size_t

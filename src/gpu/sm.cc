@@ -1,6 +1,7 @@
 #include "gpu/sm.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "ckpt/ckpt_io.hh"
 #include "obs/stat_registry.hh"
@@ -20,6 +21,9 @@ Sm::Sm(EventQueue &eq, Params params, Workload &wl, RequestPool &requests,
     SW_ASSERT(params_.numWarps <= kMaxWarps,
               "SM %u: %u warps; a translation record names at most %u",
               params_.id, params_.numWarps, kMaxWarps);
+    SW_ASSERT(std::has_single_bit(params_.sectorBytes),
+              "SM %u: sector size %u is not a power of two", params_.id,
+              params_.sectorBytes);
     warps.resize(params_.numWarps);
 }
 
@@ -64,8 +68,8 @@ Sm::fetchAndSchedule(WarpId warp)
     --*quota;
     ws.pending = workload.next(params_.id, warp, rng);
     stats_.computeCycles += ws.pending.computeGap;
-    eventq.scheduleIn(ws.pending.computeGap,
-                      [this, warp]() { tryIssue(warp); });
+    eventq.scheduleIn(
+        ws.pending.computeGap, [this, warp]() { tryIssue(warp); }, &ws);
 }
 
 void
@@ -74,7 +78,8 @@ Sm::tryIssue(WarpId warp)
     Cycle now = eventq.now();
     if (nextIssueFree > now) {
         // Issue port busy (another warp or the PW Warp): retry when free.
-        eventq.schedule(nextIssueFree, [this, warp]() { tryIssue(warp); });
+        eventq.schedule(
+            nextIssueFree, [this, warp]() { tryIssue(warp); }, &warps[warp]);
         return;
     }
     nextIssueFree = now + 1;
@@ -97,6 +102,7 @@ Sm::execMemInstr(WarpId warp)
     // first-touch order).
     std::uint32_t lanes = std::min<std::uint32_t>(instr.activeLanes,
                                                   params_.warpSize);
+    const std::uint64_t sector_mask = ~std::uint64_t(params_.sectorBytes - 1);
     Vpn vpns[kMaxLanes];
     std::uint8_t first[kMaxLanes];     // page -> its first sector
     std::uint8_t last[kMaxLanes];      // page -> its last sector
@@ -107,8 +113,7 @@ Sm::execMemInstr(WarpId warp)
     for (std::uint32_t lane = 0; lane < lanes; ++lane) {
         VirtAddr va = instr.addrs[lane];
         Vpn vpn = geometry.vpnOf(va);
-        std::uint64_t sector_off = geometry.offsetOf(va) /
-                                   params_.sectorBytes * params_.sectorBytes;
+        std::uint64_t sector_off = geometry.offsetOf(va) & sector_mask;
         std::uint32_t page = 0;
         while (page < num_pages && vpns[page] != vpn)
             ++page;

@@ -34,6 +34,7 @@ Cache::Cache(EventQueue &eq, Params params, RequestPool &requests,
               "cache lines (%llu) not divisible by ways (%u)",
               static_cast<unsigned long long>(num_lines), params_.ways);
     numSets = static_cast<std::uint32_t>(num_lines / params_.ways);
+    setOf = Modulus(numSets);
     tagStore.assign(3 * num_lines, 0);
     std::span<std::uint64_t> store(tagStore);
     lineAddrs = store.first(num_lines);
@@ -63,7 +64,7 @@ Cache::sectorBit(PhysAddr addr) const
 std::size_t
 Cache::setBase(std::uint64_t line_addr) const
 {
-    return std::size_t(line_addr % numSets) * params_.ways;
+    return std::size_t(setOf(line_addr)) * params_.ways;
 }
 
 std::uint32_t
@@ -80,8 +81,13 @@ void
 Cache::access(RequestId id)
 {
     ++stats_.accesses;
-    eventq.scheduleIn(params_.latency,
-                      [this, id]() { lookup(id, /*retry=*/false); });
+    // The event carries the sector address, so the tag scan and the MSHR
+    // probe need not wait on the record, which is fetched meanwhile.
+    const Request &req = pool[id];
+    eventq.scheduleIn(
+        params_.latency,
+        [this, id, addr = req.addr]() { lookup(id, addr, /*retry=*/false); },
+        &req);
 }
 
 bool
@@ -100,10 +106,9 @@ Cache::flush()
 }
 
 void
-Cache::lookup(RequestId id, bool retry)
+Cache::lookup(RequestId id, PhysAddr addr, bool retry)
 {
     SW_PROF_SCOPE(prof::Zone::CacheDram);
-    PhysAddr addr = pool[id].addr;
     std::uint64_t la = lineAddr(addr);
     std::size_t base = setBase(la);
     std::uint32_t w = findWay(base, la);
@@ -209,7 +214,8 @@ Cache::retryWaiting()
     // merge-full); stop as soon as the queue makes no progress.
     while (!parked.empty() && mshrs.size() < params_.mshrEntries) {
         std::uint32_t before = parked.size;
-        lookup(parked.pop(pool), /*retry=*/true);
+        RequestId id = parked.pop(pool);
+        lookup(id, pool[id].addr, /*retry=*/true);
         if (parked.size >= before)
             break;
     }

@@ -18,6 +18,7 @@
 #include "mem/request.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
+#include "sim/modulus.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -138,11 +139,12 @@ class Cache
                           std::uint64_t line_addr) const;
 
     /**
-     * After the lookup latency: resolve hit/miss.
+     * After the lookup latency: resolve hit/miss for request @p id, whose
+     * sector address is @p addr.
      * @param retry re-issue of a parked request; skips demand hit/miss
      *        accounting so stats count each access once.
      */
-    void lookup(RequestId id, bool retry);
+    void lookup(RequestId id, PhysAddr addr, bool retry);
 
     /** Install the sector into the tag store, evicting if needed. */
     void install(PhysAddr addr);
@@ -158,6 +160,7 @@ class Cache
     std::uint32_t sectorShift;      ///< log2(sectorBytes)
     std::uint32_t sectorsPerLine;
     std::uint32_t numSets;
+    Modulus setOf{1};               ///< line address -> set
 
     /**
      * The tag store: one allocation holding three arrays of numSets * ways

@@ -14,6 +14,7 @@ Dram::Dram(EventQueue &eq, Params params)
       channelBusyCycles(params.channels, 0)
 {
     SW_ASSERT(params_.channels > 0, "DRAM needs at least one channel");
+    channelOf = Modulus(params_.channels);
 }
 
 Cycle
@@ -22,8 +23,8 @@ Dram::access(PhysAddr addr, bool write)
     (void)write; // reads and writes share timing in this model
     ++stats_.accesses;
 
-    std::uint32_t chan = static_cast<std::uint32_t>(
-        (addr >> params_.channelShift) % params_.channels);
+    auto chan = static_cast<std::uint32_t>(
+        channelOf(addr >> params_.channelShift));
 
     Cycle now = eventq.now();
     Cycle start = std::max(now, channelFree[chan]);

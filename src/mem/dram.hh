@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/modulus.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -75,6 +76,7 @@ class Dram
   private:
     EventQueue &eventq;
     Params params_;
+    Modulus channelOf{1};             ///< sector number -> channel
     std::vector<Cycle> channelFree;   ///< next cycle each channel is free
     std::vector<std::uint64_t> channelBusyCycles;
     Cycle statsSince = 0;             ///< utilisation window start

@@ -74,7 +74,9 @@ MemorySystem::fetch(Cache &from, const Request &missed)
     PhysAddr addr = missed.addr;
     if (&from == l2dCache.get()) {
         Cycle done_at = dramModel->access(addr, missed.write);
-        eventq.schedule(done_at, [this, addr]() { l2dCache->fill(addr); });
+        // The fill wakes the MSHR's waiters, the missed request first.
+        eventq.schedule(
+            done_at, [this, addr]() { l2dCache->fill(addr); }, &missed);
         return;
     }
     // An L1D only sees its own SM's data requests: the missed one names

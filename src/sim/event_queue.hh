@@ -33,6 +33,16 @@
  * next (EventQueue::peek() says why), so `cycles` and `eventsExecuted`
  * are bit-identical to the std::function/priority_queue kernel this
  * replaced.
+ *
+ * An event may name the memory its handler reads first: schedule()'s
+ * optional `record` pointer (a request record, a walk record, a warp's
+ * state), kept in the slab beside the slot's link.  Before a handler
+ * runs, dispatch() prefetches the handler storage and the record of the
+ * next one or two wheel events, so a handler rarely starts by waiting on
+ * a cache miss.  The pointer is a hint only: it is never dereferenced, it
+ * may be null or name freed memory, and it changes neither what runs nor
+ * when.  Once events are typed (ROADMAP), the record follows from the
+ * event's kind and first word, and the argument goes away.
  */
 
 #ifndef SW_SIM_EVENT_QUEUE_HH
@@ -148,20 +158,24 @@ class EventQueue
 
     /**
      * Schedule @p fn to run at absolute cycle @p when; the handler is
-     * built in its slab slot straight from @p fn.
+     * built in its slab slot straight from @p fn.  @p record, if given,
+     * is the memory the handler reads first, prefetched shortly before it
+     * runs (never dereferenced).
      * Scheduling in the past is a simulator bug.
      */
     template <EventHandler F>
     void
-    schedule(Cycle when, F &&fn)
+    schedule(Cycle when, F &&fn, const void *record = nullptr)
     {
         SW_ASSERT(when >= curCycle,
                   "event scheduled in the past (%llu < %llu)",
                   static_cast<unsigned long long>(when),
                   static_cast<unsigned long long>(curCycle));
         std::uint32_t slot = allocSlot();
-        ::new (static_cast<void *>(&chunkOf(slot).fns[slot & kChunkMask]))
+        Chunk &chunk = chunkOf(slot);
+        ::new (static_cast<void *>(&chunk.fns[slot & kChunkMask]))
             EventFn(std::forward<F>(fn));
+        chunk.records[slot & kChunkMask] = record;
         std::uint64_t seq = nextSeq++;
         if (when - curCycle < kWheelSpan) {
             pushNear(when, slot);
@@ -175,9 +189,9 @@ class EventQueue
     /** Schedule @p fn to run @p delay cycles from now. */
     template <EventHandler F>
     void
-    scheduleIn(Cycle delay, F &&fn)
+    scheduleIn(Cycle delay, F &&fn, const void *record = nullptr)
     {
-        schedule(curCycle + delay, std::forward<F>(fn));
+        schedule(curCycle + delay, std::forward<F>(fn), record);
     }
 
     /**
@@ -312,6 +326,7 @@ class EventQueue
         numNear = 0;
         numPending = 0;
         freeHead = kNoSlot;
+        warmSlot = kNoSlot;
         highWater = 0;
         curCycle = 0;
         nextSeq = 0;
@@ -340,12 +355,15 @@ class EventQueue
 
     /**
      * A slab chunk.  links[i] chains slot i into its wheel bucket, or
-     * into the free list while the slot is unused.
+     * into the free list while the slot is unused; records[i] is the
+     * record pointer slot i's event was scheduled with.  Line-aligned, so
+     * no handler straddles two cache lines.
      */
-    struct Chunk
+    struct alignas(64) Chunk
     {
         FnStorage fns[kChunk];
         std::uint32_t links[kChunk];
+        const void *records[kChunk];
     };
 
     /** A wheel bucket's FIFO; meaningful only while its bit is set. */
@@ -478,14 +496,12 @@ class EventQueue
     }
 
     /**
-     * Cycle of the earliest wheel event (the wheel must not be empty).
-     * Every wheel event is due in [now, now + kWheelSpan), so the first
-     * occupied bucket at or after now's, wrapping once, names it.
+     * The first occupied bucket at or after bucket @p pos, wrapping once
+     * (the wheel must not be empty).
      */
-    Cycle
-    nextNearCycle() const
+    unsigned
+    firstOccupied(unsigned pos) const
     {
-        unsigned pos = unsigned(curCycle) & kWheelMask;
         unsigned word = pos >> 6;
         std::uint64_t bits =
             occupied[word] & (~std::uint64_t(0) << (pos & 63));
@@ -496,8 +512,19 @@ class EventQueue
             word = unsigned(std::countr_zero(later ? later : occupiedWords));
             bits = occupied[word];
         }
-        unsigned bucket = (word << 6) | unsigned(std::countr_zero(bits));
-        return curCycle + ((bucket - pos) & kWheelMask);
+        return (word << 6) | unsigned(std::countr_zero(bits));
+    }
+
+    /**
+     * Cycle of the earliest wheel event (the wheel must not be empty).
+     * Every wheel event is due in [now, now + kWheelSpan), so the first
+     * occupied bucket at or after now's, wrapping once, names it.
+     */
+    Cycle
+    nextNearCycle() const
+    {
+        unsigned pos = unsigned(curCycle) & kWheelMask;
+        return curCycle + ((firstOccupied(pos) - pos) & kWheelMask);
     }
 
     /**
@@ -527,17 +554,59 @@ class EventQueue
         return Next{near, false};
     }
 
+    /**
+     * Prefetch what the next one or two wheel events read first, while
+     * the current handler runs: the rest of the current bucket, else the
+     * head of the next occupied bucket (the far heap is not looked at).
+     * @p after is the slot behind the running event in its bucket, or
+     * kNoSlot.  The lookahead adds no stall of its own: it reads the
+     * record pointer only of a slot the previous dispatch prefetched, and
+     * otherwise only links the next dispatch reads anyway.  A wrong guess
+     * (an earlier event scheduled meanwhile) costs a wasted prefetch.
+     */
+    void
+    prefetchAhead(std::uint32_t after)
+    {
+        unsigned b1 = unsigned(curCycle) & kWheelMask;
+        std::uint32_t n1 = after;
+        if (n1 == kNoSlot) {
+            if (numNear == 0)
+                return;
+            b1 = firstOccupied(b1);
+            n1 = buckets[b1].head;
+        }
+        if (n1 == warmSlot) {
+            if (const void *record = chunkOf(n1).records[n1 & kChunkMask])
+                __builtin_prefetch(record);
+        } else {
+            __builtin_prefetch(&chunkOf(n1).fns[n1 & kChunkMask]);
+        }
+        std::uint32_t n2 = link(n1);
+        if (n2 == kNoSlot) {
+            unsigned b2 = firstOccupied((b1 + 1) & kWheelMask);
+            n2 = b2 != b1 ? buckets[b2].head : kNoSlot;
+        }
+        warmSlot = n2;
+        if (n2 != kNoSlot) {
+            Chunk &chunk = chunkOf(n2);
+            __builtin_prefetch(&chunk.fns[n2 & kChunkMask]);
+            __builtin_prefetch(&chunk.records[n2 & kChunkMask]);
+        }
+    }
+
     /** Remove @p next from its tier and run it in place. */
     void
     dispatch(Next next)
     {
         std::uint32_t slot;
+        std::uint32_t after = kNoSlot;
         if (next.far) {
             std::pop_heap(far.begin(), far.end(), Later{});
             slot = far.back().slot;
             far.pop_back();
         } else {
             slot = popNear(next.when);
+            after = link(slot);
         }
         --numPending;
         SW_AUDIT(next.when >= curCycle,
@@ -546,6 +615,7 @@ class EventQueue
                  static_cast<unsigned long long>(curCycle));
         curCycle = next.when;
         ++numExecuted;
+        prefetchAhead(after);
         // The slot stays taken while its handler runs (which may schedule
         // more: chunks never move, so the handler's storage stays put).
         {
@@ -561,6 +631,9 @@ class EventQueue
     std::vector<std::unique_ptr<Chunk>> chunks;
     std::uint32_t freeHead = kNoSlot;
     std::uint32_t highWater = 0;
+    /** The slot whose handler and record pointer the last dispatch
+     *  prefetched, or kNoSlot. */
+    std::uint32_t warmSlot = kNoSlot;
     /** Wheel buckets, indexed by cycle % kWheelSpan (first schedule()). */
     std::unique_ptr<Bucket[]> buckets;
     /** Bit b set: bucket b holds events. */

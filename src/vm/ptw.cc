@@ -76,7 +76,7 @@ HardwarePtwPool::submit(WalkId walk)
             overflow.pushBack(walk);
         }
         dispatch();
-    });
+    }, &walks[walk]);
 }
 
 void
@@ -142,7 +142,7 @@ HardwarePtwPool::dispatch()
             for (WalkId rider : w.coalesced)
                 pick_up(rider);
             walkStep(slot);
-        });
+        }, &walks[walk.primary]);
     }
 }
 

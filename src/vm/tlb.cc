@@ -19,6 +19,7 @@ TlbArray::TlbArray(std::string name, std::uint32_t num_entries,
               "TLB entries (%u) not divisible by ways (%u)",
               num_entries, num_ways);
     sets = num_entries / num_ways;
+    setIndex = Modulus(sets);
     tagStore.assign(3 * std::size_t(num_entries), 0);
     std::span<std::uint64_t> store(tagStore);
     tags = store.first(num_entries);

@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/modulus.hh"
 #include "sim/types.hh"
 #include "vm/address.hh"
 
@@ -143,7 +144,7 @@ class TlbArray
 
     std::uint32_t numWays() const { return ways; }
     std::uint32_t numSets() const { return sets; }
-    std::uint64_t setOf(Vpn vpn) const { return vpn % sets; }
+    std::uint64_t setOf(Vpn vpn) const { return setIndex(vpn); }
 
     /** Zero the statistics (post-warmup measurement reset). */
     void resetStats() { stats_ = Stats{}; }
@@ -225,6 +226,7 @@ class TlbArray
     std::string name_;
     std::uint32_t ways;
     std::uint32_t sets;
+    Modulus setIndex{1};                ///< VPN -> set
     /**
      * The tag store: one allocation holding three arrays of sets * ways
      * words, set-major.  A probe scans its set's tag words; PFNs and LRU

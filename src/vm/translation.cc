@@ -94,7 +94,8 @@ TranslationEngine::translate(RequestId id)
     ++stats_.requests;
     ++tenantStats_[req.asid].requests;
     req.start = eventq.now();
-    eventq.scheduleIn(cfg.l1TlbLatency, [this, id]() { l1Lookup(id); });
+    eventq.scheduleIn(
+        cfg.l1TlbLatency, [this, id]() { l1Lookup(id); }, &req);
 }
 
 void
@@ -165,7 +166,8 @@ TranslationEngine::sendToL2(SmId sm, TranslationKey key)
                                .unit = sm,
                                .asid = std::uint16_t(key.asid),
                                .done = Done::Translation});
-    eventq.scheduleIn(cfg.l2TlbLatency, [this, id]() { l2Access(id); });
+    eventq.scheduleIn(
+        cfg.l2TlbLatency, [this, id]() { l2Access(id); }, &pool[id]);
 }
 
 void
@@ -307,7 +309,7 @@ TranslationEngine::createWalk(TranslationKey key, Cycle created)
         SW_LIFECYCLE(lifecycle_, LifecyclePhase::BackendSubmit, eventq.now(),
                      w.id, w.key);
         walkBackend->submit(walk);
-    });
+    }, &walks_[walk]);
 }
 
 void

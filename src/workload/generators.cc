@@ -8,6 +8,45 @@
 
 namespace sw {
 
+namespace {
+
+/** @p x mod @p m, dividing only when @p x is not already below @p m. */
+std::uint64_t
+reduce(std::uint64_t x, std::uint64_t m)
+{
+    return x < m ? x : x % m;
+}
+
+/**
+ * The offsets (base + i * stride) mod m for i = 0, 1, ..., one per
+ * next().  The base and the stride are reduced once; each later offset
+ * costs a compare and a subtract instead of a divide.  Equal to the % form
+ * of each term for any m, base and stride whose sums do not wrap 2^64.
+ */
+class StridedOffsets
+{
+  public:
+    StridedOffsets(std::uint64_t base, std::uint64_t stride, std::uint64_t m)
+        : at(reduce(base, m)), step(reduce(stride, m)), wrapAt(m - step)
+    {
+    }
+
+    std::uint64_t
+    next()
+    {
+        std::uint64_t offset = at;
+        at = at >= wrapAt ? at - wrapAt : at + step;
+        return offset;
+    }
+
+  private:
+    std::uint64_t at;      ///< the next offset, below m
+    std::uint64_t step;    ///< stride mod m
+    std::uint64_t wrapAt;  ///< m - step: from here on, at + step wraps
+};
+
+} // namespace
+
 SyntheticWorkload::SyntheticWorkload(std::string name,
                                      std::uint64_t footprint_bytes,
                                      bool irregular,
@@ -161,12 +200,12 @@ StreamingWorkload::next(SmId sm, WarpId warp, Rng &rng)
                            % params_.numStreams;
     std::uint64_t stream_offset = stream * params_.streamPitchBytes;
 
-    for (std::uint32_t lane = 0; lane < 32; ++lane) {
-        std::uint64_t offset =
-            (pos + stream_offset + lane * params_.elemBytes) % footprint;
-        instr.addrs[lane] = kHeapBase + offset;
-    }
-    pos = (pos + 32 * params_.elemBytes + params_.strideBytes) % footprint;
+    StridedOffsets offsets(pos + stream_offset, params_.elemBytes,
+                           footprint);
+    for (std::uint32_t lane = 0; lane < 32; ++lane)
+        instr.addrs[lane] = kHeapBase + offsets.next();
+    pos = reduce(pos + 32 * params_.elemBytes + params_.strideBytes,
+                 footprint);
     return instr;
 }
 
@@ -239,7 +278,9 @@ GraphWorkload::next(SmId sm, WarpId warp, Rng &rng)
         }
     }
 
+    StridedOffsets offsets(pos, params_.elemBytes, footprint);
     for (std::uint32_t lane = 0; lane < 32; ++lane) {
+        std::uint64_t offset = offsets.next();
         if (rng.uniform() < params_.gatherFraction) {
             // Contiguous run off a shared base (CSR neighbour list).
             std::uint32_t base_idx = lane % num_bases;
@@ -247,12 +288,10 @@ GraphWorkload::next(SmId sm, WarpId warp, Rng &rng)
                 (lane / num_bases) * params_.elemBytes;
         } else {
             // Frontier / offset array: coalesced stream.
-            std::uint64_t offset =
-                (pos + lane * params_.elemBytes) % footprint;
             instr.addrs[lane] = kHeapBase + offset;
         }
     }
-    pos = (pos + 32 * params_.elemBytes) % footprint;
+    pos = reduce(pos + 32 * params_.elemBytes, footprint);
     return instr;
 }
 
@@ -311,18 +350,18 @@ SparseWorkload::next(SmId sm, WarpId warp, Rng &rng)
         }
     }
 
+    StridedOffsets offsets(pos, params_.elemBytes, footprint);
     for (std::uint32_t lane = 0; lane < 32; ++lane) {
+        std::uint64_t offset = offsets.next();
         if (rng.uniform() < params_.gatherFraction) {
             std::uint32_t base_idx = lane % num_bases;
             instr.addrs[lane] = bases[base_idx] +
                 (lane / num_bases) * params_.elemBytes;
         } else {
-            std::uint64_t offset =
-                (pos + lane * params_.elemBytes) % footprint;
             instr.addrs[lane] = kHeapBase + offset;
         }
     }
-    pos = (pos + 32 * params_.elemBytes) % footprint;
+    pos = reduce(pos + 32 * params_.elemBytes, footprint);
     return instr;
 }
 
@@ -357,16 +396,17 @@ HashProbeWorkload::next(SmId sm, WarpId warp, Rng &rng)
     for (std::uint32_t b = 0; b < kProbeBases; ++b)
         bases[b] = windowAddr(sm, rng, 16);
 
+    StridedOffsets offsets(pos, 8, footprint);
     for (std::uint32_t lane = 0; lane < 32; ++lane) {
+        std::uint64_t offset = offsets.next();
         if (rng.uniform() < seqFraction) {
-            std::uint64_t offset = (pos + lane * 8) % footprint;
             instr.addrs[lane] = kHeapBase + offset;
         } else {
             instr.addrs[lane] =
                 bases[lane % kProbeBases] + (lane / kProbeBases) * 16;
         }
     }
-    pos = (pos + 32 * 8) % footprint;
+    pos = reduce(pos + 32 * 8, footprint);
     return instr;
 }
 
@@ -396,13 +436,11 @@ WavefrontWorkload::next(SmId sm, WarpId warp, Rng &rng)
     std::uint64_t lane_pitch =
         (params_.windowPages * kWindowPageBytes) / 32;
     VirtAddr band = windowAddr(sm, rng, params_.elemBytes);
-    for (std::uint32_t lane = 0; lane < 32; ++lane) {
-        std::uint64_t offset =
-            (band - kHeapBase + lane * lane_pitch +
-             (diag % lane_pitch)) % footprint;
-        instr.addrs[lane] = kHeapBase + offset;
-    }
-    diag = (diag + params_.elemBytes * 32) % footprint;
+    StridedOffsets offsets(band - kHeapBase + diag % lane_pitch, lane_pitch,
+                           footprint);
+    for (std::uint32_t lane = 0; lane < 32; ++lane)
+        instr.addrs[lane] = kHeapBase + offsets.next();
+    diag = reduce(diag + params_.elemBytes * 32, footprint);
     return instr;
 }
 
@@ -435,12 +473,11 @@ HistogramWorkload::next(SmId sm, WarpId warp, Rng &rng)
             instr.addrs[lane] = kHeapBase + off;
         }
     } else {
-        for (std::uint32_t lane = 0; lane < 32; ++lane) {
-            std::uint64_t offset = (pos + lane * 4) % footprint;
-            instr.addrs[lane] = kHeapBase + tableBytes + offset;
-        }
+        StridedOffsets offsets(pos, 4, footprint);
+        for (std::uint32_t lane = 0; lane < 32; ++lane)
+            instr.addrs[lane] = kHeapBase + tableBytes + offsets.next();
     }
-    pos = (pos + 32 * 4) % footprint;
+    pos = reduce(pos + 32 * 4, footprint);
     return instr;
 }
 

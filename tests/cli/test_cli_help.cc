@@ -124,9 +124,11 @@ TEST(CliNumbers, BadValuesAreUsageErrors)
 TEST(CliCombinations, IgnoredOptionsAreUsageErrors)
 {
     // Each option here would be read by no run path: a phase-sampled run
-    // writes only its sampled JSON, a co-run neither records, checkpoints,
-    // samples phases, replays nor profiles, the tenant options need a
-    // co-run, and the rest mean nothing without their partner option.
+    // writes only its sampled JSON and runs its plan's windows, not a
+    // quota or a warmup, a replay keeps its recorded footprint, a co-run
+    // neither records, checkpoints, samples phases, replays nor profiles,
+    // the tenant options need a co-run, and the rest mean nothing without
+    // their partner option.
     // Every one ends in the exit-2 usage error before anything runs.
     const std::string replay = "--replay t.swtrace ";
     const std::string sample = replay + "--phase-sample s.json ";
@@ -136,7 +138,8 @@ TEST(CliCombinations, IgnoredOptionsAreUsageErrors)
         sample + "--trace-out t.json", sample + "--samples-out s.csv",
         sample + "--ledger-out l.json", sample + "--events-out e.ndjson",
         sample + "--fingerprint-out f.fp", sample + "--profile-out p.json",
-        sample + "--replay-end loop",
+        sample + "--replay-end loop", sample + "--quota 7",
+        sample + "--warmup 3", replay + "--scale 3",
         corun + "--record r.swtrace", corun + "--ffwd 100",
         corun + "--checkpoint-at 100",
         corun + "--checkpoint-at 100 --checkpoint-out c.swckpt",

@@ -356,4 +356,15 @@ TEST_F(SmTest, OnWarpRetiredFires)
     EXPECT_EQ(sm->activeWarps(), 0u);
 }
 
+/** A lane's sector offset is a mask, so the sector size must be a power
+ *  of two (GpuConfig::validate() refuses any other). */
+TEST_F(SmTest, SectorSizeMustBeAPowerOfTwo)
+{
+    ScriptedWorkload wl;
+    Sm::Params p = params();
+    p.sectorBytes = 24;
+    EXPECT_DEATH({ Sm bad(eq, p, wl, pool, *this, lifecycle); },
+                 "sector size 24 is not a power of two");
+}
+
 } // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "mem/dram.hh"
 
 using namespace sw;
@@ -65,6 +68,29 @@ TEST(Dram, ChannelSelectionBits)
     done.push_back(dram.access(16, false));
     EXPECT_EQ(done[0], 100u);
     EXPECT_EQ(done[1], 102u);
+}
+
+/** Twelve channels are not a power of two: the pick takes the divide.
+ *  Every access must queue on channel (addr >> channelShift) % 12. */
+TEST(Dram, TwelveChannelsPickTheSectorModulo)
+{
+    EventQueue eq;
+    Dram::Params params = smallParams();
+    params.channels = 12;
+    Dram dram(eq, params);
+    std::vector<Cycle> channel_free(12, 0);
+    std::mt19937_64 rng(12);
+    for (int i = 0; i < 20000; ++i) {
+        PhysAddr addr = rng() & ((PhysAddr(1) << 47) - 1);
+        Cycle &free_at = channel_free[(addr >> 5) % 12];
+        ASSERT_EQ(dram.access(addr, false), free_at + 100) << "access " << i;
+        free_at += 2;
+    }
+    // Sectors 12 apart share a channel; neighbours do not.
+    Dram fresh(eq, params);
+    EXPECT_EQ(fresh.access(0, false), 100u);
+    EXPECT_EQ(fresh.access(11 * 32, false), 100u);
+    EXPECT_EQ(fresh.access(12 * 32, false), 102u);
 }
 
 TEST(Dram, UtilisationGrowsWithTraffic)

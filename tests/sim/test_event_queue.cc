@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "mem/request.hh"
 #include "sim/event_queue.hh"
 
 using namespace sw;
@@ -306,16 +307,37 @@ referenceTrace()
 /**
  * Differential test of both tiers against the reference order, with
  * delays up to four spans, zero-delay self-scheduling and events on
- * either side of the span boundary.
+ * either side of the span boundary.  Events with and without a record
+ * pointer interleave: a third name none, a third a live request record
+ * and a third a freed one.  The pointer is a prefetch hint, so none of
+ * them may change the order.
  */
 TEST(EventQueue, MatchesReferenceOrderAcrossBothTiers)
 {
     EventQueue eq;
     Program program;
+    RequestPool records;
+    std::vector<RequestId> live(64);
+    for (RequestId &id : live)
+        id = records.alloc({});
+    std::vector<RequestId> freed(live.end() - 32, live.end());
+    live.resize(32);
+    for (RequestId id : freed)
+        records.free(id);
+    auto record = [&](std::uint64_t id) -> const void * {
+        switch (id % 3) {
+          case 0:
+            return nullptr;
+          case 1:
+            return &records[live[id / 3 % live.size()]];
+          default:
+            return &records[freed[id / 3 % freed.size()]];
+        }
+    };
     std::function<void(Cycle, std::uint64_t)> schedule;
     auto fire = [&](std::uint64_t id) { program.fire(id, eq.now(), schedule); };
     schedule = [&](Cycle when, std::uint64_t id) {
-        eq.schedule(when, [&fire, id]() { fire(id); });
+        eq.schedule(when, [&fire, id]() { fire(id); }, record(id));
     };
     program.start(schedule);
     std::size_t peak = eq.pending();

@@ -563,6 +563,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         DifferentialGeometry{"L1_32x32", 32, 32, 1, {}},
         DifferentialGeometry{"L2_1024x16", 1024, 16, 1, {}},
+        // 12 sets: the set index takes the divide, not the mask.
+        DifferentialGeometry{"L2_192x16", 192, 16, 1, {}},
         DifferentialGeometry{"Mig_256x16_4asids", 256, 16, 4,
                              {{0, 4}, {4, 4}, {8, 4}, {12, 4}}}),
     [](const ::testing::TestParamInfo<DifferentialGeometry> &info) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "workload/generators.hh"
 
@@ -400,5 +402,337 @@ TEST_P(GeneratorBounds, AddressesInBounds)
 
 INSTANTIATE_TEST_SUITE_P(AllGenerators, GeneratorBounds,
                          ::testing::Range(0, 7));
+
+// ---- Differential: the lane offsets against the % formulation ----------
+//
+// Each generator steps its lane offsets modulo the footprint with one
+// conditional subtract a lane.  The reference generators below keep the
+// formulation that divides for every lane; they draw from the shared
+// SyntheticWorkload helpers exactly as the generators do, so with equal
+// parameters and equal Rng seeds the two address streams must be equal.
+
+/** Old StreamingWorkload::next(). */
+class RefStreaming : public SyntheticWorkload
+{
+  public:
+    RefStreaming(std::uint64_t footprint_bytes,
+                 StreamingWorkload::Params params)
+        : SyntheticWorkload("ref", footprint_bytes, false, 5), p(params)
+    {
+    }
+
+    WarpInstr
+    next(SmId sm, WarpId, Rng &) override
+    {
+        std::uint64_t &pos = sharedCursor(sm);
+        WarpInstr instr;
+        instr.computeGap = computeGap;
+        instr.activeLanes = 32;
+        std::uint64_t stream = (pos / (32 * p.elemBytes)) % p.numStreams;
+        std::uint64_t stream_offset = stream * p.streamPitchBytes;
+        for (std::uint32_t lane = 0; lane < 32; ++lane) {
+            std::uint64_t offset =
+                (pos + stream_offset + lane * p.elemBytes) % footprint;
+            instr.addrs[lane] = kHeapBase + offset;
+        }
+        pos = (pos + 32 * p.elemBytes + p.strideBytes) % footprint;
+        return instr;
+    }
+
+  private:
+    StreamingWorkload::Params p;
+};
+
+/** Old GraphWorkload::next() and SparseWorkload::next(). */
+template <typename Params, bool kSparse>
+class RefGather : public SyntheticWorkload
+{
+  public:
+    RefGather(std::uint64_t footprint_bytes, Params params)
+        : SyntheticWorkload("ref", footprint_bytes, true, 5), p(params)
+    {
+        initWindow(p.windowPages, p.pagesPerInstr);
+    }
+
+    WarpInstr
+    next(SmId sm, WarpId, Rng &rng) override
+    {
+        windowTick(sm);
+        std::uint64_t &pos = sharedCursor(sm);
+        WarpInstr instr;
+        instr.computeGap = computeGap;
+        instr.activeLanes = 32;
+        std::uint32_t num_bases = std::max<std::uint32_t>(1, p.gatherBases);
+        VirtAddr bases[32];
+        for (std::uint32_t b = 0; b < num_bases; ++b)
+            bases[b] = base(sm, b, rng);
+        for (std::uint32_t lane = 0; lane < 32; ++lane) {
+            if (rng.uniform() < p.gatherFraction) {
+                instr.addrs[lane] = bases[lane % num_bases] +
+                    (lane / num_bases) * p.elemBytes;
+            } else {
+                std::uint64_t offset =
+                    (pos + lane * p.elemBytes) % footprint;
+                instr.addrs[lane] = kHeapBase + offset;
+            }
+        }
+        pos = (pos + 32 * p.elemBytes) % footprint;
+        return instr;
+    }
+
+  private:
+    VirtAddr
+    base(SmId sm, std::uint32_t b, Rng &rng)
+    {
+        if constexpr (kSparse) {
+            std::uint64_t page = p.pageBytesHint;
+            std::uint64_t pages = std::max<std::uint64_t>(1, footprint / page);
+            if (p.setStridePages > 0 &&
+                (p.pagesPerInstr <= 0.0 || b % 2 == 0)) {
+                std::uint64_t cluster = pages / p.setStridePages;
+                std::uint64_t k =
+                    rng.range(std::max<std::uint64_t>(1, cluster));
+                std::uint64_t target_page = (k * p.setStridePages) % pages;
+                std::uint64_t in_page =
+                    rng.range(page / p.elemBytes) * p.elemBytes;
+                return kHeapBase + target_page * page + in_page;
+            }
+        }
+        if (p.coldFraction > 0.0 && rng.uniform() < p.coldFraction)
+            return randomAddr(rng, p.elemBytes);
+        return windowAddr(sm, rng, p.elemBytes);
+    }
+
+    Params p;
+};
+
+/** Old HashProbeWorkload::next(). */
+class RefHashProbe : public SyntheticWorkload
+{
+  public:
+    RefHashProbe(std::uint64_t footprint_bytes, double seq_fraction,
+                 std::uint64_t window_pages, double pages_per_instr)
+        : SyntheticWorkload("ref", footprint_bytes, true, 5),
+          seqFraction(seq_fraction)
+    {
+        initWindow(window_pages, pages_per_instr);
+    }
+
+    WarpInstr
+    next(SmId sm, WarpId, Rng &rng) override
+    {
+        windowTick(sm);
+        std::uint64_t &pos = sharedCursor(sm);
+        WarpInstr instr;
+        instr.computeGap = computeGap;
+        instr.activeLanes = 32;
+        VirtAddr bases[8];
+        for (VirtAddr &base : bases)
+            base = windowAddr(sm, rng, 16);
+        for (std::uint32_t lane = 0; lane < 32; ++lane) {
+            if (rng.uniform() < seqFraction) {
+                std::uint64_t offset = (pos + lane * 8) % footprint;
+                instr.addrs[lane] = kHeapBase + offset;
+            } else {
+                instr.addrs[lane] = bases[lane % 8] + (lane / 8) * 16;
+            }
+        }
+        pos = (pos + 32 * 8) % footprint;
+        return instr;
+    }
+
+  private:
+    double seqFraction;
+};
+
+/** Old WavefrontWorkload::next(). */
+class RefWavefront : public SyntheticWorkload
+{
+  public:
+    RefWavefront(std::uint64_t footprint_bytes,
+                 WavefrontWorkload::Params params)
+        : SyntheticWorkload("ref", footprint_bytes, true, 5), p(params)
+    {
+        initWindow(p.windowPages, p.pagesPerInstr);
+    }
+
+    WarpInstr
+    next(SmId sm, WarpId warp, Rng &rng) override
+    {
+        windowTick(sm);
+        std::uint64_t &diag = cursor(sm, warp);
+        WarpInstr instr;
+        instr.computeGap = computeGap;
+        instr.activeLanes = 32;
+        std::uint64_t lane_pitch = (p.windowPages * kWindowPageBytes) / 32;
+        VirtAddr band = windowAddr(sm, rng, p.elemBytes);
+        for (std::uint32_t lane = 0; lane < 32; ++lane) {
+            std::uint64_t offset = (band - kHeapBase + lane * lane_pitch +
+                                    (diag % lane_pitch)) % footprint;
+            instr.addrs[lane] = kHeapBase + offset;
+        }
+        diag = (diag + p.elemBytes * 32) % footprint;
+        return instr;
+    }
+
+  private:
+    WavefrontWorkload::Params p;
+};
+
+/** Old HistogramWorkload::next(). */
+class RefHistogram : public SyntheticWorkload
+{
+  public:
+    RefHistogram(std::uint64_t footprint_bytes, std::uint64_t table_bytes)
+        : SyntheticWorkload("ref", footprint_bytes, false, 5),
+          tableBytes(table_bytes)
+    {
+    }
+
+    WarpInstr
+    next(SmId sm, WarpId, Rng &rng) override
+    {
+        std::uint64_t &pos = sharedCursor(sm);
+        WarpInstr instr;
+        instr.computeGap = computeGap;
+        instr.activeLanes = 32;
+        if ((pos / 128) % 2 == 1) {
+            instr.write = true;
+            for (std::uint32_t lane = 0; lane < 32; ++lane)
+                instr.addrs[lane] = kHeapBase + rng.range(tableBytes / 4) * 4;
+        } else {
+            for (std::uint32_t lane = 0; lane < 32; ++lane) {
+                std::uint64_t offset = (pos + lane * 4) % footprint;
+                instr.addrs[lane] = kHeapBase + tableBytes + offset;
+            }
+        }
+        pos = (pos + 32 * 4) % footprint;
+        return instr;
+    }
+
+  private:
+    std::uint64_t tableBytes;
+};
+
+/**
+ * Random parameters that stress the reduction: footprints that are not
+ * powers of two, and element sizes and strides that are small, arbitrary
+ * or at least the footprint.  Lane offsets stay below 2^32 so the
+ * reference's 32-bit lane products do not wrap.
+ */
+struct DiffParams
+{
+    explicit DiffParams(Rng &rng, std::uint64_t min_footprint)
+    {
+        footprint = min_footprint + rng.range(1ull << 24);
+        switch (rng.range(3)) {
+          case 0:
+            elemBytes = std::uint32_t(4 << rng.range(2));
+            break;
+          case 1:
+            elemBytes = std::uint32_t(1 + rng.range(4096));
+            break;
+          default:   // an element at least the footprint
+            elemBytes = std::uint32_t(footprint + rng.range(footprint));
+            break;
+        }
+        stride = rng.range(2) ? rng.range(3 * footprint) + footprint
+                              : rng.range(4096);
+    }
+
+    std::uint64_t footprint;
+    std::uint32_t elemBytes;
+    std::uint64_t stride;
+};
+
+void
+expectSameStream(Workload &got, Workload &want, std::uint64_t seed,
+                 const std::string &what)
+{
+    Rng got_rng(seed);
+    Rng want_rng(seed);
+    for (int i = 0; i < 400; ++i) {
+        SmId sm = SmId(i % 3);
+        WarpId warp = WarpId(i % 5);
+        WarpInstr a = got.next(sm, warp, got_rng);
+        WarpInstr b = want.next(sm, warp, want_rng);
+        ASSERT_EQ(a.computeGap, b.computeGap) << what << " call " << i;
+        ASSERT_EQ(a.activeLanes, b.activeLanes) << what << " call " << i;
+        ASSERT_EQ(a.write, b.write) << what << " call " << i;
+        ASSERT_EQ(a.addrs, b.addrs) << what << " call " << i;
+    }
+}
+
+TEST(GeneratorDifferential, LaneOffsetsMatchThePerLaneModulo)
+{
+    Rng rng(0xd1ff);
+    bool big_elem = false;
+    bool big_stride = false;
+    bool odd_footprint = false;
+    for (int trial = 0; trial < 40; ++trial) {
+        const std::string what = "trial " + std::to_string(trial);
+        const std::uint64_t seed = 1000 + std::uint64_t(trial);
+        const std::uint64_t window_pages = 1 + rng.range(4);
+        const double slide = rng.range(2) ? 0.25 : 0.0;
+        DiffParams d(rng, window_pages * kPage);
+        big_elem = big_elem || d.elemBytes >= d.footprint;
+        big_stride = big_stride || d.stride >= d.footprint;
+        odd_footprint = odd_footprint || (d.footprint & (d.footprint - 1));
+
+        StreamingWorkload::Params sp;
+        sp.elemBytes = d.elemBytes;
+        sp.strideBytes = d.stride;
+        sp.numStreams = std::uint32_t(1 + rng.range(3));
+        sp.streamPitchBytes = rng.range(2 * d.footprint);
+        StreamingWorkload streaming("s", d.footprint, false, 5, sp);
+        RefStreaming ref_streaming(d.footprint, sp);
+        expectSameStream(streaming, ref_streaming, seed, "streaming " + what);
+
+        GraphWorkload::Params gp;
+        gp.windowPages = window_pages;
+        gp.pagesPerInstr = slide;
+        gp.gatherFraction = 0.5;
+        gp.coldFraction = 0.1;
+        gp.gatherBases = std::uint32_t(1 + rng.range(32));
+        gp.elemBytes = d.elemBytes;
+        GraphWorkload graph("g", d.footprint, true, 5, gp);
+        RefGather<GraphWorkload::Params, false> ref_graph(d.footprint, gp);
+        expectSameStream(graph, ref_graph, seed, "graph " + what);
+
+        SparseWorkload::Params pp;
+        pp.windowPages = window_pages;
+        pp.pagesPerInstr = slide;
+        pp.gatherFraction = 0.5;
+        pp.coldFraction = 0.1;
+        pp.gatherBases = std::uint32_t(1 + rng.range(32));
+        pp.setStridePages = rng.range(3);
+        pp.elemBytes = d.elemBytes;
+        SparseWorkload sparse("p", d.footprint, 5, pp);
+        RefGather<SparseWorkload::Params, true> ref_sparse(d.footprint, pp);
+        expectSameStream(sparse, ref_sparse, seed, "sparse " + what);
+
+        HashProbeWorkload probe("x", d.footprint, 5, 0.5, window_pages,
+                                slide);
+        RefHashProbe ref_probe(d.footprint, 0.5, window_pages, slide);
+        expectSameStream(probe, ref_probe, seed, "hash probe " + what);
+
+        WavefrontWorkload::Params wp;
+        wp.windowPages = window_pages;
+        wp.pagesPerInstr = slide;
+        wp.elemBytes = d.elemBytes;
+        WavefrontWorkload wave("w", d.footprint, 5, wp);
+        RefWavefront ref_wave(d.footprint, wp);
+        expectSameStream(wave, ref_wave, seed, "wavefront " + what);
+
+        std::uint64_t table = 4 + rng.range(1u << 20);
+        HistogramWorkload histo("h", d.footprint, 5, table);
+        RefHistogram ref_histo(d.footprint, table);
+        expectSameStream(histo, ref_histo, seed, "histogram " + what);
+    }
+    // The draws covered every case the reduction must get right.
+    EXPECT_TRUE(big_elem);
+    EXPECT_TRUE(big_stride);
+    EXPECT_TRUE(odd_footprint);
+}
 
 } // namespace
